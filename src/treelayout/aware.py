@@ -438,10 +438,20 @@ def layout_from_json(obj, n: Optional[int] = None) -> BlockAssignment:
         blocks = obj["blocks"]
     except (TypeError, KeyError) as exc:
         raise TreeError("layout json missing field: %s" % exc) from None
-    if not isinstance(B, int) or B < 1:
+    if type(B) is not int or B < 1:
         raise TreeError("B must be a positive integer")
     cs = obj.get("c")
-    c = None if cs is None else Fraction(cs)
+    c = None
+    if cs is not None:
+        bad = TreeError("c must be a fraction string, got %r" % (cs,))
+        if type(cs) is not str:
+            raise bad
+        try:
+            c = Fraction(cs)
+        except (ValueError, ZeroDivisionError):
+            raise bad from None
+    if type(blocks) is not list or not set(map(type, blocks)) <= {list}:
+        raise TreeError("blocks must be a list of node-id lists")
     if n is None:
         n = 1 + max((v for mem in blocks for v in mem), default=0)
     block_of = [-1] * n
@@ -449,7 +459,7 @@ def layout_from_json(obj, n: Optional[int] = None) -> BlockAssignment:
         if len(mem) > B:
             raise TreeError("block %d exceeds size B=%d" % (i, B))
         for v in mem:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise TreeError("node id out of range in layout: %r" % (v,))
             if block_of[v] != -1:
                 raise TreeError("node %d in two blocks" % v)

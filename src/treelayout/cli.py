@@ -23,7 +23,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -35,7 +35,7 @@ from .cost import (brute_force_optimal, cost_report, theoretical_bound,
 from .oblivious import blocks_at, layout_oblivious, order_to_json
 from .tree import (ResourceLimitError, TreeError, TreeTopology, compute_weights,
                    gen_lower_bound, gen_path, gen_perfect, gen_random,
-                   load_tree, tree_to_json)
+                   json_text, load_tree, tree_to_json)
 
 log = logging.getLogger("treelayout")
 
@@ -53,7 +53,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _write_json(obj, out: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json_text(obj)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -133,16 +133,29 @@ def cmd_layout(args, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------- eval
 
 def _load_layout_file(path: str, tree: TreeTopology):
-    """Return ("blocks", BlockAssignment) or ("order", node->block map factory)."""
+    """Return ("blocks", BlockAssignment) or ("order", per-node positions).
+
+    An order may hold ``None`` padding slots (see ``padded_order``); a
+    node's position is its slot index.
+    """
     obj = json.loads(Path(path).read_text())
+    if type(obj) is not dict:
+        raise TreeError(f"{path}: layout json must be an object")
     if "blocks" in obj:
         return "blocks", layout_from_json(obj, n=tree.n)
     if "order" in obj:
         slots = obj["order"]
+        if (type(slots) is not list
+                or not set(map(type, slots)) <= {int, type(None)}):
+            raise TreeError("order must be a list of node ids and nulls")
         ids = [x for x in slots if x is not None]
         if sorted(ids) != list(range(tree.n)):
             raise TreeError("order file does not cover the tree's node ids")
-        return "order", slots
+        position = [0] * tree.n
+        for pos, x in enumerate(slots):
+            if x is not None:
+                position[x] = pos
+        return "order", position
     raise TreeError(f"{path}: neither a block layout nor a linear order")
 
 
@@ -180,14 +193,13 @@ def cmd_eval(args) -> int:
     else:
         if not args.B:
             raise ValueError("--B is required to evaluate a linear order")
-        slots = payload
+        position = payload
         for B in args.B:
             if B < 1:
                 raise ValueError("B must be >= 1")
             offsets = range(B) if args.offsets == "all" else (0,)
             for off in offsets:
-                blk = {x: (pos + off) // B
-                       for pos, x in enumerate(slots) if x is not None}
+                blk = [(pos + off) // B for pos in position]
                 rep = cost_report(tree, blk, B=B, kind="oblivious")
                 rows += _rows_for_report(rep, tree.n, B, "oblivious", off,
                                          tree_id, "-", depths)
@@ -196,6 +208,12 @@ def cmd_eval(args) -> int:
 
 
 # ---------------------------------------------------------------- sweep
+
+def _positive_ints(seq) -> bool:
+    """A non-empty list of ints >= 1 (bools are not ints here)."""
+    return (isinstance(seq, (list, tuple)) and set(map(type, seq)) == {int}
+            and min(seq) >= 1)
+
 
 @dataclass
 class SweepConfig:
@@ -211,13 +229,17 @@ class SweepConfig:
     summary_out: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.families, dict):
+            raise ValueError("families must map family names to size lists")
         for fam, sizes in self.families.items():
             if fam not in FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")
-            if not sizes or any(n < 1 for n in sizes):
+            if not _positive_ints(sizes):
                 raise ValueError(f"family {fam!r} needs positive sizes")
-        if not self.Bs or any(b < 1 for b in self.Bs):
-            raise ValueError("B list must be positive")
+        if not _positive_ints(self.Bs):
+            raise ValueError("B list must be positive integers")
+        if type(self.seed) is not int:
+            raise ValueError("seed must be an integer")
         if self.depths not in ("all", "log"):
             raise ValueError("depths policy must be 'all' or 'log'")
         if self.offsets not in ("zero", "all"):
@@ -225,6 +247,18 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepConfig":
+        if type(obj) is not dict:
+            raise ValueError("sweep config must be a JSON object")
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(obj) - known)
+        if unknown:
+            raise ValueError("unknown sweep config key(s): "
+                             + ", ".join(map(repr, unknown)))
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in obj]
+        if missing:
+            raise ValueError("sweep config missing key(s): "
+                             + ", ".join(map(repr, missing)))
         kw = dict(obj)
         if "c" in kw:
             kw["c"] = _parse_fraction(str(kw["c"]))

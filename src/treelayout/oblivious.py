@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .aware import _budget_partition, layout_aware
-from .tree import TreeError, TreeTopology
+from .tree import TreeError, TreeTopology, json_text
 
 __all__ = [
     "LinearOrder",
@@ -193,8 +193,7 @@ def order_from_json(obj, tree: Optional[TreeTopology] = None) -> LinearOrder:
 
 def save_order(order: LinearOrder, path) -> None:
     with open(path, "w") as fh:
-        json.dump(order_to_json(order), fh)
-        fh.write("\n")
+        fh.write(json_text(order_to_json(order)))
 
 
 def load_order(path, tree: Optional[TreeTopology] = None) -> LinearOrder:

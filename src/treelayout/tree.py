@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -29,6 +29,7 @@ __all__ = [
     "shape_of",
     "shape_to_tree",
     "mirror_shape",
+    "json_text",
     "tree_to_json",
     "tree_from_json",
     "save_tree",
@@ -46,6 +47,8 @@ class ResourceLimitError(RuntimeError):
 
 MAX_PERFECT_HEIGHT = 40
 
+_CHILD_TYPES = {int, type(None)}
+
 
 class TreeTopology:
     """Immutable rooted binary tree over dense node ids.
@@ -58,9 +61,9 @@ class TreeTopology:
         Id of the root node.
 
     Construction validates that the arrays describe a single connected
-    tree: every non-root node has exactly one parent, there are no cycles,
-    and all ids lie in ``0..n-1``.  Depths are computed eagerly; preorder
-    is computed lazily and cached.
+    tree: every child id is an ``int`` in ``0..n-1``, every non-root node
+    has exactly one parent, and there are no cycles.  Parents, depths and
+    preorder come out of the same single traversal from the root.
     """
 
     __slots__ = ("n", "root", "left", "right", "parent", "depth",
@@ -68,55 +71,75 @@ class TreeTopology:
 
     def __init__(self, left: Sequence[Optional[int]],
                  right: Sequence[Optional[int]], root: int = 0):
+        left = tuple(left)
+        right = tuple(right)
         n = len(left)
         if n == 0:
             raise TreeError("tree must have at least one node")
         if len(right) != n:
             raise TreeError("left/right arrays differ in length")
-        if not 0 <= root < n:
-            raise TreeError("root id out of range")
-        parent: list = [None] * n
-        for x in range(n):
-            for c in (left[x], right[x]):
-                if c is None:
-                    continue
-                if not isinstance(c, int) or not 0 <= c < n:
-                    raise TreeError("child id out of range: %r" % (c,))
-                if c == x:
-                    raise TreeError("cycle detected: node %d is its own child" % x)
-                if parent[c] is not None:
-                    raise TreeError("duplicate child slot: node %d has two parents" % c)
-                parent[c] = x
-        roots = [x for x in range(n) if parent[x] is None]
-        if not roots:
+        if type(root) is not int or not 0 <= root < n:
+            raise TreeError("root id out of range: %r" % (root,))
+        # whole-list checks, each one pass in C
+        if not set(map(type, left)).union(map(type, right)) <= _CHILD_TYPES:
+            bad = next(c for c in left + right
+                       if c is not None and type(c) is not int)
+            raise TreeError("child id must be an integer, got %r" % (bad,))
+        kids = set(left)
+        kids.update(right)
+        kids.discard(None)
+        nkids = 2 * n - left.count(None) - right.count(None)
+        if kids and (min(kids) < 0 or max(kids) >= n):
+            bad = min(kids) if min(kids) < 0 else max(kids)
+            raise TreeError("child id out of range: %r" % (bad,))
+        if len(kids) != nkids:
+            dup = next(c for c, k in Counter(left + right).items()
+                       if k > 1 and c is not None)
+            raise TreeError("duplicate child slot: node %d has two parents"
+                            % dup)
+        if nkids >= n:
             raise TreeError("cycle detected: every node has a parent")
-        if len(roots) > 1:
-            raise TreeError("disconnected node: %d parentless nodes" % len(roots))
-        if roots[0] != root:
+        if nkids < n - 1:
+            raise TreeError("disconnected node: %d parentless nodes"
+                            % (n - nkids))
+        if root in kids:
             raise TreeError("declared root %d is not the parentless node" % root)
 
+        # every node but the root now has exactly one parent, so one DFS
+        # from the root reaches each node at most once
+        parent: list = [None] * n
         depth = [0] * n
+        pre: list = []
+        visit = pre.append
         stack = [root]
-        seen = 1
+        pop = stack.pop
+        push = stack.append
         while stack:
-            x = stack.pop()
+            x = pop()
+            visit(x)
             d = depth[x] + 1
-            for c in (left[x], right[x]):
-                if c is not None:
-                    depth[c] = d
-                    stack.append(c)
-                    seen += 1
-        if seen != n:
+            c = right[x]
+            if c is not None:
+                parent[c] = x
+                depth[c] = d
+                push(c)
+            c = left[x]
+            if c is not None:
+                parent[c] = x
+                depth[c] = d
+                push(c)
+        if len(pre) != n:
             # unreachable nodes all have parents here, so they sit on cycles
-            raise TreeError("cycle detected: %d nodes unreachable from root" % (n - seen))
+            raise TreeError("cycle detected: %d nodes unreachable from root"
+                            % (n - len(pre)))
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "left", tuple(left))
-        object.__setattr__(self, "right", tuple(right))
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "depth", tuple(depth))
-        object.__setattr__(self, "_pre", None)
+        object.__setattr__(self, "_pre", tuple(pre))
         object.__setattr__(self, "_tin", None)
         object.__setattr__(self, "_height", None)
 
@@ -135,25 +158,7 @@ class TreeTopology:
 
     def preorder(self) -> tuple:
         """Node ids in preorder (parent before children, left first)."""
-        pre = self._pre
-        if pre is None:
-            left, right = self.left, self.right
-            out = []
-            push = out.append
-            stack = [self.root]
-            pop = stack.pop
-            while stack:
-                x = pop()
-                push(x)
-                c = right[x]
-                if c is not None:
-                    stack.append(c)
-                c = left[x]
-                if c is not None:
-                    stack.append(c)
-            pre = tuple(out)
-            object.__setattr__(self, "_pre", pre)
-        return pre
+        return self._pre
 
     def pre_index(self) -> tuple:
         """Preorder rank of each node; subtrees occupy contiguous ranks."""
@@ -193,30 +198,19 @@ def build_tree(edges, n: Optional[int] = None) -> TreeTopology:
             n = max(n, p + 1, c + 1)
     left: list = [None] * n
     right: list = [None] * n
-    nkids = [0] * n
     for p, c, side in edges:
         if not (0 <= p < n and 0 <= c < n):
             raise TreeError("edge id out of range: (%r, %r)" % (p, c))
         if side not in ("L", "R"):
             raise TreeError("side must be 'L' or 'R', got %r" % (side,))
-        nkids[p] += 1
-        if nkids[p] > 2:
-            raise TreeError("node %d has more than two children" % p)
         slot = left if side == "L" else right
         if slot[p] is not None:
             raise TreeError("duplicate child slot: node %d side %s" % (p, side))
         slot[p] = c
-    has_parent = [False] * n
-    for p, c, _s in edges:
-        if has_parent[c]:
-            raise TreeError("duplicate child slot: node %d has two parents" % c)
-        has_parent[c] = True
-    roots = [x for x in range(n) if not has_parent[x]]
-    if not roots:
-        raise TreeError("cycle detected: every node has a parent")
-    if len(roots) > 1:
-        raise TreeError("disconnected node: %d parentless nodes" % len(roots))
-    return TreeTopology(left, right, roots[0])
+    # TreeTopology rejects a second parentless node, or none at all
+    children = {c for _p, c, _s in edges}
+    root = next((x for x in range(n) if x not in children), 0)
+    return TreeTopology(left, right, root)
 
 
 def compute_weights(tree: TreeTopology) -> list:
@@ -495,45 +489,95 @@ def shape_of(tree: TreeTopology) -> tuple:
 # -- serialization ------------------------------------------------------
 
 
+TREE_FORMAT_VERSION = 2
+
+
+def json_text(obj) -> str:
+    """The one artifact encoding: compact, sorted keys, trailing newline.
+
+    Without ``indent`` the ``json`` module encodes in C, several times
+    faster than its pure-Python indenting encoder.
+    """
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
+
+
 def tree_to_json(tree: TreeTopology) -> dict:
+    """Columnar tree file: child id lists, ``None`` for an absent child."""
     return {
+        "version": TREE_FORMAT_VERSION,
         "n": tree.n,
         "root": tree.root,
-        "nodes": [{"id": x, "left": tree.left[x], "right": tree.right[x]}
-                  for x in range(tree.n)],
+        "left": list(tree.left),
+        "right": list(tree.right),
     }
 
 
-def tree_from_json(obj) -> TreeTopology:
+def _field(obj: dict, key: str):
     try:
-        n = obj["n"]
-        root = obj["root"]
-        nodes = obj["nodes"]
-    except (TypeError, KeyError) as exc:
-        raise TreeError("tree json missing field: %s" % exc) from None
-    if not isinstance(n, int) or n < 1:
-        raise TreeError("n must be a positive integer")
-    if len(nodes) != n:
-        raise TreeError("expected %d node records, got %d" % (n, len(nodes)))
+        return obj[key]
+    except KeyError:
+        raise TreeError("tree json missing field: %r" % key) from None
+
+
+def _node_list(obj: dict, key: str, n: int) -> list:
+    seq = _field(obj, key)
+    if type(seq) is not list:
+        raise TreeError("tree json %r must be a list, got %s"
+                        % (key, type(seq).__name__))
+    if len(seq) != n:
+        raise TreeError("tree json %r has %d entries, expected n=%d"
+                        % (key, len(seq), n))
+    return seq
+
+
+def _legacy_children(nodes: list, n: int):
+    """``left``/``right`` lists from one ``{"id", "left", "right"}`` record
+    per node (the version-1 layout, which carries no version field)."""
     left: list = [None] * n
     right: list = [None] * n
     seen = [False] * n
     for rec in nodes:
+        if type(rec) is not dict:
+            raise TreeError("node record must be an object, got %r" % (rec,))
         x = rec.get("id")
-        if not isinstance(x, int) or not 0 <= x < n:
+        if type(x) is not int or not 0 <= x < n:
             raise TreeError("node id out of range: %r" % (x,))
         if seen[x]:
             raise TreeError("duplicate node id %d" % x)
         seen[x] = True
         left[x] = rec.get("left")
         right[x] = rec.get("right")
+    return left, right
+
+
+def tree_from_json(obj) -> TreeTopology:
+    """Read a version-2 columnar tree, or a legacy one-record-per-node tree.
+
+    Both go through the same :class:`TreeTopology` validation.
+    """
+    if type(obj) is not dict:
+        raise TreeError("tree json must be an object, got %s"
+                        % type(obj).__name__)
+    n = _field(obj, "n")
+    root = _field(obj, "root")
+    if type(n) is not int or n < 1:
+        raise TreeError("n must be a positive integer, got %r" % (n,))
+    if type(root) is not int:
+        raise TreeError("root must be an integer, got %r" % (root,))
+    version = obj.get("version")
+    if version is None:
+        left, right = _legacy_children(_node_list(obj, "nodes", n), n)
+    elif type(version) is int and version == TREE_FORMAT_VERSION:
+        left = _node_list(obj, "left", n)
+        right = _node_list(obj, "right", n)
+    else:
+        raise TreeError("unsupported tree file version %r" % (version,))
     return TreeTopology(left, right, root)
 
 
 def save_tree(tree: TreeTopology, path) -> None:
     with open(path, "w") as fh:
-        json.dump(tree_to_json(tree), fh)
-        fh.write("\n")
+        fh.write(json_text(tree_to_json(tree)))
 
 
 def load_tree(path) -> TreeTopology:

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from treelayout import (gen_perfect, layout_aware, load_tree, phase2_layout,
-                        layout_to_json, save_tree)
+from treelayout import (gen_perfect, gen_random, layout_aware, load_tree,
+                        phase2_layout, layout_to_json, save_tree)
 from treelayout.cli import SweepConfig, main, run_sweep
 
 
@@ -47,6 +47,94 @@ def test_gen_random_deterministic(tmp_path):
     run(["gen", "random", "--n", 50, "--seed", 9, "--out", a])
     run(["gen", "random", "--n", 50, "--seed", 9, "--out", b])
     assert a.read_text() == b.read_text()
+
+
+def test_gen_and_save_tree_write_same_bytes(tmp_path):
+    a, b = tmp_path / "gen.json", tmp_path / "saved.json"
+    assert run(["gen", "random", "--n", 50, "--seed", 9, "--out", a]) == 0
+    save_tree(gen_random(50, seed=9), b)
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_text().count("\n") == 1  # compact: one line
+
+
+# ------------------------------------------------------------ tree files
+
+def _columnar(**over):
+    obj = {"version": 2, "n": 3, "root": 0,
+           "left": [1, None, None], "right": [2, None, None]}
+    obj.update(over)
+    return obj
+
+
+def _legacy(**over):
+    obj = {"n": 3, "root": 0,
+           "nodes": [{"id": 0, "left": 1, "right": 2},
+                     {"id": 1, "left": None, "right": None},
+                     {"id": 2, "left": None, "right": None}]}
+    obj.update(over)
+    return obj
+
+
+def _record(**over):
+    rec = {"id": 1, "left": None, "right": None}
+    rec.update(over)
+    return _legacy(nodes=[{"id": 0, "left": 1, "right": 2}, rec,
+                          {"id": 2, "left": None, "right": None}])
+
+
+BAD_TREE_FILES = {
+    "top-list": [1, 2],
+    "top-int": 5,
+    "top-null": None,
+    "v2-n-string": _columnar(n="3"),
+    "v2-n-float": _columnar(n=3.0),
+    "v2-n-bool": _columnar(n=True),
+    "v2-n-zero": _columnar(n=0),
+    "v2-root-bool": _columnar(root=False),
+    "v2-root-string": _columnar(root="0"),
+    "v2-left-bool": _columnar(left=True),
+    "v2-left-int": _columnar(left=5),
+    "v2-left-dict": _columnar(left={"0": 1}),
+    "v2-left-short": _columnar(left=[1, None]),
+    "v2-right-long": _columnar(right=[2, None, None, None]),
+    "v2-child-bool": _columnar(left=[True, None, None]),
+    "v2-child-float": _columnar(left=[1.0, None, None]),
+    "v2-child-list": _columnar(left=[[1], None, None]),
+    "v2-child-range": _columnar(left=[3, None, None]),
+    "v2-no-right": {"version": 2, "n": 1, "root": 0, "left": [None]},
+    "v2-bad-version": _columnar(version="2"),
+    "legacy-nodes-ints": _legacy(nodes=[1, 2, 3]),
+    "legacy-nodes-int": _legacy(nodes=5),
+    "legacy-nodes-short": _legacy(nodes=[{"id": 0}]),
+    "legacy-n-bool": _legacy(n=True),
+    "legacy-root-string": _legacy(root="0"),
+    "legacy-id-bool": _record(id=True),
+    "legacy-id-dup": _record(id=0),
+    "legacy-left-bool": _legacy(nodes=[{"id": 0, "left": True, "right": 2},
+                                       {"id": 1}, {"id": 2}]),
+    "legacy-left-string": _record(left="2"),
+    "legacy-no-nodes": {"n": 1, "root": 0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TREE_FILES))
+def test_bad_tree_file_exits_3(case, tmp_path, caplog, capsys):
+    tree = tmp_path / "t.json"
+    tree.write_text(json.dumps(BAD_TREE_FILES[case]))
+    assert run(["layout", "aware", "--tree", tree, "--B", 2]) == 3
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0], errors
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_good_tree_files_in_both_formats(tmp_path):
+    for name, obj in (("v2", _columnar()), ("legacy", _legacy())):
+        tree = tmp_path / f"{name}.json"
+        tree.write_text(json.dumps(obj))
+        assert load_tree(tree) == gen_perfect(1)
+        assert run(["layout", "aware", "--tree", tree, "--B", 2,
+                    "--out", tmp_path / f"{name}.layout.json"]) == 0
 
 
 # ------------------------------------------------------------ layout
@@ -153,6 +241,32 @@ def test_eval_rejects_mismatched_ids(tmp_path):
     assert run(["eval", "--tree", tree, "--layout", lay]) == 3
 
 
+@pytest.mark.parametrize("layout", [
+    [[0, 1], [2, 3]],
+    {"B": True, "blocks": [[0], [1], [2], [3]]},
+    {"B": 2, "blocks": 5},
+    {"B": 2, "blocks": [0, 1, 2, 3]},
+    {"B": 2, "blocks": [[0, 1], [2, True]]},
+    {"B": 2, "c": 1, "blocks": [[0, 1], [2, 3]]},
+    {"B": 2, "c": "1/0", "blocks": [[0, 1], [2, 3]]},
+])
+def test_eval_rejects_bad_layout(tmp_path, layout):
+    tree = tmp_path / "t.json"
+    lay = tmp_path / "l.json"
+    run(["gen", "path", "--n", 4, "--out", tree])
+    lay.write_text(json.dumps(layout))
+    assert run(["eval", "--tree", tree, "--layout", lay]) == 3
+
+
+@pytest.mark.parametrize("order", [[0, True, 2, 3], [0, 1, 2, 2], "0123", 7])
+def test_eval_rejects_bad_order(tmp_path, order):
+    tree = tmp_path / "t.json"
+    lay = tmp_path / "o.json"
+    run(["gen", "path", "--n", 4, "--out", tree])
+    lay.write_text(json.dumps({"order": order}))
+    assert run(["eval", "--tree", tree, "--layout", lay, "--B", 2]) == 3
+
+
 def test_eval_order_requires_B(tmp_path):
     tree = tmp_path / "t.json"
     order = tmp_path / "o.json"
@@ -233,6 +347,28 @@ def test_sweep_config_validation():
         SweepConfig(families={"nope": [4]}, Bs=[2])
     with pytest.raises(ValueError):
         SweepConfig(families={"path": [4]}, Bs=[2], depths="some")
+
+
+@pytest.mark.parametrize("config,word", [
+    ({"families": {"path": [4]}, "Bs": [2], "depth": "all"}, "'depth'"),
+    ({"families": {"path": [4]}, "Bs": [2], "zz": 1, "aa": 2}, "'aa', 'zz'"),
+    ({"families": {"path": [4]}}, "'Bs'"),
+    ([{"families": {"path": [4]}, "Bs": [2]}], "object"),
+    ("families", "object"),
+    ({"families": ["path"], "Bs": [2]}, "families"),
+    ({"families": {"path": ["4"]}, "Bs": [2]}, "positive sizes"),
+    ({"families": {"path": 4}, "Bs": [2]}, "positive sizes"),
+    ({"families": {"path": [4]}, "Bs": [True]}, "B list"),
+    ({"families": {"path": [4]}, "Bs": 2}, "B list"),
+    ({"families": {"path": [4]}, "Bs": [2], "seed": "x"}, "seed"),
+])
+def test_sweep_config_keys(tmp_path, caplog, config, word):
+    with pytest.raises(ValueError, match=word):
+        SweepConfig.from_json(config)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["sweep", "--config", cfg]) == 3
+    assert any(word in r.getMessage() for r in caplog.records)
 
 
 def test_run_sweep_returns_rows_and_summary():

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treelayout import (TreeError, build_tree, compute_weights, density,
-                        gen_lower_bound, gen_path, gen_perfect, gen_random,
-                        iter_shapes, load_tree, mirror_shape, save_tree,
-                        shape_of, shape_to_tree, tree_from_json, tree_to_json)
+from treelayout import (TreeError, TreeTopology, build_tree, compute_weights,
+                        density, gen_lower_bound, gen_path, gen_perfect,
+                        gen_random, iter_shapes, load_tree, mirror_shape,
+                        save_tree, shape_of, shape_to_tree, tree_from_json,
+                        tree_to_json)
+from treelayout.tree import json_text
 
 
 # ------------------------------------------------------------ build_tree
@@ -245,13 +247,145 @@ def test_mirror_is_involution():
         assert mirror_shape(mirror_shape(s)) == s
 
 
+# ------------------------------------------------------------ validation
+
+@st.composite
+def edge_lists(draw):
+    """Small edge lists: trees, and near-trees with cycles, self-loops,
+    two-parent nodes, missing edges and reused child slots."""
+    n = draw(st.integers(1, 8))
+    acyclic = draw(st.booleans())
+    edges = [(draw(st.integers(0, c - 1 if acyclic else n - 1)), c,
+              draw(st.sampled_from("LR"))) for c in range(1, n)]
+    if edges and draw(st.booleans()):
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1),
+                                     st.sampled_from("LR")), max_size=2))
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[p], perm[c], side) for p, c, side in edges]
+    return n, draw(st.permutations(edges))
+
+
+def _reference_root(edges, n):
+    """The root if ``edges`` form one binary tree on ``0..n-1``, else None.
+
+    Written from the definition: each child slot used once, each node at
+    most one parent, exactly one parentless node, and no node that climbs
+    its parent chain back to itself."""
+    slots, parent = set(), {}
+    for p, c, side in edges:
+        if (p, side) in slots or c in parent:
+            return None
+        slots.add((p, side))
+        parent[c] = p
+    roots = [x for x in range(n) if x not in parent]
+    if len(roots) != 1:
+        return None
+    for x in range(n):
+        seen = set()
+        while x in parent:
+            if x in seen:
+                return None
+            seen.add(x)
+            x = parent[x]
+    return roots[0]
+
+
+@given(edge_lists())
+@settings(max_examples=400, deadline=None)
+def test_validation_matches_reference(case):
+    """build_tree, TreeTopology and the columnar reader accept exactly the
+    edge lists that form a tree, and derive parents/depths/preorder."""
+    n, edges = case
+    want = _reference_root(edges, n)
+    try:
+        t = build_tree(edges, n=n)
+    except TreeError:
+        t = None
+    assert (t is not None) == (want is not None)
+
+    slot_clash = len({(p, side) for p, _c, side in edges}) != len(edges)
+    if slot_clash:
+        return  # not expressible as left/right lists
+    left, right = [None] * n, [None] * n
+    for p, c, side in edges:
+        (left if side == "L" else right)[p] = c
+    for root in range(n):
+        obj = {"version": 2, "n": n, "root": root, "left": left, "right": right}
+        try:
+            got = tree_from_json(obj)
+        except TreeError:
+            got = None
+        assert (got is not None) == (root == want)
+        if got is not None:
+            assert got == t
+    if t is None:
+        return
+    parent = {c: p for p, c, _side in edges}
+    assert t.parent == tuple(parent.get(x) for x in range(n))
+    for x in range(n):
+        d, y = 0, x
+        while y in parent:
+            d, y = d + 1, parent[y]
+        assert t.depth[x] == d
+
+    def pre(x):
+        if x is None:
+            return []
+        return [x] + pre(left[x]) + pre(right[x])
+
+    assert list(t.preorder()) == pre(want)
+
+
+@pytest.mark.parametrize("left,right", [
+    ([True, None], [None, None]),      # a bool is not a node id
+    ([1.0, None], [None, None]),
+    (["1", None], [None, None]),
+    ([-1, None], [None, None]),
+    ([2, None], [None, None]),
+])
+def test_topology_rejects_bad_child_ids(left, right):
+    with pytest.raises(TreeError):
+        TreeTopology(left, right, 0)
+
+
+def test_topology_error_messages():
+    cases = [
+        (([1, 0], [None, None], 0), "cycle"),
+        (([0], [None], 0), "cycle"),
+        (([1, None, None], [None, None, None], 0), "disconnected"),
+        (([1, None, 1], [2, None, None], 0), "duplicate child slot"),
+        (([5, None], [None, None], 0), "out of range"),
+        (([1, None], [None, None], 1), "not the parentless node"),
+    ]
+    for args, word in cases:
+        with pytest.raises(TreeError, match=word):
+            TreeTopology(*args)
+
+
 # ------------------------------------------------------------ serialization
+
+def _legacy_json(t):
+    """A tree in the version-1 layout: one record per node, no version."""
+    return {"n": t.n, "root": t.root,
+            "nodes": [{"id": x, "left": t.left[x], "right": t.right[x]}
+                      for x in reversed(range(t.n))]}
+
 
 @given(n=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_json_roundtrip(n, seed):
     t = gen_random(n, seed)
     assert tree_from_json(tree_to_json(t)) == t
+    assert tree_from_json(_legacy_json(t)) == t
+
+
+def test_json_v2_columns():
+    obj = tree_to_json(gen_perfect(1))
+    assert obj == {"version": 2, "n": 3, "root": 0,
+                   "left": [1, None, None], "right": [2, None, None]}
+    assert tree_from_json(json.loads(json.dumps(obj))) == gen_perfect(1)
 
 
 def test_file_roundtrip(tmp_path):
@@ -259,13 +393,34 @@ def test_file_roundtrip(tmp_path):
     p = tmp_path / "t.json"
     save_tree(t, p)
     assert load_tree(p) == t
+    assert p.read_text() == json_text(tree_to_json(t))
+
+
+def test_legacy_file_loads(tmp_path):
+    t = gen_random(200, seed=4)
+    p = tmp_path / "legacy.json"
+    p.write_text(json.dumps(_legacy_json(t), indent=2))
+    got = load_tree(p)
+    assert got == t
+    assert got.parent == t.parent and got.depth == t.depth
+    assert got.preorder() == t.preorder()
+
+
+def test_json_text_is_compact_and_sorted():
+    assert json_text({"b": [1, None], "a": 2}) == '{"a":2,"b":[1,null]}\n'
 
 
 def test_json_rejects_bad_ids():
-    obj = tree_to_json(gen_perfect(1))
-    obj["nodes"][1]["id"] = 7
-    with pytest.raises(TreeError):
-        tree_from_json(obj)
+    legacy = {"n": 3, "root": 0,
+              "nodes": [{"id": 0, "left": 1, "right": 2},
+                        {"id": 7, "left": None, "right": None},
+                        {"id": 2, "left": None, "right": None}]}
+    with pytest.raises(TreeError, match="out of range"):
+        tree_from_json(legacy)
+    columnar = tree_to_json(gen_perfect(1))
+    columnar["left"][0] = 7
+    with pytest.raises(TreeError, match="out of range"):
+        tree_from_json(columnar)
 
 
 def test_json_rejects_wrong_root():
@@ -280,6 +435,16 @@ def test_json_rejects_cycle():
            "nodes": [{"id": 0, "left": 1, "right": None},
                      {"id": 1, "left": 0, "right": None}]}
     with pytest.raises(TreeError):
+        tree_from_json(obj)
+    with pytest.raises(TreeError, match="cycle"):
+        tree_from_json({"version": 2, "n": 2, "root": 0,
+                        "left": [1, 0], "right": [None, None]})
+
+
+def test_json_rejects_unknown_version():
+    obj = tree_to_json(gen_perfect(1))
+    obj["version"] = 3
+    with pytest.raises(TreeError, match="version"):
         tree_from_json(obj)
 
 
