@@ -23,6 +23,7 @@ from .tree import (
     shape_of,
     shape_to_tree,
     mirror_shape,
+    json_text,
     tree_to_json,
     tree_from_json,
     save_tree,
@@ -31,7 +32,6 @@ from .tree import (
 from .aware import (
     BlockAssignment,
     k_set,
-    phase1_layout,
     phase2_layout,
     layout_aware,
     exclusion_violations,
@@ -43,14 +43,13 @@ from .oblivious import (
     LinearOrder,
     layout_oblivious,
     refinement_levels,
-    blocks_at,
     block_ids,
     order_to_json,
     order_from_json,
 )
 from .cost import (
     CostReport,
-    BoundQuery,
+    DepthCost,
     path_cost,
     cost_report,
     worst_case_cost,

@@ -32,7 +32,6 @@ from .tree import TreeError, TreeTopology, compute_weights
 __all__ = [
     "BlockAssignment",
     "k_set",
-    "phase1_layout",
     "phase2_layout",
     "layout_aware",
     "exclusion_violations",
@@ -65,9 +64,6 @@ class BlockAssignment:
     block_of: list
     phase2_roots: tuple
     phase1_levels: Optional[int]
-
-    def covered_nodes(self) -> int:
-        return sum(len(b) for b in self.blocks)
 
 
 def k_set(tree: TreeTopology, x: int, A, weights) -> set:
@@ -119,21 +115,21 @@ def _exact_reciprocal_le(ws, B: int, wr: int) -> bool:
 
 
 def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
-                      blk=None, pid: int = -1, nblk=None) -> None:
+                      block_of: list, blk=None, pid: int = -1) -> None:
     """Split the piece rooted at ``root`` into budget-rule blocks.
 
     Appends member lists (preorder within the piece, root first) to
-    ``blocks``.  When ``blk`` is given the piece is restricted to nodes
-    with ``blk[node] == pid``; when ``nblk`` is given the new global block
-    index is recorded for every node.  ``w`` must hold subtree sizes
-    *within the piece*.
+    ``blocks`` and records each node's global block index in
+    ``block_of``.  When ``blk`` is given the piece is restricted to nodes
+    with ``blk[node] == pid``.  ``w`` must hold subtree sizes *within the
+    piece*.  The whole piece is finished before returning, so block ids
+    follow preorder of the block roots.
     """
     b0 = len(blocks)
     targets = [B / w[root]]
     broots = [root]
     blocks.append([root])
-    if nblk is not None:
-        nblk[root] = b0
+    block_of[root] = b0
     stack = []
     t0 = 1.0 / w[root]
     e0 = _U * t0
@@ -168,29 +164,22 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
             include = _exact_reciprocal_le(ws, B, w[r])
         if include:
             blocks[b0 + b].append(x)
-            if nblk is not None:
-                nblk[x] = b0 + b
+            block_of[x] = b0 + b
             ce = E + _U * (t + s2)
-            c = right[x]
-            if c is not None and (blk is None or blk[c] == pid):
-                push((c, b, s2, ce))
-            c = left[x]
-            if c is not None and (blk is None or blk[c] == pid):
-                push((c, b, s2, ce))
         else:
-            nb = len(blocks) - b0
+            b = len(blocks) - b0
             targets.append(B / wx)
             broots.append(x)
             blocks.append([x])
-            if nblk is not None:
-                nblk[x] = b0 + nb
+            block_of[x] = b0 + b
+            s2 = t
             ce = _U * t
-            c = right[x]
-            if c is not None and (blk is None or blk[c] == pid):
-                push((c, nb, t, ce))
-            c = left[x]
-            if c is not None and (blk is None or blk[c] == pid):
-                push((c, nb, t, ce))
+        c = right[x]
+        if c is not None and (blk is None or blk[c] == pid):
+            push((c, b, s2, ce))
+        c = left[x]
+        if c is not None and (blk is None or blk[c] == pid):
+            push((c, b, s2, ce))
 
 
 def _phase1_levels(n: int, c: Fraction, height: int) -> int:
@@ -212,60 +201,6 @@ def _phase1_levels(n: int, c: Fraction, height: int) -> int:
     return min(L, height + 1)
 
 
-def _as_c(c) -> Fraction:
-    c = Fraction(c)
-    if c <= 0:
-        raise TreeError("c must be positive")
-    return c
-
-
-def phase1_layout(tree: TreeTopology, B: int, c=Fraction(1)):
-    """Cluster the top ``ceil(c * lg2 N)`` levels into blocks of at most
-    ``floor(lg(B+1))`` levels each and return the remaining subtree roots.
-
-    Returns ``(assignment, phase2_roots)``; the assignment covers only the
-    clustered region (``block_of`` is -1 below it).  Every stratum root
-    starts a block holding its descendants within the stratum, so a block
-    never exceeds ``2**floor(lg(B+1)) - 1 <= B`` nodes.  The last stratum
-    is truncated at the level boundary rather than overshooting it.
-    """
-    if B < 1:
-        raise TreeError("B must be positive")
-    c = _as_c(c)
-    L1 = _phase1_levels(tree.n, c, tree.height)
-    stride = (B + 1).bit_length() - 1
-    blocks: list = []
-    p2roots: list = []
-    left, right, depth = tree.left, tree.right, tree.depth
-    stack = [(tree.root, -1)]
-    while stack:
-        x, b = stack.pop()
-        d = depth[x]
-        if d >= L1:
-            p2roots.append(x)
-            continue
-        if d % stride == 0:
-            b = len(blocks)
-            blocks.append([x])
-        else:
-            blocks[b].append(x)
-        cc = right[x]
-        if cc is not None:
-            stack.append((cc, b))
-        cc = left[x]
-        if cc is not None:
-            stack.append((cc, b))
-    # popping left children first makes discovery order the preorder of
-    # block roots, so block ids are already in their final order
-    block_of = [-1] * tree.n
-    for i, mem in enumerate(blocks):
-        for v in mem:
-            block_of[v] = i
-    asg = BlockAssignment(B=B, c=c, blocks=blocks, block_of=block_of,
-                          phase2_roots=tuple(p2roots), phase1_levels=L1)
-    return asg, tuple(p2roots)
-
-
 def phase2_layout(tree: TreeTopology, root: int, B: int,
                   weights=None) -> BlockAssignment:
     """Lay out the subtree of ``root`` with the budget recursion alone.
@@ -278,12 +213,9 @@ def phase2_layout(tree: TreeTopology, root: int, B: int,
     if weights is None:
         weights = compute_weights(tree)
     blocks: list = []
-    _budget_partition(tree.left, tree.right, tree.parent, weights, root, B,
-                      blocks)
     block_of = [-1] * tree.n
-    for i, mem in enumerate(blocks):
-        for v in mem:
-            block_of[v] = i
+    _budget_partition(tree.left, tree.right, tree.parent, weights, root, B,
+                      blocks, block_of)
     return BlockAssignment(B=B, c=None, blocks=blocks, block_of=block_of,
                            phase2_roots=(root,),
                            phase1_levels=tree.depth[root])
@@ -293,89 +225,49 @@ def layout_aware(tree: TreeTopology, B: int, c=Fraction(1)) -> BlockAssignment:
     """Full layout for a known block size: level clustering on the top
     ``ceil(c * lg2 N)`` levels, budget recursion below.
 
-    One preorder pass assigns every node to a block; block ids follow
-    preorder of the block roots (root block first, children left to
-    right).  Runs in O(N).
+    The top levels are cut into strata of ``floor(lg(B+1))`` levels; every
+    stratum root starts a block holding its descendants within the
+    stratum, so such a block never exceeds ``2**floor(lg(B+1)) - 1 <= B``
+    nodes, and the last stratum is truncated at the level boundary.  Each
+    node at depth ``phase1_levels`` is a recursion root whose subtree
+    :func:`_budget_partition` splits before the next node is visited, so
+    block ids follow preorder of the block roots (root block first,
+    children left to right).  Runs in O(N).
     """
     if B < 1:
         raise TreeError("B must be positive")
-    c = _as_c(c)
+    c = Fraction(c)
+    # the exact level count compares 2**(L*q) with N**p, so p and q stay small
+    if c <= 0 or c.numerator > 1024 or c.denominator > 1024:
+        raise TreeError("c must be a positive fraction p/q with p, q <= 1024")
     w = compute_weights(tree)
     L1 = _phase1_levels(tree.n, c, tree.height)
     stride = (B + 1).bit_length() - 1
     left, right, parent, depth = tree.left, tree.right, tree.parent, tree.depth
 
     blocks: list = []
-    targets: list = []
-    broots: list = []
+    block_of = [-1] * tree.n
     p2roots: list = []
-    # stack entries: (node, block id, reciprocal path sum, error bound);
-    # the last two are meaningful only below the clustered levels
-    stack = [(tree.root, -1, 0.0, 0.0)]
-    pop = stack.pop
-    push = stack.append
+    stack = [(tree.root, -1)]
     while stack:
-        x, b, S, E = pop()
+        x, b = stack.pop()
         d = depth[x]
-        if d < L1:
-            if d % stride == 0:
-                b = len(blocks)
-                blocks.append([x])
-                targets.append(0.0)
-                broots.append(x)
-            else:
-                blocks[b].append(x)
-            cs, ce = 0.0, 0.0
-        elif d == L1 or b < 0:
-            # fresh budget at a recursion root (always included: B >= 1)
+        if d >= L1:
             p2roots.append(x)
+            _budget_partition(left, right, parent, w, x, B, blocks, block_of)
+            continue
+        if d % stride == 0:
             b = len(blocks)
             blocks.append([x])
-            targets.append(B / w[x])
-            broots.append(x)
-            cs = 1.0 / w[x]
-            ce = _U * cs
         else:
-            wx = w[x]
-            t = 1.0 / wx
-            s2 = S + t
-            tgt = targets[b]
-            margin = tgt - s2
-            tol = E + _U * (t + s2 + tgt)
-            if margin > tol:
-                include = True
-            elif margin < -tol:
-                include = False
-            else:
-                r = broots[b]
-                ws = [wx]
-                y = x
-                while y != r:
-                    y = parent[y]
-                    ws.append(w[y])
-                include = _exact_reciprocal_le(ws, B, w[r])
-            if include:
-                blocks[b].append(x)
-                cs = s2
-                ce = E + _U * (t + s2)
-            else:
-                b = len(blocks)
-                blocks.append([x])
-                targets.append(B / wx)
-                broots.append(x)
-                cs = t
-                ce = _U * t
+            blocks[b].append(x)
+        block_of[x] = b
         cc = right[x]
         if cc is not None:
-            push((cc, b, cs, ce))
+            stack.append((cc, b))
         cc = left[x]
         if cc is not None:
-            push((cc, b, cs, ce))
-
-    block_of = [-1] * tree.n
-    for i, mem in enumerate(blocks):
-        for v in mem:
-            block_of[v] = i
+            stack.append((cc, b))
     return BlockAssignment(B=B, c=c, blocks=blocks, block_of=block_of,
                            phase2_roots=tuple(p2roots), phase1_levels=L1)
 

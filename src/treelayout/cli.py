@@ -32,7 +32,8 @@ from .aware import (exclusion_violations, layout_aware, layout_from_json,
                     layout_to_json, padded_order)
 from .cost import (brute_force_optimal, cost_report, theoretical_bound,
                    solve_p, worst_case_cost)
-from .oblivious import blocks_at, layout_oblivious, order_to_json
+from .oblivious import (block_ids, layout_oblivious, order_from_json,
+                        order_to_json)
 from .tree import (ResourceLimitError, TreeError, TreeTopology, compute_weights,
                    gen_lower_bound, gen_path, gen_perfect, gen_random,
                    json_text, load_tree, tree_to_json)
@@ -133,10 +134,10 @@ def cmd_layout(args, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------- eval
 
 def _load_layout_file(path: str, tree: TreeTopology):
-    """Return ("blocks", BlockAssignment) or ("order", per-node positions).
+    """Return ("blocks", BlockAssignment) or ("order", LinearOrder).
 
-    An order may hold ``None`` padding slots (see ``padded_order``); a
-    node's position is its slot index.
+    An order may hold ``None`` padding slots (see ``padded_order``) and
+    need not start at the root.
     """
     obj = json.loads(Path(path).read_text())
     if type(obj) is not dict:
@@ -144,18 +145,10 @@ def _load_layout_file(path: str, tree: TreeTopology):
     if "blocks" in obj:
         return "blocks", layout_from_json(obj, n=tree.n)
     if "order" in obj:
-        slots = obj["order"]
-        if (type(slots) is not list
-                or not set(map(type, slots)) <= {int, type(None)}):
-            raise TreeError("order must be a list of node ids and nulls")
-        ids = [x for x in slots if x is not None]
-        if sorted(ids) != list(range(tree.n)):
+        order = order_from_json(obj)
+        if order.n != tree.n:
             raise TreeError("order file does not cover the tree's node ids")
-        position = [0] * tree.n
-        for pos, x in enumerate(slots):
-            if x is not None:
-                position[x] = pos
-        return "order", position
+        return "order", order
     raise TreeError(f"{path}: neither a block layout nor a linear order")
 
 
@@ -193,14 +186,14 @@ def cmd_eval(args) -> int:
     else:
         if not args.B:
             raise ValueError("--B is required to evaluate a linear order")
-        position = payload
+        order = payload
         for B in args.B:
             if B < 1:
                 raise ValueError("B must be >= 1")
             offsets = range(B) if args.offsets == "all" else (0,)
             for off in offsets:
-                blk = [(pos + off) // B for pos in position]
-                rep = cost_report(tree, blk, B=B, kind="oblivious")
+                rep = cost_report(tree, block_ids(order, B, off), B=B,
+                                  kind="oblivious")
                 rows += _rows_for_report(rep, tree.n, B, "oblivious", off,
                                          tree_id, "-", depths)
     _write_rows(rows, args.out, args.format)
@@ -244,6 +237,9 @@ class SweepConfig:
             raise ValueError("depths policy must be 'all' or 'log'")
         if self.offsets not in ("zero", "all"):
             raise ValueError("offsets policy must be 'zero' or 'all'")
+        for key in ("csv_out", "summary_out"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise ValueError(f"{key} must be a file path or null")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepConfig":
@@ -337,7 +333,7 @@ def run_sweep(cfg: SweepConfig):
                 order = orders[tid]
                 offs = range(B) if cfg.offsets == "all" else (0,)
                 for off in offs:
-                    rep = cost_report(tree, blocks_at(order, B, off),
+                    rep = cost_report(tree, block_ids(order, B, off),
                                       B=B, kind="oblivious")
                     rows += _rows_for_report(rep, tree.n, B, "oblivious", off,
                                              tid, family, depths)

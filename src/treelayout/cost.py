@@ -18,7 +18,6 @@ from .tree import TreeError, ResourceLimitError, TreeTopology
 __all__ = [
     "CostReport",
     "DepthCost",
-    "BoundQuery",
     "path_cost",
     "cost_report",
     "worst_case_cost",
@@ -53,20 +52,6 @@ class DepthCost(NamedTuple):
     worst_cum: int
     argmax: int
     capped: bool
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """A (N, D, B) triple with its piecewise bound value."""
-
-    N: int
-    D: int
-    B: int
-    value: float
-
-    @classmethod
-    def of(cls, N: int, D: int, B: int) -> "BoundQuery":
-        return cls(N, D, B, theoretical_bound(N, D, B))
 
 
 def path_cost(block_of, tree: TreeTopology, node: int) -> int:

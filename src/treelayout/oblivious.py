@@ -18,19 +18,17 @@ measured ratio checks in the test suite.)  Runs in O(N lg lg N).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .aware import _budget_partition, layout_aware
-from .tree import TreeError, TreeTopology, json_text
+from .tree import TreeError, TreeTopology
 
 __all__ = [
     "LinearOrder",
     "layout_oblivious",
     "refinement_levels",
-    "blocks_at",
     "block_ids",
     "order_to_json",
     "order_from_json",
@@ -39,10 +37,12 @@ __all__ = [
 
 @dataclass
 class LinearOrder:
-    """Bijection between nodes and storage positions.
+    """Storage order of a tree's nodes.
 
-    ``order[i]`` is the node at position ``i``; ``position[x]`` inverts
-    it.  The tree root sits at position 0.
+    ``order[i]`` is the node in slot ``i``, or None for an empty padding
+    slot (see ``padded_order``); ``position[x]`` is the slot of node x.
+    Every node ``0..n-1`` appears exactly once.  Orders built by
+    :func:`layout_oblivious` have no padding and put the root first.
     """
 
     order: tuple
@@ -51,17 +51,22 @@ class LinearOrder:
     def __post_init__(self):
         order = tuple(self.order)
         object.__setattr__(self, "order", order)
-        n = len(order)
+        # one pass in C: bools are not node ids
+        if not set(map(type, order)) <= {int, type(None)}:
+            raise TreeError("order entries must be node ids or null")
+        n = len(order) - order.count(None)
         pos = [-1] * n
         for i, x in enumerate(order):
-            if not isinstance(x, int) or not 0 <= x < n or pos[x] != -1:
-                raise TreeError("order is not a permutation of 0..%d" % (n - 1))
-            pos[x] = i
+            if x is not None:
+                if not 0 <= x < n or pos[x] != -1:
+                    raise TreeError("order is not a permutation of 0..%d"
+                                    % (n - 1))
+                pos[x] = i
         object.__setattr__(self, "position", tuple(pos))
 
     @property
     def n(self) -> int:
-        return len(self.order)
+        return len(self.position)
 
 
 def _piece_budget(size: int) -> int:
@@ -109,8 +114,8 @@ def _refine(tree: TreeTopology, trace: Optional[list] = None) -> list:
                 new_blocks.append(P)
             else:
                 _budget_partition(left, right, parent, wloc, P[0],
-                                  _piece_budget(len(P)),
-                                  new_blocks, blk=blk, pid=i, nblk=nblk)
+                                  _piece_budget(len(P)), new_blocks, nblk,
+                                  blk=blk, pid=i)
         blocks = new_blocks
         blk, nblk = nblk, blk
         if trace is not None:
@@ -136,36 +141,11 @@ def refinement_levels(tree: TreeTopology) -> list:
     return trace
 
 
-class _AlignedBlocks:
-    """Block id function for an order cut into aligned size-B slices."""
-
-    __slots__ = ("position", "B", "offset")
-
-    def __init__(self, position, B: int, offset: int):
-        self.position = position
-        self.B = B
-        self.offset = offset
-
-    def __call__(self, x: int) -> int:
-        return (self.position[x] + self.offset) // self.B
-
-    def __getitem__(self, x: int) -> int:
-        return (self.position[x] + self.offset) // self.B
-
-
-def blocks_at(order: LinearOrder, B: int, offset: int = 0) -> _AlignedBlocks:
-    """Implicit block ids: node at position p lands in block
-    ``(p + offset) // B``.  Offset 0 is the canonical alignment; other
-    offsets model unknown alignment of the storage start."""
-    if B < 1:
-        raise TreeError("B must be positive")
-    if not 0 <= offset < B:
-        raise TreeError("offset must lie in [0, B)")
-    return _AlignedBlocks(order.position, B, offset)
-
-
 def block_ids(order: LinearOrder, B: int, offset: int = 0) -> list:
-    """Materialized per-node block ids (fast path for the simulator)."""
+    """Per-node block ids of an order cut into aligned size-B slices: the
+    node in slot p lands in block ``(p + offset) // B``.  Offset 0 is the
+    canonical alignment; other offsets model unknown alignment of the
+    storage start."""
     if B < 1:
         raise TreeError("B must be positive")
     if not 0 <= offset < B:
@@ -178,28 +158,18 @@ def order_to_json(order: LinearOrder) -> dict:
 
 
 def order_from_json(obj, tree: Optional[TreeTopology] = None) -> LinearOrder:
+    """Read ``{"order": [node | null, ...]}``.  With ``tree`` given, the
+    order must hold exactly its nodes and start at its root."""
     try:
         seq = obj["order"]
     except (TypeError, KeyError) as exc:
         raise TreeError("order json missing field: %s" % exc) from None
-    order = LinearOrder(tuple(seq))
+    if type(seq) is not list:
+        raise TreeError("order must be a list of node ids and nulls")
+    order = LinearOrder(seq)
     if tree is not None:
         if order.n != tree.n:
             raise TreeError("order length %d != tree size %d" % (order.n, tree.n))
         if order.order[0] != tree.root:
             raise TreeError("order must start at the root")
     return order
-
-
-def save_order(order: LinearOrder, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(json_text(order_to_json(order)))
-
-
-def load_order(path, tree: Optional[TreeTopology] = None) -> LinearOrder:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TreeError("invalid order json: %s" % exc) from None
-    return order_from_json(obj, tree)

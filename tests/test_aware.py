@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from treelayout import (compute_weights, exclusion_violations, gen_path,
                         gen_perfect, gen_random, k_set, layout_aware,
                         layout_from_json, layout_to_json, padded_order,
-                        phase1_layout, phase2_layout)
+                        phase2_layout)
 
 
 def assert_valid_assignment(tree, asg):
@@ -67,34 +67,41 @@ def test_kset_size_and_shape(n, seed, num, den):
 
 # ------------------------------------------------------------ phase 1
 
+def phase1_blocks(tree, asg):
+    """The level-clustered blocks: those rooted above ``phase1_levels``."""
+    return [b for b in asg.blocks if tree.depth[b[0]] < asg.phase1_levels]
+
+
 def test_phase1_perfect7_fits_one_block():
     t = gen_perfect(2)
-    asg, roots = phase1_layout(t, 7, c=Fraction(100))
-    assert [sorted(b) for b in asg.blocks] == [[0, 1, 2, 3, 4, 5, 6]]
-    assert roots == ()
+    asg = layout_aware(t, 7, c=Fraction(100))
+    assert [sorted(b) for b in phase1_blocks(t, asg)] == [list(range(7))]
+    assert asg.phase2_roots == ()
 
 
 def test_phase1_perfect7_b3():
     t = gen_perfect(2)
-    asg, roots = phase1_layout(t, 3, c=Fraction(100))
-    assert sorted(asg.blocks[0]) == [0, 1, 2]  # top floor(lg 4) = 2 levels
-    assert len(asg.blocks) == 5
-    assert roots == ()
+    asg = layout_aware(t, 3, c=Fraction(100))
+    blocks = phase1_blocks(t, asg)
+    assert sorted(blocks[0]) == [0, 1, 2]  # top floor(lg 4) = 2 levels
+    assert len(blocks) == 5
+    assert asg.phase2_roots == ()
 
 
 def test_phase1_path1024_b15():
     t = gen_path(1024)
-    asg, roots = phase1_layout(t, 15, c=Fraction(1))
+    asg = layout_aware(t, 15, c=Fraction(1))
     # 10 levels in strata of floor(lg 16) = 4: blocks of 4, 4, 2 nodes
-    assert [len(b) for b in asg.blocks] == [4, 4, 2]
-    assert list(roots) == [10]
+    assert [len(b) for b in phase1_blocks(t, asg)] == [4, 4, 2]
+    assert list(asg.phase2_roots) == [10]
 
 
 def test_phase1_b1_singletons():
     t = gen_perfect(2)
-    asg, roots = phase1_layout(t, 1, c=Fraction(100))
-    assert all(len(b) == 1 for b in asg.blocks)
-    assert roots == ()
+    asg = layout_aware(t, 1, c=Fraction(100))
+    assert all(len(b) == 1 for b in phase1_blocks(t, asg))
+    assert len(asg.blocks) == 7
+    assert asg.phase2_roots == ()
 
 
 # ------------------------------------------------------------ phase 2

@@ -166,6 +166,16 @@ def test_layout_aware_requires_B(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("c,code", [("1e-300", 3), ("1e400", 3), ("0", 3),
+                                    ("2049/2", 3), ("1024", 0),
+                                    ("1/1024", 0)])
+def test_layout_c_range(tmp_path, c, code):
+    tree = tmp_path / "t.json"
+    run(["gen", "random", "--n", 50, "--seed", 1, "--out", tree])
+    assert run(["layout", "aware", "--tree", tree, "--B", 4, "--c", c,
+                "--out", tmp_path / "l.json"]) == code
+
+
 def test_layout_missing_tree_file(tmp_path):
     assert run(["layout", "aware", "--tree", tmp_path / "nope.json",
                 "--B", 2]) == 3
@@ -267,6 +277,19 @@ def test_eval_rejects_bad_order(tmp_path, order):
     assert run(["eval", "--tree", tree, "--layout", lay, "--B", 2]) == 3
 
 
+@pytest.mark.parametrize("order", [[None, 0, 1, 2, 3], [1, 0, 3, 2],
+                                   [0, None, None, 1, 2, None, 3, None]])
+def test_eval_accepts_padded_and_unrooted_order(tmp_path, order):
+    tree = tmp_path / "t.json"
+    lay = tmp_path / "o.json"
+    out = tmp_path / "rows.csv"
+    run(["gen", "path", "--n", 4, "--out", tree])
+    lay.write_text(json.dumps({"order": order}))
+    assert run(["eval", "--tree", tree, "--layout", lay, "--B", 2,
+                "--offsets", "all", "--out", out]) == 0
+    assert len(read_rows(out)) == 2 * 4
+
+
 def test_eval_order_requires_B(tmp_path):
     tree = tmp_path / "t.json"
     order = tmp_path / "o.json"
@@ -361,6 +384,9 @@ def test_sweep_config_validation():
     ({"families": {"path": [4]}, "Bs": [True]}, "B list"),
     ({"families": {"path": [4]}, "Bs": 2}, "B list"),
     ({"families": {"path": [4]}, "Bs": [2], "seed": "x"}, "seed"),
+    ({"families": {"random": [64]}, "Bs": [4], "csv_out": 5}, "csv_out"),
+    ({"families": {"random": [64]}, "Bs": [4], "summary_out": ["x"]},
+     "summary_out"),
 ])
 def test_sweep_config_keys(tmp_path, caplog, config, word):
     with pytest.raises(ValueError, match=word):

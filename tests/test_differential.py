@@ -1,0 +1,93 @@
+"""Whole-layout differential check of the budget engine against ``k_set``.
+
+The engine decides block membership with a float reciprocal-sum test and
+an exact rational fallback for comparisons too close to call; ``k_set``
+runs the budget recursion literally with exact rationals.  Every block the
+recursion produces must equal the ``k_set`` of its own root with a fresh
+budget: in the aware layout (blocks rooted at or below ``phase1_levels``)
+and in every oblivious refinement round (on the parent piece's induced
+subtree, with the piece's own budget and subtree sizes).
+"""
+
+from collections import defaultdict
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import treelayout.aware as aware
+from treelayout import (TreeTopology, compute_weights, gen_perfect,
+                        gen_random, k_set, layout_aware, refinement_levels)
+from treelayout.oblivious import _piece_budget
+
+BS = (1, 2, 3, 4, 7, 8, 16, 64)
+
+
+def check_aware(tree, B, c):
+    asg = layout_aware(tree, B, c)
+    w = compute_weights(tree)
+    for members in asg.blocks:
+        r = members[0]
+        if tree.depth[r] >= asg.phase1_levels:
+            assert set(members) == k_set(tree, r, B, w), (B, c, r)
+    return asg
+
+
+def induced(tree, piece):
+    """The subtree a connected piece induces, relabeled ``0..len-1``
+    (the piece's root first), and the relabeling."""
+    idx = {x: i for i, x in enumerate(piece)}
+    left = [idx.get(tree.left[x]) for x in piece]
+    right = [idx.get(tree.right[x]) for x in piece]
+    return TreeTopology(left, right, 0), idx
+
+
+def check_refinement(tree):
+    levels = refinement_levels(tree)
+    if tree.n > 1:
+        top = check_aware(tree, _piece_budget(tree.n), Fraction(1))
+        assert levels[0] == top.blocks
+    for coarse, fine in zip(levels, levels[1:]):
+        owner = {x: i for i, P in enumerate(coarse) for x in P}
+        children = defaultdict(list)
+        for Q in fine:
+            children[owner[Q[0]]].append(Q)
+        for i, P in enumerate(coarse):
+            if len(P) <= 2:
+                assert children[i] == [P]
+                continue
+            sub, idx = induced(tree, P)
+            w = compute_weights(sub)
+            A = _piece_budget(len(P))
+            assert sum(map(len, children[i])) == len(P)
+            for Q in children[i]:
+                assert {idx[x] for x in Q} == k_set(sub, idx[Q[0]], A, w)
+
+
+@given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+       B=st.sampled_from(BS),
+       c=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+@settings(max_examples=60, deadline=None)
+def test_random_layouts_match_kset(n, seed, B, c):
+    t = gen_random(n, seed)
+    check_aware(t, B, c)
+    check_refinement(t)
+
+
+def test_perfect_layouts_match_kset(monkeypatch):
+    # equal sibling weights put many membership sums exactly on their
+    # target, so these layouts go through the exact fallback
+    calls = []
+    exact = aware._exact_reciprocal_le
+
+    def counted(ws, B, wr):
+        calls.append(len(ws))
+        return exact(ws, B, wr)
+
+    monkeypatch.setattr(aware, "_exact_reciprocal_le", counted)
+    for h in range(11):
+        t = gen_perfect(h)
+        for B in BS:
+            for c in (Fraction(1, 4), Fraction(1, 2)):
+                check_aware(t, B, c)
+        check_refinement(t)
+    assert calls, "the exact fallback never ran"

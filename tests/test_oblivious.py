@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treelayout import (TreeError, block_ids, blocks_at, cost_report,
+from treelayout import (LinearOrder, TreeError, block_ids, cost_report,
                         gen_path, gen_perfect, gen_random, layout_aware,
                         layout_oblivious, order_from_json, order_to_json,
                         refinement_levels)
@@ -83,7 +83,7 @@ def test_refinement_pieces_are_connected():
             assert len(tops) == 1
 
 
-# ------------------------------------------------------------ blocks_at
+# ------------------------------------------------------------ block_ids
 
 def test_blocks_at_b1_singletons():
     t = gen_path(5)
@@ -107,15 +107,16 @@ def test_blocks_at_offset():
 def test_blocks_at_validates_offset():
     order = layout_oblivious(gen_path(4))
     with pytest.raises(TreeError):
-        blocks_at(order, 2, offset=2)
+        block_ids(order, 2, offset=2)
     with pytest.raises(TreeError):
-        blocks_at(order, 0)
+        block_ids(order, 0)
 
 
-def test_blocks_at_is_callable_and_indexable():
-    order = layout_oblivious(gen_path(6))
-    f = blocks_at(order, 3)
-    assert f(4) == f[4] == order.position[4] // 3
+def test_block_ids_of_padded_order_use_slot_indices():
+    order = LinearOrder([None, 2, 0, None, 1])
+    assert order.n == 3
+    assert order.position == (2, 4, 1)
+    assert block_ids(order, 2) == [1, 2, 0]
 
 
 # ------------------------------------------------------------ cost shape
@@ -126,7 +127,7 @@ def test_path_scan_cost_bound():
     order = layout_oblivious(t)
     for B in (1, 2, 3, 7, 16, 64, 256):
         for off in (0, B // 2, B - 1):
-            rep = cost_report(t, blocks_at(order, B, off % B), B=B)
+            rep = cost_report(t, block_ids(order, B, off % B), B=B)
             for D in range(256):
                 assert rep.worst_exact[D] <= math.ceil(D / B) + 1
 
@@ -137,7 +138,7 @@ def test_perfect_tree_ratio_to_aware_stays_small():
     t = gen_perfect(12)
     order = layout_oblivious(t)
     for B in (4, 16, 64):
-        obl = cost_report(t, blocks_at(order, B, 0), B=B)
+        obl = cost_report(t, block_ids(order, B, 0), B=B)
         awa = cost_report(t, layout_aware(t, B).block_of, B=B)
         for D in range(13):
             assert obl.worst_exact[D] <= 4 * awa.worst_exact[D]
@@ -155,6 +156,21 @@ def test_order_json_roundtrip():
 def test_order_json_rejects_non_permutation():
     with pytest.raises(TreeError):
         order_from_json({"order": [0, 0, 1]})
+
+
+@pytest.mark.parametrize("seq", [(0, True, 2), (0, 1.0, 2), (0, "1", 2),
+                                 (0, 3, 1), (-1, 0, 1)])
+def test_linear_order_rejects_non_ids(seq):
+    with pytest.raises(TreeError):
+        LinearOrder(seq)
+
+
+@pytest.mark.parametrize("obj", [{"order": 7}, {"order": "012"},
+                                 {"order": {"0": 0}}, {"order": None},
+                                 {"order": [0, True, 2]}, [0, 1], 7])
+def test_order_json_rejects_bad_types(obj):
+    with pytest.raises(TreeError):
+        order_from_json(obj)
 
 
 def test_order_json_rejects_wrong_tree():
