@@ -2,9 +2,9 @@
 
 Two cooperating mechanisms produce blocks of at most B nodes:
 
-* the top levels of the tree (a logarithmic number of them) are clustered
-  level-by-level, ``floor(lg(B+1))`` levels per block, so that shallow
-  queries behave like a B-tree search;
+* the top ``ceil(lg N)`` levels of the tree are clustered level-by-level,
+  ``floor(lg(B+1))`` levels per block, so that shallow queries behave
+  like a B-tree search;
 * every remaining subtree is split by a budget recursion: its root block
   receives capacity ``A = B``, a node keeps ``A - 1`` for its children and
   hands each child a share proportional to the child's subtree weight,
@@ -22,7 +22,6 @@ bit-reproducible while staying O(1) per node in the common case.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -54,12 +53,10 @@ class BlockAssignment:
     ``block_of`` maps node id -> block id, -1 for nodes outside the
     covered region.  ``phase2_roots`` are the subtree roots handled by the
     budget recursion; nodes strictly shallower than ``phase1_levels`` were
-    clustered level-by-level instead.  ``c`` is the level-coverage
-    parameter (None when unknown, e.g. for layouts read from disk).
+    clustered level-by-level instead (None for layouts read from disk).
     """
 
     B: int
-    c: Optional[Fraction]
     blocks: list
     block_of: list
     phase2_roots: tuple
@@ -182,27 +179,7 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
             push((c, b, s2, ce))
 
 
-def _phase1_levels(n: int, c: Fraction, height: int) -> int:
-    """Number of top levels covered by level clustering: the least L with
-    ``L >= c * lg2(n)``, capped at ``height + 1``.  Exact despite the
-    float log estimate."""
-    if n <= 1:
-        return 0
-    a, b = c.numerator, c.denominator
-    x = a * math.log2(n) / b
-    if x > height + 1.5:
-        return height + 1
-    L = max(0, math.ceil(x - 1e-9))
-    na = n ** a
-    while (1 << (L * b)) < na:
-        L += 1
-    while L > 0 and (1 << ((L - 1) * b)) >= na:
-        L -= 1
-    return min(L, height + 1)
-
-
-def phase2_layout(tree: TreeTopology, root: int, B: int,
-                  weights=None) -> BlockAssignment:
+def phase2_layout(tree: TreeTopology, root: int, B: int) -> BlockAssignment:
     """Lay out the subtree of ``root`` with the budget recursion alone.
 
     Block 0 is the node set of :func:`k_set` at ``(root, B)``; each child
@@ -210,20 +187,18 @@ def phase2_layout(tree: TreeTopology, root: int, B: int,
     """
     if B < 1:
         raise TreeError("B must be positive")
-    if weights is None:
-        weights = compute_weights(tree)
     blocks: list = []
     block_of = [-1] * tree.n
-    _budget_partition(tree.left, tree.right, tree.parent, weights, root, B,
-                      blocks, block_of)
-    return BlockAssignment(B=B, c=None, blocks=blocks, block_of=block_of,
+    _budget_partition(tree.left, tree.right, tree.parent,
+                      compute_weights(tree), root, B, blocks, block_of)
+    return BlockAssignment(B=B, blocks=blocks, block_of=block_of,
                            phase2_roots=(root,),
                            phase1_levels=tree.depth[root])
 
 
-def layout_aware(tree: TreeTopology, B: int, c=Fraction(1)) -> BlockAssignment:
+def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
     """Full layout for a known block size: level clustering on the top
-    ``ceil(c * lg2 N)`` levels, budget recursion below.
+    ``ceil(lg2 N)`` levels (capped at the height), budget recursion below.
 
     The top levels are cut into strata of ``floor(lg(B+1))`` levels; every
     stratum root starts a block holding its descendants within the
@@ -236,12 +211,9 @@ def layout_aware(tree: TreeTopology, B: int, c=Fraction(1)) -> BlockAssignment:
     """
     if B < 1:
         raise TreeError("B must be positive")
-    c = Fraction(c)
-    # the exact level count compares 2**(L*q) with N**p, so p and q stay small
-    if c <= 0 or c.numerator > 1024 or c.denominator > 1024:
-        raise TreeError("c must be a positive fraction p/q with p, q <= 1024")
     w = compute_weights(tree)
-    L1 = _phase1_levels(tree.n, c, tree.height)
+    # the least L with 2**L >= N
+    L1 = min((tree.n - 1).bit_length(), tree.height + 1)
     stride = (B + 1).bit_length() - 1
     left, right, parent, depth = tree.left, tree.right, tree.parent, tree.depth
 
@@ -268,7 +240,7 @@ def layout_aware(tree: TreeTopology, B: int, c=Fraction(1)) -> BlockAssignment:
         cc = left[x]
         if cc is not None:
             stack.append((cc, b))
-    return BlockAssignment(B=B, c=c, blocks=blocks, block_of=block_of,
+    return BlockAssignment(B=B, blocks=blocks, block_of=block_of,
                            phase2_roots=tuple(p2roots), phase1_levels=L1)
 
 
@@ -316,15 +288,13 @@ def padded_order(asg: BlockAssignment) -> list:
 
 
 def layout_to_json(asg: BlockAssignment) -> dict:
-    c = asg.c
-    return {
-        "B": asg.B,
-        "c": None if c is None else "%d/%d" % (c.numerator, c.denominator),
-        "blocks": [list(mem) for mem in asg.blocks],
-    }
+    return {"B": asg.B, "blocks": [list(mem) for mem in asg.blocks]}
 
 
-def layout_from_json(obj, n: Optional[int] = None) -> BlockAssignment:
+def layout_from_json(obj, n: int) -> BlockAssignment:
+    """Read ``{"B": int, "blocks": [[node, ...], ...]}`` for a tree of
+    ``n`` nodes; every node must sit in exactly one block of <= B nodes.
+    Other keys are ignored."""
     try:
         B = obj["B"]
         blocks = obj["blocks"]
@@ -332,20 +302,8 @@ def layout_from_json(obj, n: Optional[int] = None) -> BlockAssignment:
         raise TreeError("layout json missing field: %s" % exc) from None
     if type(B) is not int or B < 1:
         raise TreeError("B must be a positive integer")
-    cs = obj.get("c")
-    c = None
-    if cs is not None:
-        bad = TreeError("c must be a fraction string, got %r" % (cs,))
-        if type(cs) is not str:
-            raise bad
-        try:
-            c = Fraction(cs)
-        except (ValueError, ZeroDivisionError):
-            raise bad from None
     if type(blocks) is not list or not set(map(type, blocks)) <= {list}:
         raise TreeError("blocks must be a list of node-id lists")
-    if n is None:
-        n = 1 + max((v for mem in blocks for v in mem), default=0)
     block_of = [-1] * n
     for i, mem in enumerate(blocks):
         if len(mem) > B:
@@ -358,6 +316,6 @@ def layout_from_json(obj, n: Optional[int] = None) -> BlockAssignment:
             block_of[v] = i
     if -1 in block_of:
         raise TreeError("layout does not cover node %d" % block_of.index(-1))
-    return BlockAssignment(B=B, c=c, blocks=[list(m) for m in blocks],
+    return BlockAssignment(B=B, blocks=[list(m) for m in blocks],
                            block_of=block_of, phase2_roots=(),
                            phase1_levels=None)

@@ -24,7 +24,6 @@ import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -44,13 +43,6 @@ CSV_COLUMNS = ("tree_id", "family", "N", "B", "layout", "offset", "D",
                "worst_exact", "worst_cum", "bound", "ratio")
 
 FAMILIES = ("perfect", "path", "random", "lowerbound")
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
 
 
 def _write_json(obj, out: Optional[str]) -> None:
@@ -99,9 +91,9 @@ def cmd_gen(args) -> int:
             raise ValueError("gen random requires --n")
         tree = gen_random(args.n, seed=args.seed)
     else:  # lowerbound
-        if not args.B or args.inv_p is None or args.n is None:
+        if args.B is None or args.inv_p is None or args.n is None:
             raise ValueError("gen lowerbound requires --B, --inv-p and --n")
-        tree = gen_lower_bound(args.B[0], args.inv_p, args.n)
+        tree = gen_lower_bound(args.B, args.inv_p, args.n)
     _write_json(tree_to_json(tree), args.out)
     log.info("gen %s: %d nodes", family, tree.n)
     return 0
@@ -113,10 +105,10 @@ def cmd_layout(args, parser: argparse.ArgumentParser) -> int:
     tree = load_tree(args.tree)
     t0 = time.perf_counter()
     if args.mode == "aware":
-        if not args.B:
+        B = args.B
+        if B is None:
             parser.error("layout aware requires --B")
-        B = args.B[0]
-        asg = layout_aware(tree, B, _parse_fraction(args.c))
+        asg = layout_aware(tree, B)
         _write_json(layout_to_json(asg), args.out)
         if args.padded_out is not None:
             slots = padded_order(asg)
@@ -143,12 +135,9 @@ def _load_layout_file(path: str, tree: TreeTopology):
     if type(obj) is not dict:
         raise TreeError(f"{path}: layout json must be an object")
     if "blocks" in obj:
-        return "blocks", layout_from_json(obj, n=tree.n)
+        return "blocks", layout_from_json(obj, tree.n)
     if "order" in obj:
-        order = order_from_json(obj)
-        if order.n != tree.n:
-            raise TreeError("order file does not cover the tree's node ids")
-        return "order", order
+        return "order", order_from_json(obj, tree.n)
     raise TreeError(f"{path}: neither a block layout nor a linear order")
 
 
@@ -180,7 +169,7 @@ def cmd_eval(args) -> int:
     rows = []
     if kind == "blocks":
         asg = payload
-        rep = cost_report(tree, asg.block_of, B=asg.B, kind="aware")
+        rep = cost_report(tree, asg.block_of)
         rows += _rows_for_report(rep, tree.n, asg.B, "aware", 0,
                                  tree_id, "-", depths)
     else:
@@ -192,8 +181,7 @@ def cmd_eval(args) -> int:
                 raise ValueError("B must be >= 1")
             offsets = range(B) if args.offsets == "all" else (0,)
             for off in offsets:
-                rep = cost_report(tree, block_ids(order, B, off), B=B,
-                                  kind="oblivious")
+                rep = cost_report(tree, block_ids(order, B, off))
                 rows += _rows_for_report(rep, tree.n, B, "oblivious", off,
                                          tree_id, "-", depths)
     _write_rows(rows, args.out, args.format)
@@ -214,7 +202,6 @@ class SweepConfig:
 
     families: dict                      # family name -> list of sizes
     Bs: list
-    c: Fraction = Fraction(1)
     depths: str = "log"                 # "all" | "log"
     offsets: str = "zero"               # "zero" | "all"
     seed: int = 0
@@ -255,10 +242,7 @@ class SweepConfig:
         if missing:
             raise ValueError("sweep config missing key(s): "
                              + ", ".join(map(repr, missing)))
-        kw = dict(obj)
-        if "c" in kw:
-            kw["c"] = _parse_fraction(str(kw["c"]))
-        return cls(**kw)
+        return cls(**obj)
 
 
 def _depth_grid(height: int, policy: str):
@@ -323,9 +307,9 @@ def run_sweep(cfg: SweepConfig):
             for B in cfg.Bs:
                 tree, tid = _sweep_tree(family, N, B, cfg, trees)
                 depths = _depth_grid(tree.height, cfg.depths)
-                asg = layout_aware(tree, B, cfg.c)
+                asg = layout_aware(tree, B)
                 excl += exclusion_violations(tree, compute_weights(tree), asg)
-                rep = cost_report(tree, asg.block_of, B=B, kind="aware")
+                rep = cost_report(tree, asg.block_of)
                 rows += _rows_for_report(rep, tree.n, B, "aware", 0,
                                          tid, family, depths)
                 if tid not in orders:
@@ -333,8 +317,7 @@ def run_sweep(cfg: SweepConfig):
                 order = orders[tid]
                 offs = range(B) if cfg.offsets == "all" else (0,)
                 for off in offs:
-                    rep = cost_report(tree, block_ids(order, B, off),
-                                      B=B, kind="oblivious")
+                    rep = cost_report(tree, block_ids(order, B, off))
                     rows += _rows_for_report(rep, tree.n, B, "oblivious", off,
                                              tid, family, depths)
                 log.info("sweep cell %s B=%d done (%.1fs elapsed)",
@@ -379,7 +362,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     tree = load_tree(args.tree)
-    B = args.B[0]
+    B = args.B
     best, parts = brute_force_optimal(tree, B, args.D)
     print(f"optimal worst-case transfers at depth {args.D}: {best}")
     print(f"witness blocks: {json.dumps(parts)}")
@@ -390,6 +373,15 @@ def cmd_oracle(args) -> int:
 
 
 # ---------------------------------------------------------------- main
+
+class _Once(argparse.Action):
+    """Store the option's value; giving the option twice is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given only once")
+        setattr(namespace, self.dest, values)
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -403,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--height", type=int)
     g.add_argument("--n", type=int)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--B", type=int, action="append")
+    g.add_argument("--B", type=int, action=_Once)
     g.add_argument("--inv-p", type=int, dest="inv_p")
     g.add_argument("--out")
     g.set_defaults(func=cmd_gen)
@@ -411,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     l = sub.add_parser("layout", help="lay a tree out")
     l.add_argument("mode", choices=("aware", "oblivious"))
     l.add_argument("--tree", required=True)
-    l.add_argument("--B", type=int, action="append")
-    l.add_argument("--c", default="1")
+    l.add_argument("--B", type=int, action=_Once)
     l.add_argument("--out")
     l.add_argument("--padded-out", dest="padded_out",
                    help="also write the aware layout as an aligned, padded "
@@ -436,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle", help="brute-force optimum for small trees")
     o.add_argument("--tree", required=True)
-    o.add_argument("--B", type=int, action="append", required=True)
+    o.add_argument("--B", type=int, action=_Once, required=True)
     o.add_argument("--D", type=int, required=True)
     o.set_defaults(func=cmd_oracle)
     return ap

@@ -38,9 +38,6 @@ class CostReport:
     height inclusive.
     """
 
-    tree_id: Optional[str]
-    B: Optional[int]
-    kind: str
     height: int
     worst_exact: list
     worst_cum: list
@@ -67,9 +64,7 @@ def path_cost(block_of, tree: TreeTopology, node: int) -> int:
     return len(seen)
 
 
-def cost_report(tree: TreeTopology, block_of, B: Optional[int] = None,
-                kind: str = "aware",
-                tree_id: Optional[str] = None) -> CostReport:
+def cost_report(tree: TreeTopology, block_of) -> CostReport:
     """Worst-case path cost at every depth in one O(N) traversal.
 
     Keeps a multiset of block ids on the current root path, so it is
@@ -114,21 +109,18 @@ def cost_report(tree: TreeTopology, block_of, B: Optional[int] = None,
     for d in range(1, height + 1):
         if cum[d - 1] > cum[d]:
             cum[d] = cum[d - 1]
-    return CostReport(tree_id=tree_id, B=B, kind=kind, height=height,
-                      worst_exact=worst, worst_cum=cum, argmax=arg)
+    return CostReport(height=height, worst_exact=worst, worst_cum=cum,
+                      argmax=arg)
 
 
-def worst_case_cost(tree: TreeTopology, block_of, D: int,
-                    report: Optional[CostReport] = None) -> DepthCost:
+def worst_case_cost(tree: TreeTopology, block_of, D: int) -> DepthCost:
     """Worst cost over nodes at depth exactly D (and the <=D variant).
 
     Depths beyond the tree height are capped to the height and flagged.
-    Pass a precomputed ``report`` to avoid re-simulating.
     """
     if D < 0:
         raise TreeError("D must be nonnegative")
-    if report is None:
-        report = cost_report(tree, block_of)
+    report = cost_report(tree, block_of)
     h = report.height
     capped = D > h
     d = h if capped else D

@@ -19,7 +19,6 @@ measured ratio checks in the test suite.)  Runs in O(N lg lg N).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .aware import _budget_partition, layout_aware
@@ -82,7 +81,7 @@ def _refine(tree: TreeTopology, trace: Optional[list] = None) -> list:
         if trace is not None:
             trace.append([[tree.root]])
         return blocks
-    top = layout_aware(tree, _piece_budget(n), Fraction(1))
+    top = layout_aware(tree, _piece_budget(n))
     blocks = top.blocks
     blk = list(top.block_of)
     if trace is not None:
@@ -157,9 +156,9 @@ def order_to_json(order: LinearOrder) -> dict:
     return {"order": list(order.order)}
 
 
-def order_from_json(obj, tree: Optional[TreeTopology] = None) -> LinearOrder:
-    """Read ``{"order": [node | null, ...]}``.  With ``tree`` given, the
-    order must hold exactly its nodes and start at its root."""
+def order_from_json(obj, n: int) -> LinearOrder:
+    """Read ``{"order": [node | null, ...]}`` for a tree of ``n`` nodes:
+    each of ``0..n-1`` exactly once, padding allowed anywhere."""
     try:
         seq = obj["order"]
     except (TypeError, KeyError) as exc:
@@ -167,9 +166,6 @@ def order_from_json(obj, tree: Optional[TreeTopology] = None) -> LinearOrder:
     if type(seq) is not list:
         raise TreeError("order must be a list of node ids and nulls")
     order = LinearOrder(seq)
-    if tree is not None:
-        if order.n != tree.n:
-            raise TreeError("order length %d != tree size %d" % (order.n, tree.n))
-        if order.order[0] != tree.root:
-            raise TreeError("order must start at the root")
+    if order.n != n:
+        raise TreeError("order holds %d nodes, the tree %d" % (order.n, n))
     return order

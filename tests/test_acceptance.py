@@ -165,7 +165,7 @@ def test_criterion_5_lower_bound_shape(capsys):
                 if key not in cache:
                     t = gen_lower_bound(B, inv_p, N)
                     asg = layout_aware(t, B)
-                    cache[key] = (t, cost_report(t, asg.block_of, B=B))
+                    cache[key] = (t, cost_report(t, asg.block_of))
                 t, rep = cache[key]
                 if D > t.height:
                     skipped += 1   # truncated gadget has no depth-D node
@@ -201,7 +201,7 @@ def test_criterion_6_oracle_comparison(capsys):
             t = shape_to_tree(shape)
             for B in (2, 3, 4):
                 asg = layout_aware(t, B)
-                rep = cost_report(t, asg.block_of, B=B)
+                rep = cost_report(t, asg.block_of)
                 for D in range(t.height + 1):
                     aware = rep.worst_exact[D]
                     floor_opt = -(-(D + 1) // B)
@@ -219,17 +219,17 @@ def test_criterion_6_oracle_comparison(capsys):
         blk = {x: i for i, mem in enumerate(parts) for x in mem}
         assert sorted(blk) == list(range(t.n))
         assert all(len(mem) <= B for mem in parts)
-        assert cost_report(t, blk, B=B).worst_exact[D] == opt
+        assert cost_report(t, blk).worst_exact[D] == opt
         if aware > 3 * opt:
             sampled_bad += 1
     # frozen instance: the singleton cascade on the 7-node perfect tree
     # at B=3 pays 3 where the optimum is 2
     t7 = gen_perfect(2)
     opt7, _ = brute_force_optimal(t7, 3, 2)
-    casc = cost_report(t7, phase2_layout(t7, 0, 3).block_of, B=3)
+    casc = cost_report(t7, phase2_layout(t7, 0, 3).block_of)
     frozen = opt7 == 2 and casc.worst_exact[2] == 3
-    frozen &= cost_report(t7, layout_aware(t7, 3).block_of,
-                          B=3).worst_exact[2] <= 3 * opt7
+    frozen &= cost_report(t7, layout_aware(t7, 3).block_of
+                          ).worst_exact[2] <= 3 * opt7
     ok = worst_pair[1] is None and sampled_bad == 0 and frozen
     verdict(capsys, 6, ok,
             "%d shapes, %d oracle calls, worst pair %r, frozen 2-vs-3 %s"

@@ -74,14 +74,14 @@ def phase1_blocks(tree, asg):
 
 def test_phase1_perfect7_fits_one_block():
     t = gen_perfect(2)
-    asg = layout_aware(t, 7, c=Fraction(100))
+    asg = layout_aware(t, 7)
     assert [sorted(b) for b in phase1_blocks(t, asg)] == [list(range(7))]
     assert asg.phase2_roots == ()
 
 
 def test_phase1_perfect7_b3():
     t = gen_perfect(2)
-    asg = layout_aware(t, 3, c=Fraction(100))
+    asg = layout_aware(t, 3)
     blocks = phase1_blocks(t, asg)
     assert sorted(blocks[0]) == [0, 1, 2]  # top floor(lg 4) = 2 levels
     assert len(blocks) == 5
@@ -90,7 +90,7 @@ def test_phase1_perfect7_b3():
 
 def test_phase1_path1024_b15():
     t = gen_path(1024)
-    asg = layout_aware(t, 15, c=Fraction(1))
+    asg = layout_aware(t, 15)
     # 10 levels in strata of floor(lg 16) = 4: blocks of 4, 4, 2 nodes
     assert [len(b) for b in phase1_blocks(t, asg)] == [4, 4, 2]
     assert list(asg.phase2_roots) == [10]
@@ -98,7 +98,7 @@ def test_phase1_path1024_b15():
 
 def test_phase1_b1_singletons():
     t = gen_perfect(2)
-    asg = layout_aware(t, 1, c=Fraction(100))
+    asg = layout_aware(t, 1)
     assert all(len(b) == 1 for b in phase1_blocks(t, asg))
     assert len(asg.blocks) == 7
     assert asg.phase2_roots == ()
@@ -163,7 +163,7 @@ def test_aware_single_node():
 
 def test_aware_perfect2047_b7_all_phase1():
     t = gen_perfect(10)
-    asg = layout_aware(t, 7, Fraction(1))
+    asg = layout_aware(t, 7)
     assert asg.phase2_roots == ()
     assert asg.phase1_levels == 11
     assert_valid_assignment(t, asg)
@@ -187,6 +187,22 @@ def test_aware_block_ids_follow_discovery_order():
     pre = t.pre_index()
     roots = [b[0] for b in asg.blocks]
     assert roots == sorted(roots, key=lambda x: pre[x])
+
+
+@given(family=st.sampled_from(["random", "path", "perfect"]),
+       n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+       B=st.sampled_from([1, 2, 4, 16, 256]))
+@settings(max_examples=80, deadline=None)
+def test_phase1_depth_is_ceil_lg_n(family, n, seed, B):
+    # the least L with 2**L >= N, capped at the height
+    if family == "random":
+        t = gen_random(n, seed)
+    elif family == "path":
+        t = gen_path(n)
+    else:
+        t = gen_perfect(n.bit_length() - 1)
+    asg = layout_aware(t, B)
+    assert asg.phase1_levels == min((t.n - 1).bit_length(), t.height + 1)
 
 
 @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
@@ -218,10 +234,10 @@ def test_exclusion_bound_zero_violations():
 
 def test_layout_json_roundtrip():
     t = gen_random(200, seed=3)
-    asg = layout_aware(t, 9, Fraction(3, 2))
+    asg = layout_aware(t, 9)
     obj = layout_to_json(asg)
-    assert obj["c"] == "3/2"
-    back = layout_from_json(obj, n=t.n)
+    assert sorted(obj) == ["B", "blocks"]
+    back = layout_from_json(obj, t.n)
     assert list(back.blocks) == [list(b) for b in asg.blocks]
     assert back.B == 9
 

@@ -166,14 +166,29 @@ def test_layout_aware_requires_B(tmp_path):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("c,code", [("1e-300", 3), ("1e400", 3), ("0", 3),
-                                    ("2049/2", 3), ("1024", 0),
-                                    ("1/1024", 0)])
-def test_layout_c_range(tmp_path, c, code):
-    tree = tmp_path / "t.json"
-    run(["gen", "random", "--n", 50, "--seed", 1, "--out", tree])
-    assert run(["layout", "aware", "--tree", tree, "--B", 4, "--c", c,
-                "--out", tmp_path / "l.json"]) == code
+def test_layout_has_no_c_option(tmp_path):
+    tree = tmp_path / "p.json"
+    run(["gen", "path", "--n", 4, "--out", tree])
+    with pytest.raises(SystemExit) as exc:
+        run(["layout", "aware", "--tree", tree, "--B", 4, "--c", 1])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "lowerbound", "--B", 4, "--B", 8, "--inv-p", 2, "--n", 9,
+     "--out", "{out}"],
+    ["layout", "aware", "--tree", "{tree}", "--B", 4, "--B", 256,
+     "--out", "{out}"],
+    ["oracle", "--tree", "{tree}", "--B", 2, "--B", 3, "--D", 1],
+])
+def test_single_B_commands_reject_repeated_B(tmp_path, capsys, argv):
+    tree, out = tmp_path / "p.json", tmp_path / "out.json"
+    run(["gen", "path", "--n", 4, "--out", tree])
+    with pytest.raises(SystemExit) as exc:
+        run([str(a).format(tree=tree, out=out) for a in argv])
+    assert exc.value.code == 2
+    assert "--B may be given only once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_layout_missing_tree_file(tmp_path):
@@ -257,8 +272,8 @@ def test_eval_rejects_mismatched_ids(tmp_path):
     {"B": 2, "blocks": 5},
     {"B": 2, "blocks": [0, 1, 2, 3]},
     {"B": 2, "blocks": [[0, 1], [2, True]]},
-    {"B": 2, "c": 1, "blocks": [[0, 1], [2, 3]]},
-    {"B": 2, "c": "1/0", "blocks": [[0, 1], [2, 3]]},
+    {"B": 0, "blocks": [[0], [1], [2], [3]]},
+    {"B": 2, "blocks": [[0, 1], [2, 4]]},
 ])
 def test_eval_rejects_bad_layout(tmp_path, layout):
     tree = tmp_path / "t.json"
@@ -266,6 +281,15 @@ def test_eval_rejects_bad_layout(tmp_path, layout):
     run(["gen", "path", "--n", 4, "--out", tree])
     lay.write_text(json.dumps(layout))
     assert run(["eval", "--tree", tree, "--layout", lay]) == 3
+
+
+def test_eval_ignores_c_in_older_layout_files(perfect7_files):
+    tmp, tree, t = perfect7_files
+    lay = tmp / "old.json"
+    lay.write_text(json.dumps({"B": 7, "c": "1/1",
+                               "blocks": [list(range(7))]}))
+    assert run(["eval", "--tree", tree, "--layout", lay,
+                "--out", tmp / "rows.csv"]) == 0
 
 
 @pytest.mark.parametrize("order", [[0, True, 2, 3], [0, 1, 2, 2], "0123", 7])
@@ -387,6 +411,7 @@ def test_sweep_config_validation():
     ({"families": {"random": [64]}, "Bs": [4], "csv_out": 5}, "csv_out"),
     ({"families": {"random": [64]}, "Bs": [4], "summary_out": ["x"]},
      "summary_out"),
+    ({"families": {"path": [4]}, "Bs": [2], "c": "1/2"}, "'c'"),
 ])
 def test_sweep_config_keys(tmp_path, caplog, config, word):
     with pytest.raises(ValueError, match=word):

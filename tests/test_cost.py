@@ -345,7 +345,7 @@ def test_perfect_tree_cost_tracks_log_base_B():
         t = gen_perfect(h)
         N = t.n
         for B in Bs:
-            rep = cost_report(t, layout_aware(t, B).block_of, B=B)
+            rep = cost_report(t, layout_aware(t, B).block_of)
             levels = math.ceil(math.log2(N + 1))
             per_block = math.floor(math.log2(B + 1))
             assert rep.worst_exact[h] <= 4 * math.ceil(levels / per_block)

@@ -4,31 +4,33 @@ The engine decides block membership with a float reciprocal-sum test and
 an exact rational fallback for comparisons too close to call; ``k_set``
 runs the budget recursion literally with exact rationals.  Every block the
 recursion produces must equal the ``k_set`` of its own root with a fresh
-budget: in the aware layout (blocks rooted at or below ``phase1_levels``)
-and in every oblivious refinement round (on the parent piece's induced
-subtree, with the piece's own budget and subtree sizes).
+budget: in the aware layout (blocks rooted at or below ``phase1_levels``),
+in ``phase2_layout`` from any root, and in every oblivious refinement
+round (on the parent piece's induced subtree, with the piece's own budget
+and subtree sizes).
 """
 
 from collections import defaultdict
-from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import treelayout.aware as aware
 from treelayout import (TreeTopology, compute_weights, gen_perfect,
-                        gen_random, k_set, layout_aware, refinement_levels)
+                        gen_random, k_set, layout_aware, phase2_layout,
+                        refinement_levels)
 from treelayout.oblivious import _piece_budget
 
 BS = (1, 2, 3, 4, 7, 8, 16, 64)
 
 
-def check_aware(tree, B, c):
-    asg = layout_aware(tree, B, c)
+def check_blocks(tree, asg):
+    """Every block rooted at or below ``phase1_levels`` is the ``k_set``
+    of its root with budget B; returns ``asg``."""
     w = compute_weights(tree)
     for members in asg.blocks:
         r = members[0]
         if tree.depth[r] >= asg.phase1_levels:
-            assert set(members) == k_set(tree, r, B, w), (B, c, r)
+            assert set(members) == k_set(tree, r, asg.B, w), (asg.B, r)
     return asg
 
 
@@ -44,7 +46,7 @@ def induced(tree, piece):
 def check_refinement(tree):
     levels = refinement_levels(tree)
     if tree.n > 1:
-        top = check_aware(tree, _piece_budget(tree.n), Fraction(1))
+        top = check_blocks(tree, layout_aware(tree, _piece_budget(tree.n)))
         assert levels[0] == top.blocks
     for coarse, fine in zip(levels, levels[1:]):
         owner = {x: i for i, P in enumerate(coarse) for x in P}
@@ -64,18 +66,19 @@ def check_refinement(tree):
 
 
 @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
-       B=st.sampled_from(BS),
-       c=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+       B=st.sampled_from(BS))
 @settings(max_examples=60, deadline=None)
-def test_random_layouts_match_kset(n, seed, B, c):
+def test_random_layouts_match_kset(n, seed, B):
     t = gen_random(n, seed)
-    check_aware(t, B, c)
+    check_blocks(t, layout_aware(t, B))
+    check_blocks(t, phase2_layout(t, t.root, B))
     check_refinement(t)
 
 
 def test_perfect_layouts_match_kset(monkeypatch):
     # equal sibling weights put many membership sums exactly on their
-    # target, so these layouts go through the exact fallback
+    # target, so these layouts go through the exact fallback; all subtrees
+    # at one depth have the same shape, so the leftmost one stands for all
     calls = []
     exact = aware._exact_reciprocal_le
 
@@ -87,7 +90,7 @@ def test_perfect_layouts_match_kset(monkeypatch):
     for h in range(11):
         t = gen_perfect(h)
         for B in BS:
-            for c in (Fraction(1, 4), Fraction(1, 2)):
-                check_aware(t, B, c)
+            for d in range(h + 1):
+                check_blocks(t, phase2_layout(t, (1 << d) - 1, B))
         check_refinement(t)
     assert calls, "the exact fallback never ran"

@@ -83,7 +83,7 @@ LAYOUTS = [layout_to_json(ASG), order_to_json(layout_oblivious(TREE)),
            {"B": 2, "order": padded_order(ASG)}]
 CONFIGS = [{"families": {"random": [9, 20], "path": [5], "perfect": [7],
                          "lowerbound": [24]},
-            "Bs": [2, 4], "c": "1/2", "depths": "all", "offsets": "all",
+            "Bs": [2, 4], "depths": "all", "offsets": "all",
             "seed": 1, "csv_out": "s.csv", "summary_out": "s.json"}]
 
 

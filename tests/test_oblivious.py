@@ -127,7 +127,7 @@ def test_path_scan_cost_bound():
     order = layout_oblivious(t)
     for B in (1, 2, 3, 7, 16, 64, 256):
         for off in (0, B // 2, B - 1):
-            rep = cost_report(t, block_ids(order, B, off % B), B=B)
+            rep = cost_report(t, block_ids(order, B, off % B))
             for D in range(256):
                 assert rep.worst_exact[D] <= math.ceil(D / B) + 1
 
@@ -138,8 +138,8 @@ def test_perfect_tree_ratio_to_aware_stays_small():
     t = gen_perfect(12)
     order = layout_oblivious(t)
     for B in (4, 16, 64):
-        obl = cost_report(t, block_ids(order, B, 0), B=B)
-        awa = cost_report(t, layout_aware(t, B).block_of, B=B)
+        obl = cost_report(t, block_ids(order, B, 0))
+        awa = cost_report(t, layout_aware(t, B).block_of)
         for D in range(13):
             assert obl.worst_exact[D] <= 4 * awa.worst_exact[D]
 
@@ -149,13 +149,13 @@ def test_perfect_tree_ratio_to_aware_stays_small():
 def test_order_json_roundtrip():
     t = gen_random(64, seed=8)
     order = layout_oblivious(t)
-    back = order_from_json(order_to_json(order), tree=t)
+    back = order_from_json(order_to_json(order), t.n)
     assert back.order == order.order
 
 
 def test_order_json_rejects_non_permutation():
     with pytest.raises(TreeError):
-        order_from_json({"order": [0, 0, 1]})
+        order_from_json({"order": [0, 0, 1]}, 3)
 
 
 @pytest.mark.parametrize("seq", [(0, True, 2), (0, 1.0, 2), (0, "1", 2),
@@ -170,10 +170,9 @@ def test_linear_order_rejects_non_ids(seq):
                                  {"order": [0, True, 2]}, [0, 1], 7])
 def test_order_json_rejects_bad_types(obj):
     with pytest.raises(TreeError):
-        order_from_json(obj)
+        order_from_json(obj, 3)
 
 
 def test_order_json_rejects_wrong_tree():
-    t = gen_path(3)
     with pytest.raises(TreeError):
-        order_from_json({"order": [1, 0, 2]}, tree=t)  # root not first
+        order_from_json({"order": [1, 0, 2]}, 4)  # a 3-node order
