@@ -316,6 +316,7 @@ def layout_from_json(obj, n: int) -> BlockAssignment:
             block_of[v] = i
     if -1 in block_of:
         raise TreeError("layout does not cover node %d" % block_of.index(-1))
-    return BlockAssignment(B=B, blocks=[list(m) for m in blocks],
-                           block_of=block_of, phase2_roots=(),
-                           phase1_levels=None)
+    # the parsed lists become the blocks as they are; copying them would
+    # hold two copies while the parsed object is still alive
+    return BlockAssignment(B=B, blocks=blocks, block_of=block_of,
+                           phase2_roots=(), phase1_levels=None)

@@ -25,12 +25,12 @@ import sys
 import time
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .aware import (exclusion_violations, layout_aware, layout_from_json,
                     layout_to_json, padded_order)
-from .cost import (brute_force_optimal, cost_report, theoretical_bound,
-                   solve_p, worst_case_cost)
+from .cost import (CostReport, brute_force_optimal, cost_report,
+                   theoretical_bound, solve_p, worst_case_cost)
 from .oblivious import (block_ids, layout_oblivious, order_from_json,
                         order_to_json)
 from .tree import (ResourceLimitError, TreeError, TreeTopology, compute_weights,
@@ -45,33 +45,77 @@ CSV_COLUMNS = ("tree_id", "family", "N", "B", "layout", "offset", "D",
 FAMILIES = ("perfect", "path", "random", "lowerbound")
 
 
-def _write_json(obj, out: Optional[str]) -> None:
-    text = json_text(obj)
+def _write_text(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.9g}"
-    return str(v)
+def _write_json(obj, out: Optional[str]) -> None:
+    _write_text(json_text(obj), out)
 
 
-def _write_rows(rows, out: Optional[str], fmt: str) -> None:
-    if fmt == "json":
-        _write_json({"rows": rows}, out)
-        return
+# ---------------------------------------------------------------- rows
+
+class _Priced(NamedTuple):
+    """One priced layout; it stands for one output row per depth.
+
+    The first six fields are the CSV columns every row of the record
+    shares.  ``depths`` holds ``(D, bound, bound as CSV text,
+    max(1, bound))`` per reported depth (see ``_bounds``); every record of
+    one (tree, B) shares the same list.
+    """
+
+    tree_id: str
+    family: str
+    N: int
+    B: int
+    kind: str
+    offset: int
+    depths: list
+    report: CostReport
+
+
+def _bounds(N: int, B: int, depths) -> list:
+    """The ``depths`` entries of a ``_Priced``: one ``theoretical_bound``
+    call per depth, shared by the aware layout and every offset."""
+    out = []
+    for D in depths:
+        bound = theoretical_bound(N, D, B)
+        out.append((D, bound, f"{bound:.9g}", max(1.0, bound)))
+    return out
+
+
+def _csv_text(records) -> str:
+    """The CSV of ``records``, one row per (record, depth).  ``csv.writer``
+    quotes the shared text columns once per record; the per-depth numbers
+    never need quoting, and floats are written as ``.9g``."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
-    for row in rows:
-        w.writerow([_fmt(row[k]) for k in CSV_COLUMNS])
-    if out is None:
-        sys.stdout.write(buf.getvalue())
-    else:
-        Path(out).write_text(buf.getvalue())
+    parts = [buf.getvalue()]
+    for rec in records:
+        buf.seek(0)
+        buf.truncate()
+        w.writerow(rec[:6])
+        head = buf.getvalue()[:-1] + ","
+        we, wc = rec.report.worst_exact, rec.report.worst_cum
+        parts += [f"{head}{D},{we[D]},{wc[D]},{text},{we[D] / den:.9g}\n"
+                  for D, _, text, den in rec.depths]
+    return "".join(parts)
+
+
+def _row_dicts(records) -> list:
+    rows = []
+    for rec in records:
+        we, wc = rec.report.worst_exact, rec.report.worst_cum
+        rows += [{"tree_id": rec.tree_id, "family": rec.family, "N": rec.N,
+                  "B": rec.B, "layout": rec.kind, "offset": rec.offset,
+                  "D": D, "worst_exact": we[D], "worst_cum": wc[D],
+                  "bound": bound, "ratio": we[D] / den}
+                 for D, bound, _, den in rec.depths]
+    return rows
 
 
 # ---------------------------------------------------------------- gen
@@ -141,21 +185,6 @@ def _load_layout_file(path: str, tree: TreeTopology):
     raise TreeError(f"{path}: neither a block layout nor a linear order")
 
 
-def _rows_for_report(rep, N: int, B: int, kind: str, offset: int,
-                     tree_id: str, family: str, depths) -> list:
-    rows = []
-    for D in depths:
-        bound = theoretical_bound(N, D, B)
-        we = rep.worst_exact[D]
-        rows.append({
-            "tree_id": tree_id, "family": family, "N": N, "B": B,
-            "layout": kind, "offset": offset, "D": D,
-            "worst_exact": we, "worst_cum": rep.worst_cum[D],
-            "bound": bound, "ratio": we / max(1.0, bound),
-        })
-    return rows
-
-
 def cmd_eval(args) -> int:
     tree = load_tree(args.tree)
     kind, payload = _load_layout_file(args.layout, tree)
@@ -166,12 +195,17 @@ def cmd_eval(args) -> int:
         depths = [args.D]
     else:
         depths = range(tree.height + 1)
-    rows = []
+    N = tree.n
+    records = []
     if kind == "blocks":
         asg = payload
-        rep = cost_report(tree, asg.block_of)
-        rows += _rows_for_report(rep, tree.n, asg.B, "aware", 0,
-                                 tree_id, "-", depths)
+        if any(B != asg.B for B in args.B or ()) or args.offsets != "zero":
+            raise ValueError(f"a block layout is priced at its own B={asg.B} "
+                             f"and offset 0: --B must be {asg.B} and "
+                             "--offsets zero")
+        records.append(_Priced(tree_id, "-", N, asg.B, "aware", 0,
+                               _bounds(N, asg.B, depths),
+                               cost_report(tree, asg.block_of)))
     else:
         if not args.B:
             raise ValueError("--B is required to evaluate a linear order")
@@ -179,12 +213,15 @@ def cmd_eval(args) -> int:
         for B in args.B:
             if B < 1:
                 raise ValueError("B must be >= 1")
+            bounds = _bounds(N, B, depths)
             offsets = range(B) if args.offsets == "all" else (0,)
-            for off in offsets:
-                rep = cost_report(tree, block_ids(order, B, off))
-                rows += _rows_for_report(rep, tree.n, B, "oblivious", off,
-                                         tree_id, "-", depths)
-    _write_rows(rows, args.out, args.format)
+            records += [_Priced(tree_id, "-", N, B, "oblivious", off, bounds,
+                                cost_report(tree, block_ids(order, B, off)))
+                        for off in offsets]
+    if args.format == "json":
+        _write_json({"rows": _row_dicts(records)}, args.out)
+    else:
+        _write_text(_csv_text(records), args.out)
     return 0
 
 
@@ -295,9 +332,10 @@ def _sweep_tree(family: str, N: int, B: int, cfg: SweepConfig,
     return tree, tid
 
 
-def run_sweep(cfg: SweepConfig):
-    """Execute the grid; returns (rows, summary dict)."""
-    rows: list = []
+def _price_grid(cfg: SweepConfig):
+    """Lay out and price every cell; returns (records, exclusion
+    violations)."""
+    records: list = []
     trees: dict = {}
     orders: dict = {}
     excl = 0
@@ -306,55 +344,66 @@ def run_sweep(cfg: SweepConfig):
         for N in cfg.families[family]:
             for B in cfg.Bs:
                 tree, tid = _sweep_tree(family, N, B, cfg, trees)
-                depths = _depth_grid(tree.height, cfg.depths)
+                bounds = _bounds(tree.n, B,
+                                 _depth_grid(tree.height, cfg.depths))
                 asg = layout_aware(tree, B)
                 excl += exclusion_violations(tree, compute_weights(tree), asg)
-                rep = cost_report(tree, asg.block_of)
-                rows += _rows_for_report(rep, tree.n, B, "aware", 0,
-                                         tid, family, depths)
+                cell = (tid, family, tree.n, B)
+                records.append(_Priced(*cell, "aware", 0, bounds,
+                                       cost_report(tree, asg.block_of)))
                 if tid not in orders:
                     orders[tid] = layout_oblivious(tree)
                 order = orders[tid]
                 offs = range(B) if cfg.offsets == "all" else (0,)
-                for off in offs:
-                    rep = cost_report(tree, block_ids(order, B, off))
-                    rows += _rows_for_report(rep, tree.n, B, "oblivious", off,
-                                             tid, family, depths)
+                records += [
+                    _Priced(*cell, "oblivious", off, bounds,
+                            cost_report(tree, block_ids(order, B, off)))
+                    for off in offs]
                 log.info("sweep cell %s B=%d done (%.1fs elapsed)",
                          tid, B, time.perf_counter() - t0)
-    summary = _summarize(cfg, rows, excl)
-    return rows, summary
+    return records, excl
 
 
-def _summarize(cfg: SweepConfig, rows, excl: int) -> dict:
+def _summary(records, excl: int) -> dict:
+    """Per family and layout kind: the max ratio overall and per N, and
+    how the largest N's max compares with the smallest's."""
     fams: dict = {}
-    for row in rows:
-        f = fams.setdefault(row["family"], {})
-        k = f.setdefault(row["layout"], {"max_ratio": 0.0, "by_N": {}})
-        r = row["ratio"]
+    rows = 0
+    for rec in records:
+        we = rec.report.worst_exact
+        r = max(we[D] / den for D, _, _, den in rec.depths)
+        rows += len(rec.depths)
+        f = fams.setdefault(rec.family, {})
+        k = f.setdefault(rec.kind, {"max_ratio": 0.0, "by_N": {}})
         k["max_ratio"] = max(k["max_ratio"], r)
-        key = str(row["N"])
+        key = str(rec.N)
         k["by_N"][key] = max(k["by_N"].get(key, 0.0), r)
-    for fam, stats in fams.items():
-        for kind, k in list(stats.items()):
+    for stats in fams.values():
+        for k in stats.values():
             by = k["by_N"]
             ns = sorted(int(x) for x in by)
             small, large = by[str(ns[0])], by[str(ns[-1])]
             k["growth_factor"] = large / small if small > 0 else 0.0
             k["growth_ok"] = large <= 1.5 * small
     return {
-        "rows": len(rows),
+        "rows": rows,
         "exclusion_violations": excl,
         "families": fams,
     }
 
 
+def run_sweep(cfg: SweepConfig):
+    """Execute the grid; returns (rows, summary dict)."""
+    records, excl = _price_grid(cfg)
+    return _row_dicts(records), _summary(records, excl)
+
+
 def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(json.loads(Path(args.config).read_text()))
-    rows, summary = run_sweep(cfg)
+    records, excl = _price_grid(cfg)
     csv_out = args.out if args.out is not None else cfg.csv_out
-    _write_rows(rows, csv_out, "csv")
-    _write_json(summary, cfg.summary_out)
+    _write_text(_csv_text(records), csv_out)
+    _write_json(_summary(records, excl), cfg.summary_out)
     return 0
 
 

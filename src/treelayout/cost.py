@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .tree import TreeError, ResourceLimitError, TreeTopology
+from .tree import TreeError, ResourceLimitError, TreeTopology, compute_weights
 
 __all__ = [
     "CostReport",
@@ -65,46 +65,42 @@ def path_cost(block_of, tree: TreeTopology, node: int) -> int:
 
 
 def cost_report(tree: TreeTopology, block_of) -> CostReport:
-    """Worst-case path cost at every depth in one O(N) traversal.
+    """Worst-case path cost at every depth in one O(N) preorder scan.
 
-    Keeps a multiset of block ids on the current root path, so it is
-    correct even when a block's nodes are scattered across the tree (as
-    happens for aligned slices of a linear order).
+    A node opens a new block iff no ancestor shares its block id.  An
+    earlier node y in preorder is an ancestor of the node at rank i iff
+    ``i < rank(y) + w(y)``, so per block id it suffices to keep the
+    largest subtree end seen so far.  That is correct for any hashable
+    block ids, including blocks scattered across the tree (aligned
+    slices of a linear order) and the ``-1`` that ``phase2_layout``
+    leaves outside its subtree.  ``argmax[D]`` is the first node in
+    preorder that reaches ``worst_exact[D]``.
     """
-    left, right, depth = tree.left, tree.right, tree.depth
+    pre, parent, depth = tree.preorder(), tree.parent, tree.depth
+    root = tree.root
     height = tree.height
     worst = [0] * (height + 1)
-    arg = [tree.root] * (height + 1)
-    cnt: dict = {}
-    distinct = 0
-    # (node, entering) pairs; exit entries restore the path multiset
-    stack = [(tree.root, True)]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        x, enter = pop()
+    arg = [root] * (height + 1)
+    worst[0] = 1
+    # subtree sizes, overwritten in preorder by path costs: w[x] is read
+    # before x's own cost replaces it, and parents precede children
+    cost = compute_weights(tree)
+    cost[root] = 1
+    end = {block_of[root]: tree.n}
+    get = end.get
+    for i in range(1, tree.n):
+        x = pre[i]
         b = block_of[x]
-        if enter:
-            c = cnt.get(b, 0)
-            if c == 0:
-                distinct += 1
-            cnt[b] = c + 1
-            d = depth[x]
-            if distinct > worst[d]:
-                worst[d] = distinct
-                arg[d] = x
-            push((x, False))
-            c2 = right[x]
-            if c2 is not None:
-                push((c2, True))
-            c2 = left[x]
-            if c2 is not None:
-                push((c2, True))
+        if i < get(b, 0):
+            c = cost[parent[x]]
         else:
-            c = cnt[b] - 1
-            cnt[b] = c
-            if c == 0:
-                distinct -= 1
+            c = cost[parent[x]] + 1
+            end[b] = i + cost[x]
+        cost[x] = c
+        d = depth[x]
+        if c > worst[d]:
+            worst[d] = c
+            arg[d] = x
     cum = worst[:]
     for d in range(1, height + 1):
         if cum[d - 1] > cum[d]:

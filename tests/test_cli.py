@@ -292,6 +292,35 @@ def test_eval_ignores_c_in_older_layout_files(perfect7_files):
                 "--out", tmp / "rows.csv"]) == 0
 
 
+@pytest.mark.parametrize("extra", [
+    ["--B", 64],
+    ["--offsets", "all"],
+    ["--B", 4, "--offsets", "all"],
+    ["--B", 4, "--B", 8],
+])
+def test_eval_block_layout_rejects_other_B_or_offsets(tmp_path, caplog,
+                                                      extra):
+    tree, lay = tmp_path / "t.json", tmp_path / "aware-B4.json"
+    run(["gen", "random", "--n", 40, "--seed", 2, "--out", tree])
+    run(["layout", "aware", "--tree", tree, "--B", 4, "--out", lay])
+    out = tmp_path / "rows.csv"
+    assert run(["eval", "--tree", tree, "--layout", lay, "--out", out]
+               + extra) == 3
+    assert not out.exists()
+    assert any("B=4" in r.getMessage() for r in caplog.records)
+
+
+def test_eval_block_layout_accepts_its_own_B(tmp_path):
+    tree, lay = tmp_path / "t.json", tmp_path / "aware-B4.json"
+    run(["gen", "random", "--n", 40, "--seed", 2, "--out", tree])
+    run(["layout", "aware", "--tree", tree, "--B", 4, "--out", lay])
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["eval", "--tree", tree, "--layout", lay, "--out", a]) == 0
+    assert run(["eval", "--tree", tree, "--layout", lay, "--B", 4,
+                "--offsets", "zero", "--out", b]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 @pytest.mark.parametrize("order", [[0, True, 2, 3], [0, 1, 2, 2], "0123", 7])
 def test_eval_rejects_bad_order(tmp_path, order):
     tree = tmp_path / "t.json"

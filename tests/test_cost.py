@@ -98,6 +98,40 @@ def test_report_counts_scattered_blocks():
     assert rep.worst_exact == [1, 2, 2, 2]
 
 
+def _tree(kind, size, seed):
+    if kind == "random":
+        return gen_random(size, seed)
+    if kind == "path":
+        return gen_path(size)
+    return gen_perfect(size % 7)
+
+
+@given(kind=st.sampled_from(["random", "path", "perfect"]),
+       size=st.integers(1, 90), seed=st.integers(0, 2**32 - 1),
+       ids=st.sampled_from(["list", "dict", "phase2"]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_report_matches_path_cost(kind, size, seed, ids, data):
+    t = _tree(kind, size, seed)
+    if ids == "phase2":
+        # nodes outside the laid-out subtree keep block id -1
+        root = data.draw(st.integers(0, t.n - 1))
+        blk = phase2_layout(t, root, data.draw(st.integers(1, 6))).block_of
+    else:
+        # few ids over many nodes: blocks scattered across the tree
+        blk = data.draw(st.lists(st.integers(-3, 4), min_size=t.n,
+                                 max_size=t.n))
+        if ids == "dict":
+            blk = {x: b for x, b in enumerate(blk)}
+    rep = cost_report(t, blk)
+    costs = {x: path_cost(blk, t, x) for x in range(t.n)}
+    for d in range(t.height + 1):
+        at_d = [x for x in t.preorder() if t.depth[x] == d]
+        top = max(costs[x] for x in at_d)
+        assert rep.worst_exact[d] == top
+        assert rep.argmax[d] == next(x for x in at_d if costs[x] == top)
+        assert rep.worst_cum[d] == max(rep.worst_exact[:d + 1])
+
+
 def test_worst_case_cost_caps_depth():
     t = gen_path(4)
     asg = layout_aware(t, 2)

@@ -1,0 +1,77 @@
+"""Byte-level pins of the CSV and JSON that ``eval`` and ``sweep`` write.
+
+The digests were recorded before the row writer was rewritten to emit
+columns per priced layout; any change to quoting, float formatting, row
+order or summary layout shows up here as a different sha256.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from treelayout.cli import main
+
+DIGESTS = {
+    "sweep.csv":
+        "b4b6cf02febc1aefd83ab4ec4af7c3d052a80583a8984bd3f04bc795367ecfc1",
+    "sweep-summary.json":
+        "80e8a38eb9bdd49b6b15130003535b1bada9cceb150b08844d23d164d8ac3d9b",
+    "eval-offsets.csv":
+        "904cc80deb8f678e009d6193072f331919f5560b4c033fb4afbed690fb1a496c",
+    "eval-aware.json":
+        "4539b29d71b915a078c948eb1e168d4bab8d3d9e27797e8cc2d5d7df68bd44ac",
+    "eval-order.json":
+        "84f8b09418bd5be229f54f3fcc47da7f8475a2de72d80c7618365cf180cc7759",
+    "weird.csv":
+        "9a7b9e2f69683492c01f7afc8ad791ca80520d73fda2480f87bb09928b240d95",
+}
+
+
+def run(argv):
+    assert main([str(a) for a in argv]) == 0
+
+
+def sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("digests")
+    cfg = {"families": {"perfect": [15], "path": [12], "random": [40, 90],
+                        "lowerbound": [64]},
+           "Bs": [2, 5], "depths": "all", "offsets": "all", "seed": 3,
+           "csv_out": str(tmp / "sweep.csv"),
+           "summary_out": str(tmp / "sweep-summary.json")}
+    (tmp / "cfg.json").write_text(json.dumps(cfg))
+    run(["sweep", "--config", tmp / "cfg.json"])
+
+    tree = tmp / "t.json"
+    run(["gen", "random", "--n", 70, "--seed", 5, "--out", tree])
+    run(["layout", "oblivious", "--tree", tree, "--out", tmp / "order.json"])
+    run(["layout", "aware", "--tree", tree, "--B", 4,
+         "--out", tmp / "aware.json"])
+    run(["eval", "--tree", tree, "--layout", tmp / "order.json",
+         "--B", 3, "--B", 8, "--offsets", "all",
+         "--out", tmp / "eval-offsets.csv"])
+    run(["eval", "--tree", tree, "--layout", tmp / "aware.json",
+         "--format", "json", "--out", tmp / "eval-aware.json"])
+    run(["eval", "--tree", tree, "--layout", tmp / "order.json", "--B", 2,
+         "--D", 4, "--format", "json", "--out", tmp / "eval-order.json"])
+
+    weird = tmp / 'we,ird"name.json'
+    weird.write_bytes(tree.read_bytes())
+    run(["eval", "--tree", weird, "--layout", tmp / "aware.json",
+         "--out", tmp / "weird.csv"])
+    return tmp
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_output_bytes_unchanged(outputs, name):
+    assert sha(outputs / name) == DIGESTS[name]
+
+
+def test_tree_id_is_csv_quoted(outputs):
+    lines = (outputs / "weird.csv").read_text().splitlines()
+    assert lines[1].startswith('"we,ird""name",-,70,4,aware,0,0,1,1,0,1')
