@@ -51,15 +51,14 @@ class BlockAssignment:
     ``blocks[i]`` lists the members of block ``i`` with the block's
     topmost node first; block ids follow preorder of the block roots.
     ``block_of`` maps node id -> block id, -1 for nodes outside the
-    covered region.  ``phase2_roots`` are the subtree roots handled by the
-    budget recursion; nodes strictly shallower than ``phase1_levels`` were
-    clustered level-by-level instead (None for layouts read from disk).
+    covered region.  Nodes strictly shallower than ``phase1_levels`` were
+    clustered level-by-level, the rest split by the budget recursion
+    (None for layouts read from disk).
     """
 
     B: int
     blocks: list
     block_of: list
-    phase2_roots: tuple
     phase1_levels: Optional[int]
 
 
@@ -92,35 +91,24 @@ def k_set(tree: TreeTopology, x: int, A, weights) -> set:
 
 
 def _exact_reciprocal_le(ws, B: int, wr: int) -> bool:
-    """Exact test ``sum(1/w for w in ws) <= B / wr``.
-
-    Pairwise-merges the unit fractions so the integers stay balanced; no
-    gcd reductions are needed for a comparison.
-    """
-    pairs = [(1, w) for w in ws]
-    while len(pairs) > 1:
-        nxt = []
-        for i in range(0, len(pairs) - 1, 2):
-            n1, d1 = pairs[i]
-            n2, d2 = pairs[i + 1]
-            nxt.append((n1 * d2 + n2 * d1, d1 * d2))
-        if len(pairs) & 1:
-            nxt.append(pairs[-1])
-        pairs = nxt
-    num, den = pairs[0]
+    """Exact test ``sum(1/w for w in ws) <= B / wr`` in integers."""
+    num, den = 0, 1
+    for w in ws:
+        num, den = num * w + den, den * w
     return num * wr <= B * den
 
 
 def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
-                      block_of: list, blk=None, pid: int = -1) -> None:
+                      block_of: list) -> None:
     """Split the piece rooted at ``root`` into budget-rule blocks.
 
-    Appends member lists (preorder within the piece, root first) to
-    ``blocks`` and records each node's global block index in
-    ``block_of``.  When ``blk`` is given the piece is restricted to nodes
-    with ``blk[node] == pid``.  ``w`` must hold subtree sizes *within the
-    piece*.  The whole piece is finished before returning, so block ids
-    follow preorder of the block roots.
+    The piece is ``root`` plus every node reachable from it through
+    children whose ``block_of`` is -1: blocks grow only into unassigned
+    nodes.  Appends member lists (preorder within the piece, root first)
+    to ``blocks`` and records each node's global block index in
+    ``block_of``.  ``w`` must hold subtree sizes *within the piece*.  The
+    whole piece is finished before returning, so block ids follow
+    preorder of the block roots.
     """
     b0 = len(blocks)
     targets = [B / w[root]]
@@ -131,10 +119,10 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
     t0 = 1.0 / w[root]
     e0 = _U * t0
     c = right[root]
-    if c is not None and (blk is None or blk[c] == pid):
+    if c is not None and block_of[c] == -1:
         stack.append((c, 0, t0, e0))
     c = left[root]
-    if c is not None and (blk is None or blk[c] == pid):
+    if c is not None and block_of[c] == -1:
         stack.append((c, 0, t0, e0))
 
     push = stack.append
@@ -172,10 +160,10 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
             s2 = t
             ce = _U * t
         c = right[x]
-        if c is not None and (blk is None or blk[c] == pid):
+        if c is not None and block_of[c] == -1:
             push((c, b, s2, ce))
         c = left[x]
-        if c is not None and (blk is None or blk[c] == pid):
+        if c is not None and block_of[c] == -1:
             push((c, b, s2, ce))
 
 
@@ -192,7 +180,6 @@ def phase2_layout(tree: TreeTopology, root: int, B: int) -> BlockAssignment:
     _budget_partition(tree.left, tree.right, tree.parent,
                       compute_weights(tree), root, B, blocks, block_of)
     return BlockAssignment(B=B, blocks=blocks, block_of=block_of,
-                           phase2_roots=(root,),
                            phase1_levels=tree.depth[root])
 
 
@@ -219,13 +206,11 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
 
     blocks: list = []
     block_of = [-1] * tree.n
-    p2roots: list = []
     stack = [(tree.root, -1)]
     while stack:
         x, b = stack.pop()
         d = depth[x]
         if d >= L1:
-            p2roots.append(x)
             _budget_partition(left, right, parent, w, x, B, blocks, block_of)
             continue
         if d % stride == 0:
@@ -241,7 +226,7 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
         if cc is not None:
             stack.append((cc, b))
     return BlockAssignment(B=B, blocks=blocks, block_of=block_of,
-                           phase2_roots=tuple(p2roots), phase1_levels=L1)
+                           phase1_levels=L1)
 
 
 def exclusion_violations(tree: TreeTopology, weights,
@@ -288,7 +273,7 @@ def padded_order(asg: BlockAssignment) -> list:
 
 
 def layout_to_json(asg: BlockAssignment) -> dict:
-    return {"B": asg.B, "blocks": [list(mem) for mem in asg.blocks]}
+    return {"B": asg.B, "blocks": asg.blocks}
 
 
 def layout_from_json(obj, n: int) -> BlockAssignment:
@@ -319,4 +304,4 @@ def layout_from_json(obj, n: int) -> BlockAssignment:
     # the parsed lists become the blocks as they are; copying them would
     # hold two copies while the parsed object is still alive
     return BlockAssignment(B=B, blocks=blocks, block_of=block_of,
-                           phase2_roots=(), phase1_levels=None)
+                           phase1_levels=None)

@@ -1,11 +1,11 @@
 """Block-size-independent ("cache-oblivious") linear order.
 
-The order is built by nested refinement: lay the whole tree out once
-(top-level clustering plus budget recursion) at a power-of-two block
-size near the square root of N, then rerun the budget recursion alone
-inside every block at the square root of that block's own size, and so
-on down to pieces of at most two nodes.  Each piece is connected and
-its nodes' subtree sizes are recounted within the piece.
+The order is built in rounds.  Round 0 is the aware layout (top-level
+clustering plus budget recursion) at a power-of-two block size near
+sqrt(N); each later round re-splits every piece of more than two nodes
+with the budget recursion alone at the square root of that piece's own
+size, until no piece has more than two nodes.  Pieces are connected and
+kept in preorder; the last round's pieces, concatenated, are the order.
 
 Halving the exponent at every round splits pieces at roughly half their
 height, so a root-to-node path stays inside few pieces of any given
@@ -19,7 +19,6 @@ measured ratio checks in the test suite.)  Runs in O(N lg lg N).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .aware import _budget_partition, layout_aware
 from .tree import TreeError, TreeTopology
@@ -73,59 +72,45 @@ def _piece_budget(size: int) -> int:
     return 1 << max(1, size.bit_length() // 2)
 
 
-def _refine(tree: TreeTopology, trace: Optional[list] = None) -> list:
-    """Partition hierarchy down to pieces of <= 2 nodes (finest level)."""
-    n = tree.n
-    if n == 1:
-        blocks = [[tree.root]]
-        if trace is not None:
-            trace.append([[tree.root]])
-        return blocks
-    top = layout_aware(tree, _piece_budget(n))
-    blocks = top.blocks
-    blk = list(top.block_of)
-    if trace is not None:
-        trace.append([list(P) for P in blocks])
-
-    rev = tree.preorder()[::-1]
+def _rounds(tree: TreeTopology):
+    """Yield the partition of every refinement round, coarsest first,
+    down to pieces of at most two nodes.  Pieces list their nodes in
+    preorder, root first."""
+    top = layout_aware(tree, _piece_budget(tree.n))
+    pieces, block_of = top.blocks, top.block_of
     left, right, parent = tree.left, tree.right, tree.parent
-    wloc = [0] * n
-    nblk = [0] * n
-    while any(len(P) > 2 for P in blocks):
-        # subtree sizes counted within each piece: a child in another
-        # piece contributes nothing
-        for x in rev:
-            wl = 1
-            b = blk[x]
-            c = left[x]
-            if c is not None and blk[c] == b:
-                wl += wloc[c]
-            c = right[x]
-            if c is not None and blk[c] == b:
-                wl += wloc[c]
-            wloc[x] = wl
-        new_blocks: list = []
-        for i, P in enumerate(blocks):
+    w = [0] * tree.n
+    yield pieces
+    while any(len(P) > 2 for P in pieces):
+        finer: list = []
+        for P in pieces:
             if len(P) <= 2:
-                nblk[P[0]] = len(new_blocks)
-                if len(P) == 2:
-                    nblk[P[1]] = len(new_blocks)
-                new_blocks.append(P)
-            else:
-                _budget_partition(left, right, parent, wloc, P[0],
-                                  _piece_budget(len(P)), new_blocks, nblk,
-                                  blk=blk, pid=i)
-        blocks = new_blocks
-        blk, nblk = nblk, blk
-        if trace is not None:
-            trace.append([list(P) for P in blocks])
-    return blocks
+                finer.append(P)
+                continue
+            # unassign the piece bottom-up, counting subtree sizes within
+            # it; every other node holds a block id, so a child is in the
+            # piece iff it is already unassigned
+            for x in reversed(P):
+                s = 1
+                c = left[x]
+                if c is not None and block_of[c] == -1:
+                    s += w[c]
+                c = right[x]
+                if c is not None and block_of[c] == -1:
+                    s += w[c]
+                w[x] = s
+                block_of[x] = -1
+            _budget_partition(left, right, parent, w, P[0],
+                              _piece_budget(len(P)), finer, block_of)
+        pieces = finer
+        yield pieces
 
 
 def layout_oblivious(tree: TreeTopology) -> LinearOrder:
     """Single linear order serving every block size at once."""
-    blocks = _refine(tree)
-    return LinearOrder(tuple(x for P in blocks for x in P))
+    for pieces in _rounds(tree):
+        pass
+    return LinearOrder(tuple(x for P in pieces for x in P))
 
 
 def refinement_levels(tree: TreeTopology) -> list:
@@ -135,9 +120,7 @@ def refinement_levels(tree: TreeTopology) -> list:
     contiguous in the final order, and each block nests inside one block
     of the round before.
     """
-    trace: list = []
-    _refine(tree, trace)
-    return trace
+    return list(_rounds(tree))
 
 
 def block_ids(order: LinearOrder, B: int, offset: int = 0) -> list:

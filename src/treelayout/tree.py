@@ -306,32 +306,22 @@ def gen_random(n: int, seed: int) -> TreeTopology:
         par[j] = m
         par[leaf] = m
 
-    # strip leaves (even ids), relabel internals in preorder
-    ids = {}
+    # strip leaves (even ids), relabel internals in preorder; an internal
+    # node always has two children.  A stack entry is (node, its parent's
+    # new id, the parent's child list to write the node's new id into;
+    # a throwaway list for the root)
     out_left: list = [None] * n
     out_right: list = [None] * n
-    nxt = 0
-    stack = [root]
-    order = []
-    while stack:
-        x = stack.pop()
-        ids[x] = nxt
-        order.append(x)
-        nxt += 1
-        cr = right[x]
-        cl = left[x]
-        if cr is not None and cr & 1:
-            stack.append(cr)
-        if cl is not None and cl & 1:
-            stack.append(cl)
-    for x in order:
-        xi = ids[x]
-        cl = left[x]
-        if cl is not None and cl & 1:
-            out_left[xi] = ids[cl]
-        cr = right[x]
-        if cr is not None and cr & 1:
-            out_right[xi] = ids[cr]
+    stack = [(root, 0, [None])]
+    for i in range(n):
+        x, p, kids = stack.pop()
+        kids[p] = i
+        c = right[x]
+        if c & 1:
+            stack.append((c, i, out_right))
+        c = left[x]
+        if c & 1:
+            stack.append((c, i, out_left))
     return TreeTopology(out_left, out_right, 0)
 
 

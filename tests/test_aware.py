@@ -10,6 +10,7 @@ from treelayout import (compute_weights, exclusion_violations, gen_path,
                         gen_perfect, gen_random, k_set, layout_aware,
                         layout_from_json, layout_to_json, padded_order,
                         phase2_layout)
+from treelayout.aware import _budget_partition
 
 
 def assert_valid_assignment(tree, asg):
@@ -76,7 +77,7 @@ def test_phase1_perfect7_fits_one_block():
     t = gen_perfect(2)
     asg = layout_aware(t, 7)
     assert [sorted(b) for b in phase1_blocks(t, asg)] == [list(range(7))]
-    assert asg.phase2_roots == ()
+    assert asg.phase1_levels == t.height + 1
 
 
 def test_phase1_perfect7_b3():
@@ -85,7 +86,7 @@ def test_phase1_perfect7_b3():
     blocks = phase1_blocks(t, asg)
     assert sorted(blocks[0]) == [0, 1, 2]  # top floor(lg 4) = 2 levels
     assert len(blocks) == 5
-    assert asg.phase2_roots == ()
+    assert asg.phase1_levels == t.height + 1
 
 
 def test_phase1_path1024_b15():
@@ -93,7 +94,7 @@ def test_phase1_path1024_b15():
     asg = layout_aware(t, 15)
     # 10 levels in strata of floor(lg 16) = 4: blocks of 4, 4, 2 nodes
     assert [len(b) for b in phase1_blocks(t, asg)] == [4, 4, 2]
-    assert list(asg.phase2_roots) == [10]
+    assert [x for x in range(t.n) if t.depth[x] == asg.phase1_levels] == [10]
 
 
 def test_phase1_b1_singletons():
@@ -101,7 +102,7 @@ def test_phase1_b1_singletons():
     asg = layout_aware(t, 1)
     assert all(len(b) == 1 for b in phase1_blocks(t, asg))
     assert len(asg.blocks) == 7
-    assert asg.phase2_roots == ()
+    assert asg.phase1_levels == t.height + 1
 
 
 # ------------------------------------------------------------ phase 2
@@ -152,6 +153,49 @@ def test_phase2_fresh_budget_at_every_block_root():
         assert set(members) == k_set(t, members[0], B, w)
 
 
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       B=st.sampled_from([1, 2, 3, 4, 8, 64]), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_budget_partition_grows_only_into_unassigned_nodes(n, seed, B, data):
+    # pre-assign a few nodes, some with their whole subtree; the engine
+    # must cover exactly the -1 nodes reachable from the root without
+    # crossing an assigned node, and write nothing else
+    t = gen_random(n, seed)
+    block_of = [-1] * n
+    marks = data.draw(st.lists(st.tuples(st.integers(1, max(1, n - 1)),
+                                         st.integers(0, 5), st.booleans()),
+                               max_size=4 if n > 1 else 0))
+    for x, bid, whole in marks:
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            block_of[y] = bid
+            if whole:
+                stack += [c for c in (t.left[y], t.right[y]) if c is not None]
+    before = list(block_of)
+    region = []
+    stack = [t.root]
+    while stack:
+        y = stack.pop()
+        region.append(y)
+        stack += [c for c in (t.left[y], t.right[y])
+                  if c is not None and before[c] == -1]
+    w = [0] * n
+    for y in reversed(region):  # region is in preorder
+        w[y] = 1 + sum(w[c] for c in (t.left[y], t.right[y])
+                       if c is not None and before[c] == -1)
+
+    blocks = [[]]  # a placeholder: new block ids must start at len(blocks)
+    _budget_partition(t.left, t.right, t.parent, w, t.root, B, blocks,
+                      block_of)
+    assert sorted(x for P in blocks[1:] for x in P) == sorted(region)
+    for bid, P in enumerate(blocks[1:], 1):
+        assert 0 < len(P) <= B
+        assert all(block_of[x] == bid for x in P)
+    inside = set(region)
+    assert all(block_of[x] == before[x] for x in range(n) if x not in inside)
+
+
 # ------------------------------------------------------------ full layout
 
 def test_aware_single_node():
@@ -164,8 +208,7 @@ def test_aware_single_node():
 def test_aware_perfect2047_b7_all_phase1():
     t = gen_perfect(10)
     asg = layout_aware(t, 7)
-    assert asg.phase2_roots == ()
-    assert asg.phase1_levels == 11
+    assert asg.phase1_levels == t.height + 1 == 11
     assert_valid_assignment(t, asg)
 
 

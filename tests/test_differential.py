@@ -45,9 +45,8 @@ def induced(tree, piece):
 
 def check_refinement(tree):
     levels = refinement_levels(tree)
-    if tree.n > 1:
-        top = check_blocks(tree, layout_aware(tree, _piece_budget(tree.n)))
-        assert levels[0] == top.blocks
+    top = check_blocks(tree, layout_aware(tree, _piece_budget(tree.n)))
+    assert levels[0] == top.blocks
     for coarse, fine in zip(levels, levels[1:]):
         owner = {x: i for i, P in enumerate(coarse) for x in P}
         children = defaultdict(list)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treelayout import (LinearOrder, TreeError, block_ids, cost_report,
                         gen_path, gen_perfect, gen_random, layout_aware,
@@ -72,6 +72,17 @@ def test_refinement_levels_nest_and_stay_contiguous():
                     assert len({prev_block_of[x] for x in P}) == 1
             prev_block_of = block_of
         assert all(len(P) <= 2 for P in levels[-1])
+
+
+@given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+@example(n=1, seed=0)
+@example(n=2, seed=0)
+@example(n=3, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_last_round_is_the_order(n, seed):
+    t = gen_random(n, seed)
+    last = refinement_levels(t)[-1]
+    assert tuple(x for P in last for x in P) == layout_oblivious(t).order
 
 
 def test_refinement_pieces_are_connected():
