@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import logging
@@ -198,14 +199,17 @@ def cmd_eval(args) -> int:
     N = tree.n
     records = []
     if kind == "blocks":
-        asg = payload
-        if any(B != asg.B for B in args.B or ()) or args.offsets != "zero":
-            raise ValueError(f"a block layout is priced at its own B={asg.B} "
-                             f"and offset 0: --B must be {asg.B} and "
+        # pricing needs only B and block_of; dropping the parsed block
+        # lists first keeps them from living through cost_report
+        B, block_of = payload.B, payload.block_of
+        del payload
+        if any(b != B for b in args.B or ()) or args.offsets != "zero":
+            raise ValueError(f"a block layout is priced at its own B={B} "
+                             f"and offset 0: --B must be {B} and "
                              "--offsets zero")
-        records.append(_Priced(tree_id, "-", N, asg.B, "aware", 0,
-                               _bounds(N, asg.B, depths),
-                               cost_report(tree, asg.block_of)))
+        records.append(_Priced(tree_id, "-", N, B, "aware", 0,
+                               _bounds(N, B, depths),
+                               cost_report(tree, block_of)))
     else:
         if not args.B:
             raise ValueError("--B is required to evaluate a linear order")
@@ -487,6 +491,11 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(message)s")
     ap = build_parser()
     args = ap.parse_args(argv)
+    # the commands' data is lists and tuples of ints, which form no
+    # reference cycles, so reference counting frees all of it; the cyclic
+    # collector would only rescan the many small lists a layout allocates
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ResourceLimitError as exc:
@@ -498,6 +507,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return 3
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ sqrt(N); each later round re-splits every piece of more than two nodes
 with the budget recursion alone at the square root of that piece's own
 size, until no piece has more than two nodes.  Pieces are connected and
 kept in preorder; the last round's pieces, concatenated, are the order.
+A piece of 3-7 nodes has budget 2, under which a child's share
+``(2 - 1) * w(child) / w(parent)`` is below 1: such a piece splits into
+single nodes in preorder, which a round writes down without running the
+recursion.
 
 Halving the exponent at every round splits pieces at roughly half their
 height, so a root-to-node path stays inside few pieces of any given
@@ -87,6 +91,16 @@ def _rounds(tree: TreeTopology):
             if len(P) <= 2:
                 finer.append(P)
                 continue
+            B = _piece_budget(len(P))
+            if B == 2:
+                # a block root y hands each child c the budget
+                # (2 - 1) * w(c) / w(y) < 1, as w(c) < w(y); so every
+                # block is one node, emitted in preorder of the piece,
+                # which is what _budget_partition would return.
+                # The nodes keep their old block ids; later rounds only
+                # ask whether a node is -1.
+                finer += [[x] for x in P]
+                continue
             # unassign the piece bottom-up, counting subtree sizes within
             # it; every other node holds a block id, so a child is in the
             # piece iff it is already unassigned
@@ -100,8 +114,8 @@ def _rounds(tree: TreeTopology):
                     s += w[c]
                 w[x] = s
                 block_of[x] = -1
-            _budget_partition(left, right, parent, w, P[0],
-                              _piece_budget(len(P)), finer, block_of)
+            _budget_partition(left, right, parent, w, P[0], B, finer,
+                              block_of)
         pieces = finer
         yield pieces
 

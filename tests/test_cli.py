@@ -1,12 +1,14 @@
 """End-to-end command behavior: files in, files out, exit codes."""
 
 import csv
+import gc
 import json
 
 import pytest
 
 from treelayout import (gen_perfect, gen_random, layout_aware, load_tree,
                         phase2_layout, layout_to_json, save_tree)
+import treelayout.cli as cli
 from treelayout.cli import SweepConfig, main, run_sweep
 
 
@@ -472,3 +474,32 @@ def test_oracle_command_too_large(tmp_path):
     tree = tmp_path / "big.json"
     save_tree(gen_perfect(3), tree)  # 15 nodes
     assert run(["oracle", "--tree", tree, "--B", 3, "--D", 2]) == 4
+
+
+# ------------------------------------------------------------ gc
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_gc_and_restores_it(tmp_path, monkeypatch, enabled):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    seen = []
+    real_gen = cli.cmd_gen
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        return real_gen(args)
+
+    monkeypatch.setattr(cli, "cmd_gen", spy)
+    cases = [(["gen", "perfect", "--height", 2, "--out", tmp_path / "t.json"],
+              0),
+             (["layout", "oblivious", "--tree", bad], 3),
+             (["gen", "perfect", "--height", 999], 4)]
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        for argv, code in cases:
+            assert run(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == [False, False]

@@ -1,6 +1,7 @@
 """Single linear order serving every block size; aligned-slice evaluation."""
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +10,8 @@ from treelayout import (LinearOrder, TreeError, block_ids, cost_report,
                         gen_path, gen_perfect, gen_random, layout_aware,
                         layout_oblivious, order_from_json, order_to_json,
                         refinement_levels)
+from treelayout.aware import _budget_partition
+from treelayout.oblivious import _piece_budget
 
 
 def test_single_node():
@@ -92,6 +95,93 @@ def test_refinement_pieces_are_connected():
             members = set(P)
             tops = [x for x in P if t.parent[x] not in members]
             assert len(tops) == 1
+
+
+def _region(t, root, block_of):
+    """``root`` plus every node reachable through children whose
+    ``block_of`` is -1, in preorder, and subtree sizes within it."""
+    region, stack = [], [root]
+    while stack:
+        x = stack.pop()
+        region.append(x)
+        for c in (t.right[x], t.left[x]):
+            if c is not None and block_of[c] == -1:
+                stack.append(c)
+    w = [0] * t.n
+    inside = set(region)
+    for x in reversed(region):
+        w[x] = 1 + sum(w[c] for c in (t.left[x], t.right[x]) if c in inside)
+    return region, w
+
+
+_trees = st.one_of(
+    st.builds(gen_random, st.integers(1, 300), st.integers(0, 2**32 - 1)),
+    st.builds(gen_path, st.integers(1, 300)),
+    st.builds(gen_perfect, st.integers(0, 8)))
+
+
+@given(t=_trees, cut=st.integers(0, 2**32 - 1), density=st.sampled_from(
+    [0.0, 0.1, 0.5]))
+@settings(max_examples=80, deadline=None)
+def test_budget_two_splits_into_single_nodes_in_preorder(t, cut, density):
+    # the fact the rounds rely on to split a piece of budget 2 without
+    # the engine; density > 0 cuts the region off at pre-assigned nodes
+    rng = random.Random(cut)
+    root = rng.randrange(t.n) if density else t.root
+    block_of = [-1] * t.n
+    for x in range(t.n):
+        if x != root and rng.random() < density:
+            block_of[x] = 0
+    region, w = _region(t, root, block_of)
+    if not density:
+        assert region == list(t.preorder())
+    blocks = []
+    _budget_partition(t.left, t.right, t.parent, w, root, 2, blocks,
+                      block_of)
+    assert blocks == [[x] for x in region]
+
+
+def _reference_rounds(tree):
+    """Every refinement round with each piece of more than two nodes split
+    by ``_budget_partition``, budget 2 included."""
+    top = layout_aware(tree, _piece_budget(tree.n))
+    pieces, block_of = top.blocks, top.block_of
+    left, right, parent = tree.left, tree.right, tree.parent
+    w = [0] * tree.n
+    out = [pieces]
+    while any(len(P) > 2 for P in pieces):
+        finer = []
+        for P in pieces:
+            if len(P) <= 2:
+                finer.append(P)
+                continue
+            for x in reversed(P):
+                s = 1
+                for c in (left[x], right[x]):
+                    if c is not None and block_of[c] == -1:
+                        s += w[c]
+                w[x] = s
+                block_of[x] = -1
+            _budget_partition(left, right, parent, w, P[0],
+                              _piece_budget(len(P)), finer, block_of)
+        pieces = finer
+        out.append(pieces)
+    return out
+
+
+@given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_rounds_match_reference_on_random_trees(n, seed):
+    t = gen_random(n, seed)
+    assert refinement_levels(t) == _reference_rounds(t)
+
+
+@pytest.mark.parametrize("t", [gen_perfect(h) for h in range(11)]
+                         + [gen(n) for n in (1, 2, 3, 7, 8, 9)
+                            for gen in (gen_path,
+                                        lambda n: gen_random(n, seed=n))])
+def test_rounds_match_reference(t):
+    assert refinement_levels(t) == _reference_rounds(t)
 
 
 # ------------------------------------------------------------ block_ids
