@@ -52,6 +52,7 @@ from .cost import (
     DepthCost,
     path_cost,
     cost_report,
+    worst_by_offset,
     worst_case_cost,
     theoretical_bound,
     solve_p,

@@ -24,14 +24,16 @@ import logging
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .aware import (exclusion_violations, layout_aware, layout_from_json,
                     layout_to_json, padded_order)
-from .cost import (CostReport, brute_force_optimal, cost_report,
-                   theoretical_bound, solve_p, worst_case_cost)
+from .cost import (brute_force_optimal, cost_report, theoretical_bound,
+                   solve_p, worst_by_offset, worst_case_cost)
 from .oblivious import (block_ids, layout_oblivious, order_from_json,
                         order_to_json)
 from .tree import (ResourceLimitError, TreeError, TreeTopology, compute_weights,
@@ -46,15 +48,19 @@ CSV_COLUMNS = ("tree_id", "family", "N", "B", "layout", "offset", "D",
 FAMILIES = ("perfect", "path", "random", "lowerbound")
 
 
-def _write_text(text: str, out: Optional[str]) -> None:
+@contextmanager
+def _output(out: Optional[str]):
+    """The file ``out`` opened for writing, or stdout when it is None."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            yield fh
 
 
 def _write_json(obj, out: Optional[str]) -> None:
-    _write_text(json_text(obj), out)
+    with _output(out) as fh:
+        fh.write(json_text(obj))
 
 
 # ---------------------------------------------------------------- rows
@@ -65,7 +71,8 @@ class _Priced(NamedTuple):
     The first six fields are the CSV columns every row of the record
     shares.  ``depths`` holds ``(D, bound, bound as CSV text,
     max(1, bound))`` per reported depth (see ``_bounds``); every record of
-    one (tree, B) shares the same list.
+    one (tree, B) shares the same list.  ``worst_exact`` and ``worst_cum``
+    run over all depths 0..height, as in ``CostReport``.
     """
 
     tree_id: str
@@ -75,7 +82,8 @@ class _Priced(NamedTuple):
     kind: str
     offset: int
     depths: list
-    report: CostReport
+    worst_exact: list
+    worst_cum: list
 
 
 def _bounds(N: int, B: int, depths) -> list:
@@ -88,29 +96,68 @@ def _bounds(N: int, B: int, depths) -> list:
     return out
 
 
-def _csv_text(records) -> str:
-    """The CSV of ``records``, one row per (record, depth).  ``csv.writer``
-    quotes the shared text columns once per record; the per-depth numbers
-    never need quoting, and floats are written as ``.9g``."""
+def _priced_order(cell: tuple, bounds: list, tree: TreeTopology, order,
+                  all_offsets: bool) -> list:
+    """The ``_Priced`` records of a linear order at B = ``cell[3]``: offset
+    0 only, or every offset from one ``worst_by_offset`` scan."""
+    B = cell[3]
+    if not all_offsets:
+        rep = cost_report(tree, block_ids(order, B, 0))
+        return [_Priced(*cell, "oblivious", 0, bounds, rep.worst_exact,
+                        rep.worst_cum)]
+    records = []
+    for off, col in enumerate(worst_by_offset(tree, order, B)):
+        we = col.tolist()
+        records.append(_Priced(*cell, "oblivious", off, bounds, we,
+                               list(accumulate(we, max))))
+    return records
+
+
+class _Tails(dict):
+    """CSV row text after the shared columns, ``D,worst_exact,worst_cum,
+    bound,ratio``, keyed by ``(D, worst_exact, worst_cum)`` and formatted
+    on first use from one ``depths`` list (see ``_Priced``)."""
+
+    def __init__(self, depths: list):
+        super().__init__()
+        self.bounds = {D: (text, den) for D, _, text, den in depths}
+
+    def __missing__(self, key):
+        D, e, c = key
+        text, den = self.bounds[D]
+        tail = self[key] = f"{D},{e},{c},{text},{e / den:.9g}\n"
+        return tail
+
+
+def _write_csv(records, fh) -> None:
+    """Write the CSV of ``records`` to ``fh``, one row per (record, depth)
+    and one ``write`` per record.  ``csv.writer`` quotes the shared text
+    columns once per record; the per-depth numbers never need quoting,
+    and floats are written as ``.9g``.  The records of one (tree, B) share
+    their ``depths`` list and repeat few cost pairs, so they share one
+    ``_Tails``."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
-    parts = [buf.getvalue()]
+    fh.write(buf.getvalue())
+    depths = None
     for rec in records:
         buf.seek(0)
         buf.truncate()
         w.writerow(rec[:6])
         head = buf.getvalue()[:-1] + ","
-        we, wc = rec.report.worst_exact, rec.report.worst_cum
-        parts += [f"{head}{D},{we[D]},{wc[D]},{text},{we[D] / den:.9g}\n"
-                  for D, _, text, den in rec.depths]
-    return "".join(parts)
+        if rec.depths is not depths:
+            depths, tails = rec.depths, _Tails(rec.depths)
+            Ds = [D for D, _, _, _ in depths]
+        keys = zip(Ds, map(rec.worst_exact.__getitem__, Ds),
+                   map(rec.worst_cum.__getitem__, Ds))
+        fh.write(head + head.join(map(tails.__getitem__, keys)))
 
 
 def _row_dicts(records) -> list:
     rows = []
     for rec in records:
-        we, wc = rec.report.worst_exact, rec.report.worst_cum
+        we, wc = rec.worst_exact, rec.worst_cum
         rows += [{"tree_id": rec.tree_id, "family": rec.family, "N": rec.N,
                   "B": rec.B, "layout": rec.kind, "offset": rec.offset,
                   "D": D, "worst_exact": we[D], "worst_cum": wc[D],
@@ -197,6 +244,7 @@ def cmd_eval(args) -> int:
     else:
         depths = range(tree.height + 1)
     N = tree.n
+    _check_unique(args.B or [], "--B")
     records = []
     if kind == "blocks":
         # pricing needs only B and block_of; dropping the parsed block
@@ -207,25 +255,24 @@ def cmd_eval(args) -> int:
             raise ValueError(f"a block layout is priced at its own B={B} "
                              f"and offset 0: --B must be {B} and "
                              "--offsets zero")
+        rep = cost_report(tree, block_of)
         records.append(_Priced(tree_id, "-", N, B, "aware", 0,
-                               _bounds(N, B, depths),
-                               cost_report(tree, block_of)))
+                               _bounds(N, B, depths), rep.worst_exact,
+                               rep.worst_cum))
     else:
         if not args.B:
             raise ValueError("--B is required to evaluate a linear order")
-        order = payload
+        if min(args.B) < 1:
+            raise ValueError("B must be >= 1")
         for B in args.B:
-            if B < 1:
-                raise ValueError("B must be >= 1")
-            bounds = _bounds(N, B, depths)
-            offsets = range(B) if args.offsets == "all" else (0,)
-            records += [_Priced(tree_id, "-", N, B, "oblivious", off, bounds,
-                                cost_report(tree, block_ids(order, B, off)))
-                        for off in offsets]
+            records += _priced_order((tree_id, "-", N, B),
+                                     _bounds(N, B, depths), tree, payload,
+                                     args.offsets == "all")
     if args.format == "json":
         _write_json({"rows": _row_dicts(records)}, args.out)
     else:
-        _write_text(_csv_text(records), args.out)
+        with _output(args.out) as fh:
+            _write_csv(records, fh)
     return 0
 
 
@@ -235,6 +282,14 @@ def _positive_ints(seq) -> bool:
     """A non-empty list of ints >= 1 (bools are not ints here)."""
     return (isinstance(seq, (list, tuple)) and set(map(type, seq)) == {int}
             and min(seq) >= 1)
+
+
+def _check_unique(values: list, what: str) -> None:
+    """Reject a value given twice: it would price and write every one of
+    its rows twice."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{what} repeats {v}")
 
 
 @dataclass
@@ -257,8 +312,10 @@ class SweepConfig:
                 raise ValueError(f"unknown family {fam!r}")
             if not _positive_ints(sizes):
                 raise ValueError(f"family {fam!r} needs positive sizes")
+            _check_unique(sizes, f"family {fam!r}")
         if not _positive_ints(self.Bs):
             raise ValueError("B list must be positive integers")
+        _check_unique(self.Bs, "Bs")
         if type(self.seed) is not int:
             raise ValueError("seed must be an integer")
         if self.depths not in ("all", "log"):
@@ -353,16 +410,13 @@ def _price_grid(cfg: SweepConfig):
                 asg = layout_aware(tree, B)
                 excl += exclusion_violations(tree, compute_weights(tree), asg)
                 cell = (tid, family, tree.n, B)
+                rep = cost_report(tree, asg.block_of)
                 records.append(_Priced(*cell, "aware", 0, bounds,
-                                       cost_report(tree, asg.block_of)))
+                                       rep.worst_exact, rep.worst_cum))
                 if tid not in orders:
                     orders[tid] = layout_oblivious(tree)
-                order = orders[tid]
-                offs = range(B) if cfg.offsets == "all" else (0,)
-                records += [
-                    _Priced(*cell, "oblivious", off, bounds,
-                            cost_report(tree, block_ids(order, B, off)))
-                    for off in offs]
+                records += _priced_order(cell, bounds, tree, orders[tid],
+                                         cfg.offsets == "all")
                 log.info("sweep cell %s B=%d done (%.1fs elapsed)",
                          tid, B, time.perf_counter() - t0)
     return records, excl
@@ -374,7 +428,7 @@ def _summary(records, excl: int) -> dict:
     fams: dict = {}
     rows = 0
     for rec in records:
-        we = rec.report.worst_exact
+        we = rec.worst_exact
         r = max(we[D] / den for D, _, _, den in rec.depths)
         rows += len(rec.depths)
         f = fams.setdefault(rec.family, {})
@@ -406,7 +460,8 @@ def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(json.loads(Path(args.config).read_text()))
     records, excl = _price_grid(cfg)
     csv_out = args.out if args.out is not None else cfg.csv_out
-    _write_text(_csv_text(records), csv_out)
+    with _output(csv_out) as fh:
+        _write_csv(records, fh)
     _write_json(_summary(records, excl), cfg.summary_out)
     return 0
 

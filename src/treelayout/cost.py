@@ -5,10 +5,19 @@ The cost of reaching a node is the number of distinct blocks met on the
 root-to-node path (cold cache, downward walk: each block faults at most
 once, so distinct-block counting is the transfer count).  The simulator
 works for any per-node block id function, connected blocks or not.
+
+``worst_by_offset`` prices a linear order under all B alignments of its
+slots at once.  A node at slot p opens a new block exactly at the offsets
+o with ``(p + o) mod B`` in ``[B - a, b)``, where b and a are the
+distances to the nearest ancestor slot before and after p (B when none
+lies within B - 1 slots).  So a node's costs over all offsets are its
+parent's plus 1 on one cyclic run of offsets, and one depth-first scan
+prices every alignment.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -20,6 +29,7 @@ __all__ = [
     "DepthCost",
     "path_cost",
     "cost_report",
+    "worst_by_offset",
     "worst_case_cost",
     "theoretical_bound",
     "solve_p",
@@ -107,6 +117,121 @@ def cost_report(tree: TreeTopology, block_of) -> CostReport:
             cum[d] = cum[d - 1]
     return CostReport(height=height, worst_exact=worst, worst_cum=cum,
                       argmax=arg)
+
+
+def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
+    """``worst_exact`` per depth under every alignment of a linear order.
+
+    ``order`` is a ``LinearOrder`` of the tree's nodes; padding slots are
+    allowed and any node may come first.  Returns B columns: column o
+    lists, for D = 0..height, the ``worst_exact[D]`` of
+    ``cost_report(tree, block_ids(order, B, o))``.  Each column is a
+    read-only sequence of ints (a memoryview; ``tolist()`` copies it).
+
+    One depth-first scan finds, for the node at slot p, the nearest
+    ancestor slots before and after p with ``bytearray.rfind``/``find`` on
+    a mask of the slots on the current root path; b and a are their
+    distances, B when none lies within B - 1 slots.  The node opens a new
+    block at exactly the offsets o with ``(p + o) mod B`` in ``[B - a, b)``,
+    so its costs over all offsets are its parent's plus 1 on that cyclic
+    run.  The B costs of a node are the k-bit fields of one int (k = 8,
+    16, 32 or 64, whose top bit no cost reaches), so adding a run is one
+    shift and one add, and each depth keeps its fieldwise maximum as one
+    int too.
+
+    Memory: the (height+1) x B table of k-bit cells, which becomes the
+    result; O(N) ints and bytes for the subtree sizes, the mask and the
+    root path; and the cost vectors of the ancestors whose other child is
+    still to come.  The lighter child is visited first, so those are at
+    most lg N.
+    """
+    if B < 1:
+        raise TreeError("B must be positive")
+    if order.n != tree.n:
+        raise TreeError("order holds %d nodes, the tree %d"
+                        % (order.n, tree.n))
+    pos, nslots, height = order.position, len(order.order), tree.height
+    # no cost exceeds the path length or the number of slices met
+    most = min(height + 1, nslots // B + 2)
+    k = 8
+    while most >> (k - 1):
+        k *= 2
+    k1, BK = k - 1, B * k
+    full = (1 << BK) - 1
+    ones = full // ((1 << k) - 1)               # 1 in every field
+    high = ones << k1                           # every field's top bit
+    left, right, depth = tree.left, tree.right, tree.depth
+    w = compute_weights(tree)
+    # mask[p + B] is 1 while the node in slot p is on the root path; the B
+    # leading bytes keep every search window inside the array
+    mask = bytearray(B + nslots)
+    rfind, find = mask.rfind, mask.find
+    # for the path node at depth d: path[d + 1] is its mask index and
+    # top[d + 1] the largest mask index from the root down to it
+    path = [-1] * (height + 2)
+    top = [0] * (height + 2)
+    last = 0                                    # 1 + depth of the path's end
+    worst = [0] * (height + 1)
+    stack = [(tree.root, 0)]                    # (node, parent's costs)
+    pop, push = stack.pop, stack.append
+    while stack:
+        x, v = pop()
+        d = depth[x]
+        while last > d:
+            mask[path[last]] = 0
+            last -= 1
+        i = pos[x] + B
+        if path[d] == i - 1:                    # the parent is the slot before
+            b = 1
+        else:
+            q = rfind(1, i - B + 1, i)
+            b = i - q if q >= 0 else B
+        m = top[d]
+        if m > i:
+            q = find(1, i + 1, i + B)
+            a = q - i if q >= 0 else B
+        else:                                   # no ancestor after slot p
+            a = B
+            m = i
+        run = a + b - B
+        if run > 0:
+            s = -(a + i) % B                    # (p + s) mod B == B - a
+            v += (ones >> (BK - run * k)) << (s * k)
+            if s + run > B:                     # wrap past offset B - 1
+                v = (v & full) + (v >> BK)
+        # fieldwise max(u, v): no field borrows from the next, and a top
+        # bit that survives the subtraction marks u >= v in its field
+        u = worst[d]
+        diff = (u | high) - v
+        ge = diff & high
+        worst[d] = v + (diff & (ge - (ge >> k1)))
+        last = d + 1
+        path[last] = i
+        top[last] = m
+        mask[i] = 1
+        l, r = left[x], right[x]
+        if l is None:
+            if r is not None:
+                push((r, v))
+        elif r is None:
+            push((l, v))
+        elif w[l] < w[r]:
+            push((r, v))
+            push((l, v))
+        else:
+            push((l, v))
+            push((r, v))
+    # rows go into one table as they are freed, so the ints and the table
+    # never both hold all of it
+    nb = BK // 8
+    table = bytearray()
+    for d in range(height + 1):
+        table += worst[d].to_bytes(nb, sys.byteorder)
+        worst[d] = None
+    cells = memoryview(table).cast("BHIQ"[k.bit_length() - 4]).toreadonly()
+    if sys.byteorder == "big":                  # rows hold the last field first
+        return [cells[B - 1 - o::B] for o in range(B)]
+    return [cells[o::B] for o in range(B)]
 
 
 def worst_case_cost(tree: TreeTopology, block_of, D: int) -> DepthCost:

@@ -345,6 +345,33 @@ def test_eval_accepts_padded_and_unrooted_order(tmp_path, order):
     assert len(read_rows(out)) == 2 * 4
 
 
+@pytest.mark.parametrize("mode", ["oblivious", "aware"])
+def test_eval_rejects_repeated_B(tmp_path, caplog, mode):
+    tree, lay = tmp_path / "t.json", tmp_path / "l.json"
+    run(["gen", "random", "--n", 40, "--seed", 2, "--out", tree])
+    run(["layout", mode, "--tree", tree, "--B", 4, "--out", lay])
+    out = tmp_path / "rows.csv"
+    assert run(["eval", "--tree", tree, "--layout", lay, "--B", 4,
+                "--B", 4, "--out", out]) == 3
+    assert not out.exists()
+    assert [r.getMessage() for r in caplog.records] == ["--B repeats 4"]
+
+
+def test_eval_streams_the_same_csv_to_stdout(tmp_path, capsys):
+    tree, order = tmp_path / "t.json", tmp_path / "o.json"
+    run(["gen", "random", "--n", 60, "--seed", 4, "--out", tree])
+    run(["layout", "oblivious", "--tree", tree, "--out", order])
+    argv = ["eval", "--tree", tree, "--layout", order, "--B", 3, "--B", 5,
+            "--offsets", "all"]
+    capsys.readouterr()
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    assert run(argv + ["--out", tmp_path / "rows.csv"]) == 0
+    assert printed == (tmp_path / "rows.csv").read_text()
+    height = load_tree(tree).height
+    assert len(printed.splitlines()) == 1 + (3 + 5) * (height + 1)
+
+
 def test_eval_order_requires_B(tmp_path):
     tree = tmp_path / "t.json"
     order = tmp_path / "o.json"
@@ -443,6 +470,9 @@ def test_sweep_config_validation():
     ({"families": {"random": [64]}, "Bs": [4], "summary_out": ["x"]},
      "summary_out"),
     ({"families": {"path": [4]}, "Bs": [2], "c": "1/2"}, "'c'"),
+    ({"families": {"path": [4]}, "Bs": [4, 2, 4]}, "Bs repeats 4"),
+    ({"families": {"random": [64, 32, 64]}, "Bs": [4]},
+     "family 'random' repeats 64"),
 ])
 def test_sweep_config_keys(tmp_path, caplog, config, word):
     with pytest.raises(ValueError, match=word):

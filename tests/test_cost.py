@@ -2,16 +2,19 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treelayout import (ResourceLimitError, TreeError, brute_force_optimal,
+from treelayout import (LinearOrder, ResourceLimitError, TreeError,
+                        TreeTopology, block_ids, brute_force_optimal,
                         budget_along_path, compute_weights, cost_report,
                         gen_path, gen_perfect, gen_random, layout_aware,
-                        path_cost, phase2_layout, solve_p, theoretical_bound,
-                        worst_case_cost)
+                        layout_oblivious, padded_order, path_cost,
+                        phase2_layout, solve_p, theoretical_bound,
+                        worst_by_offset, worst_case_cost)
 
 
 # ------------------------------------------------------------ path_cost
@@ -130,6 +133,113 @@ def test_report_matches_path_cost(kind, size, seed, ids, data):
         assert rep.worst_exact[d] == top
         assert rep.argmax[d] == next(x for x in at_d if costs[x] == top)
         assert rep.worst_cum[d] == max(rep.worst_exact[:d + 1])
+
+
+# ------------------------------------------------------------ worst_by_offset
+
+def _caterpillar(spine: int) -> TreeTopology:
+    """A left spine of ``spine`` nodes, each but the last with a right
+    leaf: the heavier child always comes first in preorder."""
+    n = 2 * spine - 1
+    left = [i + 1 for i in range(spine - 1)] + [None] * spine
+    right = [spine + i for i in range(spine - 1)] + [None] * spine
+    return TreeTopology(left[:n], right[:n])
+
+
+def _offset_tree(kind, size, seed):
+    if kind == "caterpillar":
+        return _caterpillar(size // 2 + 1)
+    return _tree(kind, size, seed)
+
+
+def _offset_order(tree, kind, rng):
+    """A linear order of ``tree``: oblivious, a random permutation, one
+    with null padding slots, or the oblivious order with the root moved
+    off the first slot."""
+    order = list(layout_oblivious(tree).order)
+    if kind == "permuted":
+        rng.shuffle(order)
+    elif kind == "padded":
+        rng.shuffle(order)
+        for _ in range(rng.randint(1, tree.n)):
+            order.insert(rng.randint(0, len(order)), None)
+    elif kind == "unrooted":
+        cut = rng.randint(1, tree.n)
+        order = order[cut:] + [None] * rng.randint(0, 3) + order[:cut]
+    return LinearOrder(order)
+
+
+@given(kind=st.sampled_from(["random", "path", "perfect", "caterpillar"]),
+       size=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+       order_kind=st.sampled_from(["oblivious", "permuted", "padded",
+                                   "unrooted"]),
+       B=st.sampled_from([1, 2, 3, 4, 7, 16, 64, "beyond"]))
+@settings(max_examples=250, deadline=None)
+def test_worst_by_offset_matches_cost_report(kind, size, seed, order_kind, B):
+    t = _offset_tree(kind, size, seed)
+    order = _offset_order(t, order_kind, random.Random(seed))
+    if B == "beyond":
+        B = len(order.order) + 1 + seed % 5
+    cols = worst_by_offset(t, order, B)
+    assert len(cols) == B
+    for off, col in enumerate(cols):
+        assert list(col) == cost_report(t, block_ids(order, B, off)).worst_exact
+
+
+def test_worst_by_offset_wide_cells():
+    # costs past 127 and 32767 need 16- and 32-bit cells
+    t = gen_path(40000)
+    order = LinearOrder(range(t.n - 1, -1, -1))
+    for B in (1, 2, 3):
+        cols = worst_by_offset(t, order, B)
+        for off in range(B):
+            want = cost_report(t, block_ids(order, B, off)).worst_exact
+            assert cols[off].tolist() == want
+
+
+def test_worst_by_offset_of_padded_aware_order_at_offset_0():
+    # the padded order puts block i in slots [i*B, (i+1)*B)
+    t = gen_random(300, seed=4)
+    asg = layout_aware(t, 8)
+    cols = worst_by_offset(t, LinearOrder(padded_order(asg)), 8)
+    assert cols[0].tolist() == cost_report(t, asg.block_of).worst_exact
+
+
+def test_worst_by_offset_rejects_bad_input():
+    t = gen_path(4)
+    with pytest.raises(TreeError):
+        worst_by_offset(t, layout_oblivious(t), 0)
+    with pytest.raises(TreeError):
+        worst_by_offset(t, LinearOrder([0, 1, 2]), 2)
+
+
+def test_worst_by_offset_columns_are_read_only():
+    t = gen_path(8)
+    col = worst_by_offset(t, layout_oblivious(t), 4)[1]
+    with pytest.raises(TypeError):
+        col[0] = 5
+
+
+@pytest.mark.parametrize("kind", ["caterpillar", "path"])
+def test_worst_by_offset_memory_stays_at_the_table(kind):
+    # The (height+1) x B table holds one byte per cell at these sizes
+    # (costs stay below 128).  Beyond it the scan may keep O(N) small
+    # lists and O(lg N) pending vectors, but not one B-cell vector per
+    # ancestor: on these trees that is another whole table.
+    tree = _caterpillar(4000) if kind == "caterpillar" else gen_path(4000)
+    B = 512
+    order = layout_oblivious(tree)
+    table = (tree.height + 1) * B
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cols = worst_by_offset(tree, order, B)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(cols) == B
+    assert peak <= table + (1 << 20)
 
 
 def test_worst_case_cost_caps_depth():

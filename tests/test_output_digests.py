@@ -2,7 +2,10 @@
 
 The digests were recorded before the row writer was rewritten to emit
 columns per priced layout; any change to quoting, float formatting, row
-order or summary layout shows up here as a different sha256.
+order or summary layout shows up here as a different sha256.  The
+all-offset digests of a padded order, of an order that ends with the
+root, and of ``--format json`` were recorded while every offset was still
+priced by its own ``block_ids`` + ``cost_report`` pass.
 """
 
 import hashlib
@@ -25,6 +28,12 @@ DIGESTS = {
         "84f8b09418bd5be229f54f3fcc47da7f8475a2de72d80c7618365cf180cc7759",
     "weird.csv":
         "9a7b9e2f69683492c01f7afc8ad791ca80520d73fda2480f87bb09928b240d95",
+    "eval-padded-offsets.csv":
+        "05d6d5209084c85564adaa71d2b6630861f74148604e8ac16d806179a5a39b51",
+    "eval-unrooted-offsets.csv":
+        "8212a2b85cd0541cfd12aac6c3be2357ae1522501e41d14a3380dfd5e8bdee95",
+    "eval-offsets.json":
+        "72cd447b288c819af30adc84c685e04111a9748d8393d4a239d92e9c0a001f43",
 }
 
 
@@ -59,6 +68,23 @@ def outputs(tmp_path_factory):
          "--format", "json", "--out", tmp / "eval-aware.json"])
     run(["eval", "--tree", tree, "--layout", tmp / "order.json", "--B", 2,
          "--D", 4, "--format", "json", "--out", tmp / "eval-order.json"])
+    run(["eval", "--tree", tree, "--layout", tmp / "order.json", "--B", 3,
+         "--B", 5, "--offsets", "all", "--format", "json",
+         "--out", tmp / "eval-offsets.json"])
+
+    # an aligned, padded order (null slots), and an order that ends with
+    # the root
+    run(["layout", "aware", "--tree", tree, "--B", 6,
+         "--out", tmp / "aware6.json", "--padded-out", tmp / "padded.json"])
+    run(["eval", "--tree", tree, "--layout", tmp / "padded.json", "--B", 4,
+         "--B", 6, "--B", 9, "--offsets", "all",
+         "--out", tmp / "eval-padded-offsets.csv"])
+    order = json.loads((tmp / "order.json").read_text())["order"]
+    unrooted = order[1::2] + [None] + order[::2][::-1]
+    (tmp / "unrooted.json").write_text(json.dumps({"order": unrooted}))
+    run(["eval", "--tree", tree, "--layout", tmp / "unrooted.json", "--B", 1,
+         "--B", 4, "--B", 7, "--offsets", "all",
+         "--out", tmp / "eval-unrooted-offsets.csv"])
 
     weird = tmp / 'we,ird"name.json'
     weird.write_bytes(tree.read_bytes())
