@@ -14,7 +14,6 @@ from .tree import (
     TreeTopology,
     build_tree,
     compute_weights,
-    density,
     gen_perfect,
     gen_path,
     gen_random,
@@ -24,6 +23,7 @@ from .tree import (
     shape_to_tree,
     mirror_shape,
     json_text,
+    read_json,
     tree_to_json,
     tree_from_json,
     save_tree,
@@ -49,11 +49,9 @@ from .oblivious import (
 )
 from .cost import (
     CostReport,
-    DepthCost,
     path_cost,
     cost_report,
     worst_by_offset,
-    worst_case_cost,
     theoretical_bound,
     solve_p,
     budget_along_path,

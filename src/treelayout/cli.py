@@ -33,12 +33,12 @@ from typing import NamedTuple, Optional
 from .aware import (exclusion_violations, layout_aware, layout_from_json,
                     layout_to_json, padded_order)
 from .cost import (brute_force_optimal, cost_report, theoretical_bound,
-                   solve_p, worst_by_offset, worst_case_cost)
+                   solve_p, worst_by_offset)
 from .oblivious import (block_ids, layout_oblivious, order_from_json,
                         order_to_json)
 from .tree import (ResourceLimitError, TreeError, TreeTopology, compute_weights,
                    gen_lower_bound, gen_path, gen_perfect, gen_random,
-                   json_text, load_tree, tree_to_json)
+                   json_text, load_tree, read_json, tree_to_json)
 
 log = logging.getLogger("treelayout")
 
@@ -223,7 +223,7 @@ def _load_layout_file(path: str, tree: TreeTopology):
     An order may hold ``None`` padding slots (see ``padded_order``) and
     need not start at the root.
     """
-    obj = json.loads(Path(path).read_text())
+    obj = read_json(path)
     if type(obj) is not dict:
         raise TreeError(f"{path}: layout json must be an object")
     if "blocks" in obj:
@@ -457,7 +457,7 @@ def run_sweep(cfg: SweepConfig):
 
 
 def cmd_sweep(args) -> int:
-    cfg = SweepConfig.from_json(json.loads(Path(args.config).read_text()))
+    cfg = SweepConfig.from_json(read_json(args.config))
     records, excl = _price_grid(cfg)
     csv_out = args.out if args.out is not None else cfg.csv_out
     with _output(csv_out) as fh:
@@ -475,7 +475,7 @@ def cmd_oracle(args) -> int:
     print(f"optimal worst-case transfers at depth {args.D}: {best}")
     print(f"witness blocks: {json.dumps(parts)}")
     asg = layout_aware(tree, B)
-    got = worst_case_cost(tree, asg.block_of, args.D).worst_exact
+    got = cost_report(tree, asg.block_of).worst_exact[args.D]
     print(f"aware layout cost: {got} ({got / best:.2f}x optimal)")
     return 0
 
@@ -556,10 +556,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         log.error("%s", exc)
         return 4
-    except (TreeError, ValueError) as exc:
-        log.error("%s", exc)
-        return 3
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         log.error("%s", exc)
         return 3
     finally:

@@ -20,17 +20,16 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from itertools import accumulate
+from typing import Optional
 
 from .tree import TreeError, ResourceLimitError, TreeTopology, compute_weights
 
 __all__ = [
     "CostReport",
-    "DepthCost",
     "path_cost",
     "cost_report",
     "worst_by_offset",
-    "worst_case_cost",
     "theoretical_bound",
     "solve_p",
     "budget_along_path",
@@ -48,17 +47,9 @@ class CostReport:
     height inclusive.
     """
 
-    height: int
     worst_exact: list
     worst_cum: list
     argmax: list
-
-
-class DepthCost(NamedTuple):
-    worst_exact: int
-    worst_cum: int
-    argmax: int
-    capped: bool
 
 
 def path_cost(block_of, tree: TreeTopology, node: int) -> int:
@@ -111,12 +102,8 @@ def cost_report(tree: TreeTopology, block_of) -> CostReport:
         if c > worst[d]:
             worst[d] = c
             arg[d] = x
-    cum = worst[:]
-    for d in range(1, height + 1):
-        if cum[d - 1] > cum[d]:
-            cum[d] = cum[d - 1]
-    return CostReport(height=height, worst_exact=worst, worst_cum=cum,
-                      argmax=arg)
+    return CostReport(worst_exact=worst,
+                      worst_cum=list(accumulate(worst, max)), argmax=arg)
 
 
 def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
@@ -232,21 +219,6 @@ def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
     if sys.byteorder == "big":                  # rows hold the last field first
         return [cells[B - 1 - o::B] for o in range(B)]
     return [cells[o::B] for o in range(B)]
-
-
-def worst_case_cost(tree: TreeTopology, block_of, D: int) -> DepthCost:
-    """Worst cost over nodes at depth exactly D (and the <=D variant).
-
-    Depths beyond the tree height are capped to the height and flagged.
-    """
-    if D < 0:
-        raise TreeError("D must be nonnegative")
-    report = cost_report(tree, block_of)
-    h = report.height
-    capped = D > h
-    d = h if capped else D
-    return DepthCost(report.worst_exact[d], report.worst_cum[d],
-                     report.argmax[d], capped)
 
 
 def theoretical_bound(N: int, D: int, B: int) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -20,7 +20,6 @@ __all__ = [
     "TreeTopology",
     "build_tree",
     "compute_weights",
-    "density",
     "gen_perfect",
     "gen_path",
     "gen_random",
@@ -30,6 +29,7 @@ __all__ = [
     "shape_to_tree",
     "mirror_shape",
     "json_text",
+    "read_json",
     "tree_to_json",
     "tree_from_json",
     "save_tree",
@@ -66,8 +66,8 @@ class TreeTopology:
     preorder come out of the same single traversal from the root.
     """
 
-    __slots__ = ("n", "root", "left", "right", "parent", "depth",
-                 "_pre", "_tin", "_height")
+    __slots__ = ("n", "root", "left", "right", "parent", "depth", "height",
+                 "_pre")
 
     def __init__(self, left: Sequence[Optional[int]],
                  right: Sequence[Optional[int]], root: int = 0):
@@ -139,38 +139,15 @@ class TreeTopology:
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "parent", tuple(parent))
         object.__setattr__(self, "depth", tuple(depth))
+        object.__setattr__(self, "height", max(depth))
         object.__setattr__(self, "_pre", tuple(pre))
-        object.__setattr__(self, "_tin", None)
-        object.__setattr__(self, "_height", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TreeTopology is immutable")
 
-    # -- derived, cached ------------------------------------------------
-
-    @property
-    def height(self) -> int:
-        h = self._height
-        if h is None:
-            h = max(self.depth)
-            object.__setattr__(self, "_height", h)
-        return h
-
     def preorder(self) -> tuple:
         """Node ids in preorder (parent before children, left first)."""
         return self._pre
-
-    def pre_index(self) -> tuple:
-        """Preorder rank of each node; subtrees occupy contiguous ranks."""
-        tin = self._tin
-        if tin is None:
-            order = self.preorder()
-            t = [0] * self.n
-            for i, x in enumerate(order):
-                t[x] = i
-            tin = tuple(t)
-            object.__setattr__(self, "_tin", tin)
-        return tin
 
     def __eq__(self, other):
         return (isinstance(other, TreeTopology)
@@ -225,19 +202,6 @@ def compute_weights(tree: TreeTopology) -> list:
         if p is not None:
             w[p] += w[x]
     return w
-
-
-def density(tree: TreeTopology, weights, node: int, subtree_root: int) -> Fraction:
-    """Exact fraction ``w(node)/w(subtree_root)``.
-
-    ``node`` must lie in the subtree of ``subtree_root``; densities along
-    a root-to-node path are non-increasing.
-    """
-    tin = tree.pre_index()
-    lo = tin[subtree_root]
-    if not lo <= tin[node] < lo + weights[subtree_root]:
-        raise TreeError("node %d outside subtree of %d" % (node, subtree_root))
-    return Fraction(weights[node], weights[subtree_root])
 
 
 # -- generators ---------------------------------------------------------
@@ -330,77 +294,46 @@ def gen_lower_bound(B: int, inv_p: int, target_n: int) -> TreeTopology:
 
     One gadget is a perfect binary tree with ``inv_p`` leaves, each leaf
     extended by a path of ``L = max(1, round(B/inv_p))`` nodes; every path
-    end roots a recursive copy.  A gadget has ``2*inv_p - 1 + inv_p*L``
+    end roots a recursive copy.  A gadget has ``S = 2*inv_p - 1 + inv_p*L``
     nodes, which always exceeds ``B``, so any block layout pays at least
     one extra transfer per gadget level.  Complete gadgets are attached
     breadth-first left-to-right; a final partial gadget (a breadth-first
     prefix) lands the total node count on ``target_n`` exactly.
+
+    Ids are plain arithmetic.  Gadget g holds ids ``[g*S, (g+1)*S)``, cut
+    at ``target_n``; with ``base = g*S``:
+
+    * its top ``2*inv_p - 1`` ids form a heap: ``base+k`` is a child of
+      ``base+(k-1)//2``, the left one when k is odd;
+    * every later id x is a path node, the left child of ``x - inv_p``;
+    * its root (g >= 1) is the left child of path end ``g - 1``, where
+      gadget j's path ends are its last ``inv_p`` ids and are numbered
+      ``j*inv_p`` onward, left to right.
     """
     if B < 1:
         raise TreeError("B must be positive")
     if inv_p < 2 or inv_p & (inv_p - 1):
         raise TreeError("inv_p must be a power of two >= 2, got %r" % (inv_p,))
     L = max(1, round(Fraction(B, inv_p)))
-    gadget = 2 * inv_p - 1 + inv_p * L
-    if target_n < gadget:
+    S = 2 * inv_p - 1 + inv_p * L
+    if target_n < S:
         raise TreeError("target_n=%d smaller than one gadget (%d nodes)"
-                        % (target_n, gadget))
+                        % (target_n, S))
 
-    left: list = []
-    right: list = []
-
-    def emit(parent: Optional[int], side: str) -> int:
-        nid = len(left)
-        left.append(None)
-        right.append(None)
-        if parent is not None:
-            if side == "L":
-                left[parent] = nid
-            else:
-                right[parent] = nid
-        return nid
-
-    def build_gadget(attach: Optional[int], budget: int):
-        """Emit a BFS prefix of one gadget, at most ``budget`` nodes.
-
-        Returns (nodes_emitted, path_end_ids); path ends are only
-        reported when the gadget is complete.
-        """
-        top = 2 * inv_p - 1
-        local: list = []
-        count = 0
-        # perfect top part, heap order = BFS order
-        for k in range(top):
-            if count >= budget:
-                return count, []
-            if k == 0:
-                nid = emit(attach, "L")
-            else:
-                p = local[(k - 1) // 2]
-                nid = emit(p, "L" if k & 1 else "R")
-            local.append(nid)
-            count += 1
-        # paths hanging off the inv_p deepest leaves, level by level
-        prev = local[inv_p - 1:]
-        for _s in range(L):
-            cur = []
-            for i in range(inv_p):
-                if count >= budget:
-                    return count, []
-                cur.append(emit(prev[i], "L"))
-                count += 1
-            prev = cur
-        return count, prev
-
-    remaining = target_n
-    done, ends = build_gadget(None, remaining)
-    remaining -= done
-    queue = deque(ends)
-    while remaining > 0:
-        attach = queue.popleft()
-        done, ends = build_gadget(attach, min(gadget, remaining))
-        remaining -= done
-        queue.extend(ends)
+    top = 2 * inv_p - 1
+    left: list = [None] * target_n
+    right: list = [None] * target_n
+    for base in range(0, target_n, S):
+        if base:
+            # path end g - 1 is end (g - 1) % inv_p of gadget (g - 1) // inv_p
+            j, i = divmod(base // S - 1, inv_p)
+            left[(j + 1) * S - inv_p + i] = base
+        end = min(base + S, target_n)
+        for x in range(base + 1, min(base + top, end)):
+            k = x - base
+            (left if k & 1 else right)[base + (k - 1) // 2] = x
+        for x in range(base + top, end):
+            left[x - inv_p] = x
     return TreeTopology(left, right, 0)
 
 
@@ -491,6 +424,21 @@ def json_text(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
 
 
+def read_json(path):
+    """The one artifact reader: the parsed JSON file at ``path``.
+
+    Malformed JSON, and JSON nested too deeply for the parser, raise
+    ``TreeError`` like every other invalid input.
+    """
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise TreeError("%s: invalid json: %s" % (path, exc)) from None
+        except RecursionError:
+            raise TreeError("%s: json nested too deeply" % (path,)) from None
+
+
 def tree_to_json(tree: TreeTopology) -> dict:
     """Columnar tree file: child id lists, ``None`` for an absent child."""
     return {
@@ -571,9 +519,4 @@ def save_tree(tree: TreeTopology, path) -> None:
 
 
 def load_tree(path) -> TreeTopology:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TreeError("invalid tree json: %s" % exc) from None
-    return tree_from_json(obj)
+    return tree_from_json(read_json(path))

@@ -1,14 +1,86 @@
-"""Public API surface: every exported name exists and is re-exported."""
+"""Public API surface: every exported name exists and is re-exported, and
+every name the benchmark harness in ``perfbench/`` uses is still there."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import pytest
 
 import treelayout
 from treelayout import aware, cost, oblivious, tree
 
+MODULES = (tree, aware, oblivious, cost)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-@pytest.mark.parametrize("module", [tree, aware, oblivious, cost],
-                         ids=lambda m: m.__name__)
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_all_names_resolve_and_are_reexported(module):
     for name in module.__all__:
         obj = getattr(module, name)
         assert getattr(treelayout, name, None) is obj, name
+
+
+def _function(path: Path, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _patched_names(install: ast.FunctionDef) -> set:
+    """``(target, attribute)`` for every attribute ``install`` assigns,
+    directly or by ``setattr``, with the tuples its loops run over
+    expanded; a target is the name it imports a module or class under."""
+    loops = {node.target.id: [getattr(e, "id", getattr(e, "value", None))
+                              for e in node.iter.elts]
+             for node in ast.walk(install)
+             if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)}
+
+    def values(expr):
+        if isinstance(expr, ast.Name):
+            return loops.get(expr.id, [expr.id])
+        return [expr.value] if isinstance(expr, ast.Constant) else []
+
+    out = set()
+    for node in ast.walk(install):
+        if isinstance(node, ast.Assign):
+            out.update((target, t.attr) for t in node.targets
+                       if isinstance(t, ast.Attribute)
+                       for target in values(t.value))
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "setattr"):
+            obj, attr = node.args[:2]
+            out.update((target, a) for target in values(obj)
+                       for a in values(attr))
+    return out
+
+
+def test_every_name_the_tracer_patches_exists():
+    install = _function(PERFBENCH / "tracer.py", "install")
+    targets = {}
+    for node in ast.walk(install):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                targets[a.asname or a.name] = importlib.import_module(a.name)
+        elif isinstance(node, ast.ImportFrom):
+            module = importlib.import_module(node.module)
+            for a in node.names:
+                targets[a.asname or a.name] = getattr(module, a.name)
+    patched = _patched_names(install)
+    # the guard must see the patches it exists for
+    assert {("cli", "load_tree"), ("cli", "cost_report"),
+            ("aware", "compute_weights"),
+            ("cli", "gen_lower_bound")} <= patched, patched
+    missing = sorted((t, a) for t, a in patched
+                     if not hasattr(targets[t], a))
+    assert not missing
+
+
+@pytest.mark.parametrize("script", ["checks.py", "workloads.py"])
+def test_every_name_the_benchmark_imports_is_exported(script):
+    names = [a.name
+             for node in ast.walk(ast.parse((PERFBENCH / script).read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "treelayout"
+             for a in node.names]
+    assert names
+    exported = {n for m in MODULES for n in m.__all__}
+    assert [n for n in names if n not in exported] == []

@@ -227,9 +227,9 @@ def test_aware_path1024_b15():
 def test_aware_block_ids_follow_discovery_order():
     t = gen_random(500, seed=11)
     asg = layout_aware(t, 16)
-    pre = t.pre_index()
+    rank = {x: i for i, x in enumerate(t.preorder())}
     roots = [b[0] for b in asg.blocks]
-    assert roots == sorted(roots, key=lambda x: pre[x])
+    assert roots == sorted(roots, key=rank.__getitem__)
 
 
 @given(family=st.sampled_from(["random", "path", "perfect"]),

@@ -130,6 +130,24 @@ def test_bad_tree_file_exits_3(case, tmp_path, caplog, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nested", ["eval-tree", "eval-layout", "sweep"])
+def test_deeply_nested_json_exits_3(nested, tmp_path, caplog, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000)
+    tree, lay = tmp_path / "t.json", tmp_path / "l.json"
+    save_tree(gen_perfect(2), tree)
+    assert run(["layout", "aware", "--tree", tree, "--B", 4,
+                "--out", lay]) == 0
+    argv = {"eval-tree": ["eval", "--tree", deep, "--layout", lay],
+            "eval-layout": ["eval", "--tree", tree, "--layout", deep],
+            "sweep": ["sweep", "--config", deep]}[nested]
+    assert run(argv) == 3
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0], errors
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_good_tree_files_in_both_formats(tmp_path):
     for name, obj in (("v2", _columnar()), ("legacy", _legacy())):
         tree = tmp_path / f"{name}.json"

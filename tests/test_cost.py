@@ -14,7 +14,7 @@ from treelayout import (LinearOrder, ResourceLimitError, TreeError,
                         gen_path, gen_perfect, gen_random, layout_aware,
                         layout_oblivious, padded_order, path_cost,
                         phase2_layout, solve_p, theoretical_bound,
-                        worst_by_offset, worst_case_cost)
+                        worst_by_offset)
 
 
 # ------------------------------------------------------------ path_cost
@@ -240,14 +240,6 @@ def test_worst_by_offset_memory_stays_at_the_table(kind):
         tracemalloc.stop()
     assert len(cols) == B
     assert peak <= table + (1 << 20)
-
-
-def test_worst_case_cost_caps_depth():
-    t = gen_path(4)
-    asg = layout_aware(t, 2)
-    entry = worst_case_cost(t, asg.block_of, 9)
-    assert entry.capped
-    assert entry.worst_exact == worst_case_cost(t, asg.block_of, 3).worst_exact
 
 
 # ------------------------------------------------------------ bound
@@ -476,7 +468,7 @@ def test_oracle_never_beaten_by_real_layouts():
         D = rng.randint(0, t.height)
         best, _ = brute_force_optimal(t, B, D)
         asg = layout_aware(t, B)
-        assert worst_case_cost(t, asg.block_of, D).worst_exact >= best
+        assert cost_report(t, asg.block_of).worst_exact[D] >= best
 
 
 # ------------------------------------------------------------ scaling shape

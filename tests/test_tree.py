@@ -1,5 +1,6 @@
 """Topology construction, generators, weights, and the tree file format."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -7,10 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treelayout import (TreeError, TreeTopology, build_tree, compute_weights,
-                        density, gen_lower_bound, gen_path, gen_perfect,
-                        gen_random, iter_shapes, load_tree, mirror_shape,
-                        save_tree, shape_of, shape_to_tree, tree_from_json,
-                        tree_to_json)
+                        gen_lower_bound, gen_path, gen_perfect, gen_random,
+                        iter_shapes, load_tree, mirror_shape, save_tree,
+                        shape_of, shape_to_tree, tree_from_json, tree_to_json)
 from treelayout.tree import json_text
 
 
@@ -82,55 +82,6 @@ def test_weight_recurrence(n, seed):
         assert w[x] == 1 + wl + wr
         total += w[x] - wl - wr
     assert total == n  # each node counted exactly once
-
-
-# ------------------------------------------------------------ density
-
-def test_density_root_is_one():
-    t = gen_perfect(2)
-    w = compute_weights(t)
-    assert density(t, w, t.root, t.root) == 1
-
-
-def test_density_perfect7_child():
-    t = gen_perfect(2)
-    w = compute_weights(t)
-    assert density(t, w, 1, 0) == Fraction(3, 7)
-
-
-def test_density_path4_leaf():
-    t = gen_path(4)
-    w = compute_weights(t)
-    assert density(t, w, 3, 0) == Fraction(1, 4)
-
-
-def test_density_outside_subtree():
-    t = gen_perfect(2)
-    w = compute_weights(t)
-    with pytest.raises(TreeError):
-        density(t, w, 5, 1)  # 5 sits under node 2, not node 1
-
-
-@given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_density_chain_identities(n, seed):
-    """Non-increasing along any root path, and p_i is the q-product."""
-    t = gen_random(n, seed)
-    w = compute_weights(t)
-    deepest = max(range(n), key=lambda x: t.depth[x])
-    path = [deepest]
-    while t.parent[path[-1]] is not None:
-        path.append(t.parent[path[-1]])
-    path.reverse()
-    prev = Fraction(1)
-    prod = Fraction(1)
-    for i, x in enumerate(path):
-        p = density(t, w, x, t.root)
-        assert p <= prev
-        if i > 0:
-            prod *= Fraction(w[x], w[path[i - 1]])  # q_i
-            assert p == prod
-        prev = p
 
 
 # ------------------------------------------------------------ generators
@@ -216,6 +167,49 @@ def test_gen_lower_bound_recursive_and_truncated():
     assert t.n == 200
     # deepest chain passes through at least one full gadget of depth 2+4
     assert max(t.depth) >= 6
+
+
+# sha256 prefix of the left/right lists of gen_lower_bound(B, inv_p, N) for
+# N in (S, S+1, 2S-1, 3S+5, 5000), S the gadget size, hashed in that order.
+# Recorded with the closure-based generator that emitted one node at a time.
+LOWER_BOUND_DIGESTS = {
+    (1, 2): "ad80a15eba8019fc",
+    (1, 4): "90080b78c4b41ff8",
+    (1, 8): "6e9e910c78a41203",
+    (1, 64): "c318d9e922c19d93",
+    (4, 2): "4416b1bd7a9eb3fe",
+    (4, 4): "90080b78c4b41ff8",
+    (4, 8): "6e9e910c78a41203",
+    (4, 64): "c318d9e922c19d93",
+    (7, 2): "7282902da082f1ac",
+    (7, 4): "60f15395a0ec8c58",
+    (7, 8): "6e9e910c78a41203",
+    (7, 64): "c318d9e922c19d93",
+    (16, 2): "5064679ba438e57e",
+    (16, 4): "7ebea4dce18a2cd9",
+    (16, 8): "5d2a6f1828189ef7",
+    (16, 64): "c318d9e922c19d93",
+    (64, 2): "086b4b217e2a7532",
+    (64, 4): "09fff72c1b491213",
+    (64, 8): "5b86106ed1c1cbd0",
+    (64, 64): "c318d9e922c19d93",
+    (256, 2): "768aa78f90cbf93c",
+    (256, 4): "19477b968bbd6159",
+    (256, 8): "f13dd822ba4a8efe",
+    (256, 64): "67fe6b22fd20dccf",
+}
+
+
+@pytest.mark.parametrize("B,inv_p", sorted(LOWER_BOUND_DIGESTS))
+def test_gen_lower_bound_ids_unchanged(B, inv_p):
+    L = max(1, round(Fraction(B, inv_p)))
+    S = 2 * inv_p - 1 + inv_p * L
+    h = hashlib.sha256()
+    for N in (S, S + 1, 2 * S - 1, 3 * S + 5, 5000):
+        t = gen_lower_bound(B, inv_p, N)
+        assert t.n == N
+        h.update(json.dumps([t.left, t.right], separators=(",", ":")).encode())
+    assert h.hexdigest()[:16] == LOWER_BOUND_DIGESTS[B, inv_p]
 
 
 def test_gen_lower_bound_errors():
