@@ -109,26 +109,37 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
     ``block_of``.  ``w`` must hold subtree sizes *within the piece*.  The
     whole piece is finished before returning, so block ids follow
     preorder of the block roots.
+
+    The walk goes on into a placed node's left child with its state in
+    local variables and stacks only the right child, as ``(node, block,
+    S, E)``: the placed parent's block (relative to the first), the
+    reciprocal sum ``S`` from that block's root down to the parent, and
+    the float error bound ``E`` on ``S``.
     """
     b0 = len(blocks)
     targets = [B / w[root]]
     broots = [root]
     blocks.append([root])
     block_of[root] = b0
-    stack = []
-    t0 = 1.0 / w[root]
-    e0 = _U * t0
-    c = right[root]
-    if c is not None and block_of[c] == -1:
-        stack.append((c, 0, t0, e0))
-    c = left[root]
-    if c is not None and block_of[c] == -1:
-        stack.append((c, 0, t0, e0))
-
+    stack: list = []
     push = stack.append
     pop = stack.pop
-    while stack:
-        x, b, S, E = pop()
+    # x is placed in block b; s2 is the reciprocal sum from the block's
+    # root down to x, ce its error bound
+    x, b = root, 0
+    s2 = 1.0 / w[root]
+    ce = _U * s2
+    while True:
+        c = right[x]
+        if c is not None and block_of[c] == -1:
+            push((c, b, s2, ce))
+        c = left[x]
+        if c is not None and block_of[c] == -1:
+            x, S, E = c, s2, ce
+        elif stack:
+            x, b, S, E = pop()
+        else:
+            return
         wx = w[x]
         t = 1.0 / wx
         s2 = S + t
@@ -159,12 +170,6 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
             block_of[x] = b0 + b
             s2 = t
             ce = _U * t
-        c = right[x]
-        if c is not None and block_of[c] == -1:
-            push((c, b, s2, ce))
-        c = left[x]
-        if c is not None and block_of[c] == -1:
-            push((c, b, s2, ce))
 
 
 def phase2_layout(tree: TreeTopology, root: int, B: int) -> BlockAssignment:
@@ -194,7 +199,9 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
     node at depth ``phase1_levels`` is a recursion root whose subtree
     :func:`_budget_partition` splits before the next node is visited, so
     block ids follow preorder of the block roots (root block first,
-    children left to right).  Runs in O(N).
+    children left to right).  The walk over the top levels goes on into
+    each left child in place and stacks only right children, each with
+    its parent's block id.  Runs in O(N).
     """
     if B < 1:
         raise TreeError("B must be positive")
@@ -206,25 +213,29 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
 
     blocks: list = []
     block_of = [-1] * tree.n
-    stack = [(tree.root, -1)]
-    while stack:
-        x, b = stack.pop()
+    stack: list = []
+    x, b = tree.root, -1
+    while True:
         d = depth[x]
-        if d >= L1:
-            _budget_partition(left, right, parent, w, x, B, blocks, block_of)
-            continue
-        if d % stride == 0:
-            b = len(blocks)
-            blocks.append([x])
+        if d < L1:
+            if d % stride == 0:
+                b = len(blocks)
+                blocks.append([x])
+            else:
+                blocks[b].append(x)
+            block_of[x] = b
+            c = right[x]
+            if c is not None:
+                stack.append((c, b))
+            c = left[x]
+            if c is not None:
+                x = c
+                continue
         else:
-            blocks[b].append(x)
-        block_of[x] = b
-        cc = right[x]
-        if cc is not None:
-            stack.append((cc, b))
-        cc = left[x]
-        if cc is not None:
-            stack.append((cc, b))
+            _budget_partition(left, right, parent, w, x, B, blocks, block_of)
+        if not stack:
+            break
+        x, b = stack.pop()
     return BlockAssignment(B=B, blocks=blocks, block_of=block_of,
                            phase1_levels=L1)
 

@@ -168,8 +168,25 @@ def _row_dicts(records) -> list:
 
 # ---------------------------------------------------------------- gen
 
+# the options each gen family and layout mode reads; giving one that the
+# chosen family or mode does not read is a usage error, not ignored
+_GEN_READS = {"perfect": {"height"}, "path": {"n"}, "random": {"n", "seed"},
+             "lowerbound": {"B", "inv_p", "n"}}
+_LAYOUT_READS = {"aware": {"B", "padded_out"}, "oblivious": set()}
+
+
+def _reject_unread(args, reads: dict, choice: str) -> None:
+    """Usage error (exit 2) for an option given that ``choice`` does not
+    read."""
+    for dest in sorted(set().union(*reads.values()) - reads[choice]):
+        if getattr(args, dest) is not None:
+            flag = "--" + dest.replace("_", "-")
+            args.parser.error(f"{args.command} {choice} does not read {flag}")
+
+
 def cmd_gen(args) -> int:
     family = args.family
+    _reject_unread(args, _GEN_READS, family)
     if family == "perfect":
         if args.height is None:
             raise ValueError("gen perfect requires --height")
@@ -181,7 +198,7 @@ def cmd_gen(args) -> int:
     elif family == "random":
         if args.n is None:
             raise ValueError("gen random requires --n")
-        tree = gen_random(args.n, seed=args.seed)
+        tree = gen_random(args.n, seed=args.seed or 0)
     else:  # lowerbound
         if args.B is None or args.inv_p is None or args.n is None:
             raise ValueError("gen lowerbound requires --B, --inv-p and --n")
@@ -193,13 +210,14 @@ def cmd_gen(args) -> int:
 
 # ---------------------------------------------------------------- layout
 
-def cmd_layout(args, parser: argparse.ArgumentParser) -> int:
+def cmd_layout(args) -> int:
+    _reject_unread(args, _LAYOUT_READS, args.mode)
     tree = load_tree(args.tree)
     t0 = time.perf_counter()
     if args.mode == "aware":
         B = args.B
         if B is None:
-            parser.error("layout aware requires --B")
+            args.parser.error("layout aware requires --B")
         asg = layout_aware(tree, B)
         _write_json(layout_to_json(asg), args.out)
         if args.padded_out is not None:
@@ -502,11 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("family", choices=FAMILIES)
     g.add_argument("--height", type=int)
     g.add_argument("--n", type=int)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, help="random only (default 0)")
     g.add_argument("--B", type=int, action=_Once)
     g.add_argument("--inv-p", type=int, dest="inv_p")
     g.add_argument("--out")
-    g.set_defaults(func=cmd_gen)
+    g.set_defaults(func=cmd_gen, parser=g)
 
     l = sub.add_parser("layout", help="lay a tree out")
     l.add_argument("mode", choices=("aware", "oblivious"))
@@ -516,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--padded-out", dest="padded_out",
                    help="also write the aware layout as an aligned, padded "
                         "linear order")
-    l.set_defaults(func=lambda a: cmd_layout(a, l))
+    l.set_defaults(func=cmd_layout, parser=l)
 
     e = sub.add_parser("eval", help="cost a layout against a tree")
     e.add_argument("--tree", required=True)

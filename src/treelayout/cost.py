@@ -129,8 +129,9 @@ def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
     Memory: the (height+1) x B table of k-bit cells, which becomes the
     result; O(N) ints and bytes for the subtree sizes, the mask and the
     root path; and the cost vectors of the ancestors whose other child is
-    still to come.  The lighter child is visited first, so those are at
-    most lg N.
+    still to come.  The scan goes on into the lighter child in place and
+    stacks the heavier one with its parent's costs, so at most lg N
+    vectors are pending.
     """
     if B < 1:
         raise TreeError("B must be positive")
@@ -159,10 +160,10 @@ def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
     top = [0] * (height + 2)
     last = 0                                    # 1 + depth of the path's end
     worst = [0] * (height + 1)
-    stack = [(tree.root, 0)]                    # (node, parent's costs)
+    stack: list = []                            # (node, parent's costs)
     pop, push = stack.pop, stack.append
-    while stack:
-        x, v = pop()
+    x, v = tree.root, 0
+    while True:
         d = depth[x]
         while last > d:
             mask[path[last]] = 0
@@ -197,17 +198,20 @@ def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
         top[last] = m
         mask[i] = 1
         l, r = left[x], right[x]
-        if l is None:
-            if r is not None:
-                push((r, v))
-        elif r is None:
-            push((l, v))
+        if r is None:
+            x = l
+        elif l is None:
+            x = r
         elif w[l] < w[r]:
             push((r, v))
-            push((l, v))
+            x = l
         else:
             push((l, v))
-            push((r, v))
+            x = r
+        if x is None:
+            if not stack:
+                break
+            x, v = pop()
     # rows go into one table as they are freed, so the ints and the table
     # never both hold all of it
     nb = BK // 8

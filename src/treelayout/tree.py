@@ -63,7 +63,8 @@ class TreeTopology:
     Construction validates that the arrays describe a single connected
     tree: every child id is an ``int`` in ``0..n-1``, every non-root node
     has exactly one parent, and there are no cycles.  Parents, depths and
-    preorder come out of the same single traversal from the root.
+    preorder come out of the same single traversal from the root, which
+    walks down left children in place and stacks only right children.
     """
 
     __slots__ = ("n", "root", "left", "right", "parent", "depth", "height",
@@ -111,13 +112,13 @@ class TreeTopology:
         depth = [0] * n
         pre: list = []
         visit = pre.append
-        stack = [root]
+        stack: list = []
         pop = stack.pop
         push = stack.append
-        while stack:
-            x = pop()
+        x, d = root, 0
+        while True:
             visit(x)
-            d = depth[x] + 1
+            d += 1                              # the children's depth
             c = right[x]
             if c is not None:
                 parent[c] = x
@@ -127,7 +128,12 @@ class TreeTopology:
             if c is not None:
                 parent[c] = x
                 depth[c] = d
-                push(c)
+                x = c
+            elif stack:
+                x = pop()
+                d = depth[x]
+            else:
+                break
         if len(pre) != n:
             # unreachable nodes all have parents here, so they sit on cycles
             raise TreeError("cycle detected: %d nodes unreachable from root"
@@ -239,8 +245,10 @@ def gen_random(n: int, seed: int) -> TreeTopology:
     Grows a random full binary tree one leaf at a time (each of the
     ``4k+2`` insertion positions equally likely, which makes all shapes
     equally likely), then strips the leaves so the internal nodes form the
-    returned n-node tree.  Node ids are assigned in preorder.
-    Deterministic for a fixed ``(n, seed)``.
+    returned n-node tree.  Node ids are assigned in preorder by a walk
+    that goes on into each left child in place and stacks only right
+    children, each with its parent's new id.  Deterministic for a fixed
+    ``(n, seed)``.
     """
     if n < 1:
         raise TreeError("n must be positive")
@@ -271,21 +279,24 @@ def gen_random(n: int, seed: int) -> TreeTopology:
         par[leaf] = m
 
     # strip leaves (even ids), relabel internals in preorder; an internal
-    # node always has two children.  A stack entry is (node, its parent's
-    # new id, the parent's child list to write the node's new id into;
-    # a throwaway list for the root)
+    # node always has two children.  The node with new id i is followed
+    # by its left child when that is internal, else by the right child
+    # last stacked, as (node, its parent's new id)
     out_left: list = [None] * n
     out_right: list = [None] * n
-    stack = [(root, 0, [None])]
+    stack: list = []
+    x = root
     for i in range(n):
-        x, p, kids = stack.pop()
-        kids[p] = i
         c = right[x]
         if c & 1:
-            stack.append((c, i, out_right))
+            stack.append((c, i))
         c = left[x]
         if c & 1:
-            stack.append((c, i, out_left))
+            out_left[i] = i + 1
+            x = c
+        elif stack:
+            x, p = stack.pop()
+            out_right[p] = i + 1
     return TreeTopology(out_left, out_right, 0)
 
 

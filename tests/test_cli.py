@@ -211,6 +211,45 @@ def test_single_B_commands_reject_repeated_B(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["layout", "oblivious", "--tree", "{tree}", "--B", 4,
+      "--padded-out", "{pad}", "--out", "{out}"], "--B"),
+    (["layout", "oblivious", "--tree", "{tree}", "--padded-out", "{pad}",
+      "--out", "{out}"], "--padded-out"),
+    (["gen", "perfect", "--height", 3, "--n", 99, "--seed", 5,
+      "--out", "{out}"], "--n"),
+    (["gen", "perfect", "--height", 3, "--seed", 5, "--out", "{out}"],
+     "--seed"),
+    (["gen", "path", "--n", 4, "--seed", 5, "--out", "{out}"], "--seed"),
+    (["gen", "path", "--n", 4, "--B", 4, "--out", "{out}"], "--B"),
+    (["gen", "random", "--n", 4, "--height", 2, "--out", "{out}"],
+     "--height"),
+    (["gen", "random", "--n", 4, "--inv-p", 2, "--out", "{out}"], "--inv-p"),
+    (["gen", "lowerbound", "--B", 4, "--inv-p", 2, "--n", 9, "--seed", 1,
+      "--out", "{out}"], "--seed"),
+])
+def test_options_the_choice_does_not_read_are_usage_errors(tmp_path, capsys,
+                                                           argv, flag):
+    tree, out = tmp_path / "p.json", tmp_path / "out.json"
+    pad = tmp_path / "pad.json"
+    run(["gen", "path", "--n", 4, "--out", tree])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([str(a).format(tree=tree, out=out, pad=pad) for a in argv])
+    assert exc.value.code == 2
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if "error:" in line]
+    assert len(err) == 1 and err[0].endswith(f"does not read {flag}")
+    assert not out.exists() and not pad.exists()
+
+
+def test_gen_random_seed_defaults_to_0(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["gen", "random", "--n", 50, "--out", a]) == 0
+    assert run(["gen", "random", "--n", 50, "--seed", 0, "--out", b]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_layout_missing_tree_file(tmp_path):
     assert run(["layout", "aware", "--tree", tmp_path / "nope.json",
                 "--B", 2]) == 3
@@ -367,7 +406,8 @@ def test_eval_accepts_padded_and_unrooted_order(tmp_path, order):
 def test_eval_rejects_repeated_B(tmp_path, caplog, mode):
     tree, lay = tmp_path / "t.json", tmp_path / "l.json"
     run(["gen", "random", "--n", 40, "--seed", 2, "--out", tree])
-    run(["layout", mode, "--tree", tree, "--B", 4, "--out", lay])
+    B = ["--B", 4] if mode == "aware" else []   # oblivious reads no --B
+    assert run(["layout", mode, "--tree", tree, *B, "--out", lay]) == 0
     out = tmp_path / "rows.csv"
     assert run(["eval", "--tree", tree, "--layout", lay, "--B", 4,
                 "--B", 4, "--out", out]) == 3

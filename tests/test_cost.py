@@ -146,9 +146,18 @@ def _caterpillar(spine: int) -> TreeTopology:
     return TreeTopology(left[:n], right[:n])
 
 
+def _mirror(tree: TreeTopology) -> TreeTopology:
+    """Left and right child lists swapped: a caterpillar's mirror image
+    is a right spine with left leaves, its lighter child coming first in
+    preorder."""
+    return TreeTopology(tree.right, tree.left, tree.root)
+
+
 def _offset_tree(kind, size, seed):
     if kind == "caterpillar":
         return _caterpillar(size // 2 + 1)
+    if kind == "caterpillar-mirrored":
+        return _mirror(_caterpillar(size // 2 + 1))
     return _tree(kind, size, seed)
 
 
@@ -169,7 +178,8 @@ def _offset_order(tree, kind, rng):
     return LinearOrder(order)
 
 
-@given(kind=st.sampled_from(["random", "path", "perfect", "caterpillar"]),
+@given(kind=st.sampled_from(["random", "path", "perfect", "caterpillar",
+                             "caterpillar-mirrored"]),
        size=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
        order_kind=st.sampled_from(["oblivious", "permuted", "padded",
                                    "unrooted"]),
@@ -220,13 +230,16 @@ def test_worst_by_offset_columns_are_read_only():
         col[0] = 5
 
 
-@pytest.mark.parametrize("kind", ["caterpillar", "path"])
+@pytest.mark.parametrize("kind", ["caterpillar", "caterpillar-mirrored",
+                                  "path"])
 def test_worst_by_offset_memory_stays_at_the_table(kind):
     # The (height+1) x B table holds one byte per cell at these sizes
     # (costs stay below 128).  Beyond it the scan may keep O(N) small
     # lists and O(lg N) pending vectors, but not one B-cell vector per
     # ancestor: on these trees that is another whole table.
-    tree = _caterpillar(4000) if kind == "caterpillar" else gen_path(4000)
+    tree = gen_path(4000) if kind == "path" else _caterpillar(4000)
+    if kind == "caterpillar-mirrored":
+        tree = _mirror(tree)
     B = 512
     order = layout_oblivious(tree)
     table = (tree.height + 1) * B

@@ -7,17 +7,20 @@ recursion produces must equal the ``k_set`` of its own root with a fresh
 budget: in the aware layout (blocks rooted at or below ``phase1_levels``),
 in ``phase2_layout`` from any root, and in every oblivious refinement
 round (on the parent piece's induced subtree, with the piece's own budget
-and subtree sizes).
+and subtree sizes).  The engine walks left children in place and stacks
+right ones, so mirror images (left and right child lists swapped) are
+checked too.
 """
 
 from collections import defaultdict
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import treelayout.aware as aware
-from treelayout import (TreeTopology, compute_weights, gen_perfect,
-                        gen_random, k_set, layout_aware, phase2_layout,
-                        refinement_levels)
+from treelayout import (TreeTopology, compute_weights, gen_lower_bound,
+                        gen_path, gen_perfect, gen_random, k_set,
+                        layout_aware, phase2_layout, refinement_levels)
 from treelayout.oblivious import _piece_budget
 
 BS = (1, 2, 3, 4, 7, 8, 16, 64)
@@ -64,14 +67,32 @@ def check_refinement(tree):
                 assert {idx[x] for x in Q} == k_set(sub, idx[Q[0]], A, w)
 
 
+def mirror(tree):
+    return TreeTopology(tree.right, tree.left, tree.root)
+
+
 @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
-       B=st.sampled_from(BS))
+       B=st.sampled_from(BS), mirrored=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_random_layouts_match_kset(n, seed, B):
+def test_random_layouts_match_kset(n, seed, B, mirrored):
     t = gen_random(n, seed)
+    if mirrored:
+        t = mirror(t)
     check_blocks(t, layout_aware(t, B))
     check_blocks(t, phase2_layout(t, t.root, B))
     check_refinement(t)
+
+
+@pytest.mark.parametrize("family", ["path", "lowerbound"])
+def test_mirrored_layouts_match_kset(family):
+    # the mirrored path is a right spine; the mirrored lower-bound tree
+    # puts its long paths on the right
+    for B in BS:
+        t = gen_path(600) if family == "path" else gen_lower_bound(B, 4, 600)
+        t = mirror(t)
+        check_blocks(t, layout_aware(t, B))
+        check_blocks(t, phase2_layout(t, t.root, B))
+        check_refinement(t)
 
 
 def test_perfect_layouts_match_kset(monkeypatch):

@@ -14,9 +14,9 @@ import json
 
 import pytest
 
-from treelayout import (gen_lower_bound, gen_path, gen_perfect, gen_random,
-                        layout_aware, layout_oblivious, tree_from_json,
-                        tree_to_json)
+from treelayout import (TreeTopology, gen_lower_bound, gen_path, gen_perfect,
+                        gen_random, layout_aware, layout_oblivious,
+                        tree_from_json, tree_to_json)
 
 FAMILIES = ("perfect", "path", "random", "lowerbound")
 SIZES = (1 << 10, 1 << 14)
@@ -105,6 +105,45 @@ GOLDEN = {
 }
 
 
+# Mirror images (left and right child lists swapped) of the grid's
+# unbalanced families: the mirrored path is a right spine, and the
+# mirrored lower-bound tree hangs its paths and gadgets on the right.
+# The digests were recorded before the layout traversals began to walk
+# left children in place and stack right ones.
+MIRRORED_N = 4096
+MIRRORED_BS = (1, 4, 64)
+
+
+def mirrored_digests() -> dict:
+    """``"mirror-<family>-B<B>"`` -> digest of that cell's blocks and
+    order, on the mirror image of ``_generate(family, MIRRORED_N, B)``."""
+    out = {}
+    for family in ("path", "random", "lowerbound"):
+        orders: dict = {}
+        for B in MIRRORED_BS:
+            t = _generate(family, MIRRORED_N, B)
+            tree = TreeTopology(t.right, t.left, t.root)
+            if tree not in orders:
+                orders[tree] = list(layout_oblivious(tree).order)
+            blocks = [list(m) for m in layout_aware(tree, B).blocks]
+            out[f"mirror-{family}-B{B}"] = _digest(
+                {"blocks": blocks, "order": orders[tree]})
+    return out
+
+
+MIRRORED = {
+    "mirror-lowerbound-B1": "814feb8f84e18851",
+    "mirror-lowerbound-B4": "1f510f4ee3ac3f0d",
+    "mirror-lowerbound-B64": "b1ba1699f337e1e7",
+    "mirror-path-B1": "e7b5b4428428e105",
+    "mirror-path-B4": "b9f3eb8a84393390",
+    "mirror-path-B64": "8897e8d969b0a8b7",
+    "mirror-random-B1": "9b92d9a563bf82f5",
+    "mirror-random-B4": "8778c5d4a00e8e18",
+    "mirror-random-B64": "28b4092016ea80c6",
+}
+
+
 @pytest.fixture(scope="module")
 def digests():
     return grid_digests()
@@ -119,5 +158,20 @@ def test_golden_cell(cell, digests):
     assert digests[cell] == GOLDEN[cell]
 
 
+@pytest.fixture(scope="module")
+def mirrored():
+    return mirrored_digests()
+
+
+def test_mirrored_grid_is_complete(mirrored):
+    assert sorted(mirrored) == sorted(MIRRORED)
+
+
+@pytest.mark.parametrize("cell", sorted(MIRRORED))
+def test_mirrored_cell(cell, mirrored):
+    assert mirrored[cell] == MIRRORED[cell]
+
+
 if __name__ == "__main__":
     print(json.dumps(grid_digests(), indent=4, sort_keys=True))
+    print(json.dumps(mirrored_digests(), indent=4, sort_keys=True))

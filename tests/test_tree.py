@@ -332,6 +332,69 @@ def test_validation_matches_reference(case):
     assert list(t.preorder()) == pre(want)
 
 
+def _mirror(t):
+    return TreeTopology(t.right, t.left, t.root)
+
+
+def _zigzag(n):
+    """A path whose node i hangs on the left of i - 1 when i is odd and
+    on the right when i is even."""
+    left = [i + 1 if i % 2 == 0 else None for i in range(n - 1)] + [None]
+    right = [i + 1 if i % 2 == 1 else None for i in range(n - 1)] + [None]
+    return TreeTopology(left, right, 0)
+
+
+def _caterpillar(spine):
+    """A left spine of ``spine`` nodes, each but the last with a right
+    leaf."""
+    left = [i + 1 for i in range(spine - 1)] + [None] * spine
+    right = [spine + i for i in range(spine - 1)] + [None] * spine
+    return TreeTopology(left[:2 * spine - 1], right[:2 * spine - 1], 0)
+
+
+DEEP_SHAPES = {
+    "path": lambda: gen_path(5000),
+    "path-mirrored": lambda: _mirror(gen_path(5000)),
+    "zigzag": lambda: _zigzag(5000),
+    "caterpillar": lambda: _caterpillar(2500),
+    "caterpillar-mirrored": lambda: _mirror(_caterpillar(2500)),
+    "random": lambda: gen_random(4096, seed=3),
+    "random-mirrored": lambda: _mirror(gen_random(4096, seed=3)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_topology_on_deep_and_one_sided_shapes(shape):
+    """Parents, depths, preorder and height against a reference that
+    uses neither recursion nor the constructor's walk: parents straight
+    from the child lists, depths level by level, and preorder from a
+    stack that holds both children of every node visited."""
+    t = DEEP_SHAPES[shape]()
+    left, right, n = t.left, t.right, t.n
+    parent = [None] * n
+    for x in range(n):
+        for c in (left[x], right[x]):
+            if c is not None:
+                parent[c] = x
+    depth = [0] * n
+    level, d = [t.root], 0
+    while level:
+        for x in level:
+            depth[x] = d
+        level = [c for x in level for c in (left[x], right[x])
+                 if c is not None]
+        d += 1
+    pre, stack = [], [t.root]
+    while stack:
+        x = stack.pop()
+        pre.append(x)
+        stack += [c for c in (right[x], left[x]) if c is not None]
+    assert t.parent == tuple(parent)
+    assert t.depth == tuple(depth)
+    assert t.preorder() == tuple(pre)
+    assert t.height == d - 1
+
+
 @pytest.mark.parametrize("left,right", [
     ([True, None], [None, None]),      # a bool is not a node id
     ([1.0, None], [None, None]),
