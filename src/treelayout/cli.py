@@ -384,6 +384,8 @@ def _gadget_inv_p(N: int, D: int, B: int) -> int:
 
 def _sweep_tree(family: str, N: int, B: int, cfg: SweepConfig,
                 cache: dict):
+    """The cell's tree, its subtree sizes and its id; trees and sizes are
+    made once per cache key."""
     if family == "lowerbound":
         # the gadget shape depends on B; pick the density for a mid-range
         # depth so one tree serves the whole depth grid
@@ -395,7 +397,7 @@ def _sweep_tree(family: str, N: int, B: int, cfg: SweepConfig,
         key = (family, N)
         tid = f"{family}-{N}"
     if key in cache:
-        return cache[key], tid
+        return (*cache[key], tid)
     if family == "perfect":
         h = (N + 1).bit_length() - 2
         if h < 0 or (1 << (h + 1)) - 1 != N:
@@ -407,8 +409,8 @@ def _sweep_tree(family: str, N: int, B: int, cfg: SweepConfig,
         tree = gen_random(N, seed=cfg.seed * 1_000_003 + N)
     else:
         tree = gen_lower_bound(B, inv_p, N)
-    cache[key] = tree
-    return tree, tid
+    cache[key] = tree, compute_weights(tree)
+    return (*cache[key], tid)
 
 
 def _price_grid(cfg: SweepConfig):
@@ -422,11 +424,11 @@ def _price_grid(cfg: SweepConfig):
     for family in sorted(cfg.families):
         for N in cfg.families[family]:
             for B in cfg.Bs:
-                tree, tid = _sweep_tree(family, N, B, cfg, trees)
+                tree, w, tid = _sweep_tree(family, N, B, cfg, trees)
                 bounds = _bounds(tree.n, B,
                                  _depth_grid(tree.height, cfg.depths))
                 asg = layout_aware(tree, B)
-                excl += exclusion_violations(tree, compute_weights(tree), asg)
+                excl += exclusion_violations(tree, w, asg)
                 cell = (tid, family, tree.n, B)
                 rep = cost_report(tree, asg.block_of)
                 records.append(_Priced(*cell, "aware", 0, bounds,

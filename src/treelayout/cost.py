@@ -325,10 +325,12 @@ def brute_force_optimal(tree: TreeTopology, B: int, D: int,
 
     Only nodes that lie on some root-to-depth-D path influence the cost;
     the remaining nodes are packed into leftover space afterwards.  The
-    search tries answers in increasing order and backtracks over
-    first-use-canonical part choices, so the result is exhaustive-exact
-    while visiting far fewer states; ``state_budget`` caps the visited
-    states (ResourceLimitError beyond).
+    search tries answers in increasing order and, for each, assigns the
+    relevant nodes one at a time in preorder, backtracking chronologically
+    (a dead end revisits the latest choice, whichever subtree it was made
+    in) over first-use-canonical part choices, so the result is
+    exhaustive-exact while visiting far fewer states; ``state_budget``
+    caps the visited states (ResourceLimitError beyond).
     """
     n = tree.n
     if n > 12:
@@ -347,102 +349,83 @@ def brute_force_optimal(tree: TreeTopology, B: int, D: int,
                 relevant[y] = True
                 y = parent[y]
     rnodes = [x for x in tree.preorder() if relevant[x]]
-    rkids: dict = {x: [] for x in rnodes}
-    for x in rnodes:
-        p = parent[x]
-        if p is not None:
-            rkids[p].append(x)
 
-    # sizes/part_of are the persistent partial assignment; cnt/distinct/
-    # room describe the current root path only (room = free slots in parts
-    # already met on the path).  trail lets a failing choice roll back the
-    # assignments made by its already-successful child subtrees.
+    # sizes/part_of are the assignment of rnodes[:i]; path[d] is the part
+    # of rnodes[i]'s ancestor at depth d, and cnt/distinct/room describe
+    # that path only (room = free slots in the parts met on it).  Parts
+    # are made in order and undone in reverse, so none is ever empty.
     sizes: list = []
     cnt: list = []
-    part_of: dict = {}
-    trail: list = []
-    state = {"distinct": 0, "room": 0, "visited": 0}
+    part_of: list = [-1] * n
+    path: list = []
+    distinct = room = visited = 0
 
-    def enter(x, j):
-        if j == len(sizes):
-            sizes.append(0)
-            cnt.append(0)
-        sizes[j] += 1
-        part_of[x] = j
-        trail.append((x, j))
-        was = cnt[j]
-        cnt[j] = was + 1
-        if was == 0:
-            state["distinct"] += 1
-            state["room"] += B - sizes[j]
-        else:
-            state["room"] -= 1
+    def join(j):
+        nonlocal distinct, room
+        cnt[j] += 1
+        if cnt[j] == 1:
+            distinct += 1
+            room += B - sizes[j]
 
-    def leave_path(j):
-        c = cnt[j] - 1
-        cnt[j] = c
-        if c == 0:
-            state["distinct"] -= 1
-            state["room"] -= B - sizes[j]
+    def drop(j):
+        nonlocal distinct, room
+        cnt[j] -= 1
+        if cnt[j] == 0:
+            distinct -= 1
+            room -= B - sizes[j]
 
-    def rollback(mark):
-        while len(trail) > mark:
-            y, j = trail.pop()
-            sizes[j] -= 1
-            if cnt[j] > 0:
-                state["room"] += 1
-            del part_of[y]
-        while sizes and sizes[-1] == 0:
-            sizes.pop()
-            cnt.pop()
-
-    def solve(x, c) -> bool:
-        state["visited"] += 1
-        if state["visited"] > state_budget:
+    def solve(i, c) -> bool:
+        nonlocal room, visited
+        if i == len(rnodes):
+            return True
+        visited += 1
+        if visited > state_budget:
             raise ResourceLimitError("brute-force state budget exceeded")
+        x = rnodes[i]
+        d = depth[x]
+        # the previous node's path below x's parent is not x's path
+        gone = path[d:]
+        del path[d:]
+        for j in gone:
+            drop(j)
         nparts = len(sizes)
-        onpath = [j for j in range(nparts) if cnt[j] > 0 and sizes[j] < B]
-        fresh = next((j for j in range(nparts) if sizes[j] == 0), nparts)
-        offpath = [j for j in range(nparts)
-                   if cnt[j] == 0 and 0 < sizes[j] < B]
-        for j in onpath + [fresh] + offpath:
-            mark = len(trail)
-            enter(x, j)
-            ok = state["distinct"] <= c
-            if ok:
-                rem = D - depth[x]
-                if rem > 0:
-                    need = rem - state["room"]
-                    if need > 0 and state["distinct"] + (need + B - 1) // B > c:
-                        ok = False
-            if ok:
-                for ch in rkids[x]:
-                    if not solve(ch, c):
-                        ok = False
-                        break
-            leave_path(j)
-            if ok:
-                return True
-            rollback(mark)
+        onpath = [j for j in range(nparts) if cnt[j] and sizes[j] < B]
+        offpath = [j for j in range(nparts) if not cnt[j] and sizes[j] < B]
+        for j in onpath + [nparts] + offpath:
+            if j == nparts:
+                sizes.append(0)
+                cnt.append(0)
+            sizes[j] += 1
+            if cnt[j]:
+                room -= 1
+            join(j)
+            part_of[x] = j
+            need = D - d - room
+            if distinct <= c and (need <= 0
+                                  or distinct + (need + B - 1) // B <= c):
+                path.append(j)
+                if solve(i + 1, c):
+                    return True
+                path.pop()
+            drop(j)
+            if cnt[j]:
+                room += 1
+            sizes[j] -= 1
+            if j == nparts:
+                sizes.pop()
+                cnt.pop()
+        for j in gone:
+            join(j)
+        path.extend(gone)
         return False
 
     lb = (D + 1 + B - 1) // B
-    best = None
-    for c in range(max(1, lb), D + 2):
-        sizes.clear()
-        cnt.clear()
-        part_of.clear()
-        trail.clear()
-        state["distinct"] = 0
-        state["room"] = 0
-        if solve(tree.root, c):
-            best = c
-            break
-    assert best is not None  # c = D + 1 always admits singleton parts
+    # c = D + 1 always admits singleton parts
+    best = next(c for c in range(max(1, lb), D + 2) if solve(0, c))
 
     # pack the nodes that sit on no depth-D path into leftover space
     for x in range(n):
-        if x in part_of:
+        if relevant[x]:
             continue
         for j in range(len(sizes)):
             if sizes[j] < B:

@@ -1,20 +1,27 @@
 """Block-size-independent ("cache-oblivious") linear order.
 
-The order is built in rounds.  Round 0 is the aware layout (top-level
-clustering plus budget recursion) at a power-of-two block size near
-sqrt(N); each later round re-splits every piece of more than two nodes
-with the budget recursion alone at the square root of that piece's own
-size, until no piece has more than two nodes.  Pieces are connected and
-kept in preorder; the last round's pieces, concatenated, are the order.
-A piece of 3-7 nodes has budget 2, under which a child's share
-``(2 - 1) * w(child) / w(parent)`` is below 1: such a piece splits into
-single nodes in preorder, which a round writes down without running the
-recursion.
+The order is built by one depth-first recursion over pieces.  The pieces
+of level 0 are the blocks of the aware layout (top-level clustering plus
+budget recursion) at a power-of-two block size near sqrt(N).  A piece of
+more than seven nodes is split with the budget recursion alone, at a
+budget near the square root of its own size, into the pieces of the next
+level, and each of those is refined in turn before the next one starts,
+as in the recursive van Emde Boas layout.  Pieces are connected and kept
+in preorder, so a piece of at most seven nodes is final: it has at most
+two nodes or budget 2, under which a child's share
+``(2 - 1) * w(child) / w(parent)`` is below 1 and every block is one
+node in preorder.  The final pieces, concatenated in the order the
+recursion reaches them, are the order.  The recursion is as deep as the
+number of levels, about lg lg N.
 
-Halving the exponent at every round splits pieces at roughly half their
+:func:`refinement_levels` regroups the same recursion into rounds: round
+k holds every piece made at level k, and every final piece of an earlier
+level, as itself if it has at most two nodes, else as its single nodes.
+
+Halving the exponent at every level splits pieces at roughly half their
 height, so a root-to-node path stays inside few pieces of any given
-scale; since every round's blocks occupy consecutive runs of the final
-order, an aligned size-B slice overlaps few blocks of the scale just
+scale; since every level's pieces occupy consecutive runs of the final
+order, an aligned size-B slice overlaps few pieces of the scale just
 above B, for every B at once.  (Refining by plain halving of the block
 size instead would shave one level per round and degenerate to a
 breadth-first order, whose deep-path cost grows with N; see the
@@ -76,65 +83,85 @@ def _piece_budget(size: int) -> int:
     return 1 << max(1, size.bit_length() // 2)
 
 
-def _rounds(tree: TreeTopology):
-    """Yield the partition of every refinement round, coarsest first,
-    down to pieces of at most two nodes.  Pieces list their nodes in
-    preorder, root first."""
+# a piece of at most this many nodes has at most two nodes or budget 2,
+# and its preorder is its final order
+_FINAL = 7
+
+
+def _refine(tree: TreeTopology, emit) -> None:
+    """Call ``emit(level, piece)`` for every piece of the refinement,
+    depth first: each piece before its sub-pieces, sub-pieces in order.
+    Pieces list their nodes in preorder, root first."""
     top = layout_aware(tree, _piece_budget(tree.n))
-    pieces, block_of = top.blocks, top.block_of
+    block_of = top.block_of
     left, right, parent = tree.left, tree.right, tree.parent
     w = [0] * tree.n
-    yield pieces
-    while any(len(P) > 2 for P in pieces):
-        finer: list = []
-        for P in pieces:
-            if len(P) <= 2:
-                finer.append(P)
-                continue
-            B = _piece_budget(len(P))
-            if B == 2:
-                # a block root y hands each child c the budget
-                # (2 - 1) * w(c) / w(y) < 1, as w(c) < w(y); so every
-                # block is one node, emitted in preorder of the piece,
-                # which is what _budget_partition would return.
-                # The nodes keep their old block ids; later rounds only
-                # ask whether a node is -1.
-                finer += [[x] for x in P]
-                continue
-            # unassign the piece bottom-up, counting subtree sizes within
-            # it; every other node holds a block id, so a child is in the
-            # piece iff it is already unassigned
-            for x in reversed(P):
-                s = 1
-                c = left[x]
-                if c is not None and block_of[c] == -1:
-                    s += w[c]
-                c = right[x]
-                if c is not None and block_of[c] == -1:
-                    s += w[c]
-                w[x] = s
-                block_of[x] = -1
-            _budget_partition(left, right, parent, w, P[0], B, finer,
-                              block_of)
-        pieces = finer
-        yield pieces
+
+    def refine(P, level):
+        emit(level, P)
+        if len(P) <= _FINAL:
+            return
+        # unassign the piece bottom-up, counting subtree sizes within it;
+        # every other node holds a block id, so a child is in the piece
+        # iff it is already unassigned.  Block ids are indices into the
+        # local list; only -1 is ever asked for.
+        for x in reversed(P):
+            s = 1
+            c = left[x]
+            if c is not None and block_of[c] == -1:
+                s += w[c]
+            c = right[x]
+            if c is not None and block_of[c] == -1:
+                s += w[c]
+            w[x] = s
+            block_of[x] = -1
+        sub: list = []
+        _budget_partition(left, right, parent, w, P[0],
+                          _piece_budget(len(P)), sub, block_of)
+        for Q in sub:
+            refine(Q, level + 1)
+
+    for P in top.blocks:
+        refine(P, 0)
 
 
 def layout_oblivious(tree: TreeTopology) -> LinearOrder:
     """Single linear order serving every block size at once."""
-    for pieces in _rounds(tree):
-        pass
-    return LinearOrder(tuple(x for P in pieces for x in P))
+    order: list = []
+
+    def keep(level, P):
+        if len(P) <= _FINAL:
+            order.extend(P)
+
+    _refine(tree, keep)
+    return LinearOrder(tuple(order))
 
 
 def refinement_levels(tree: TreeTopology) -> list:
-    """Partitions from coarsest to finest, one per refinement round.
+    """Partitions from coarsest to finest, one per refinement round,
+    down to pieces of at most two nodes.
 
-    Verification hook: every partition covers all nodes, its blocks are
-    contiguous in the final order, and each block nests inside one block
-    of the round before.
+    Round k holds the pieces made at level k, and every final piece of
+    an earlier level: itself if it has at most two nodes, else its
+    single nodes.  Verification hook: every partition covers all nodes,
+    its blocks are contiguous in the final order, and each block nests
+    inside one block of the round before.
     """
-    return list(_rounds(tree))
+    made: list = []
+    _refine(tree, lambda level, P: made.append((level, P)))
+    # a final piece of 3-7 nodes still splits one round after its own
+    last = max(level + (len(P) > 2) for level, P in made
+               if len(P) <= _FINAL)
+    rounds = []
+    for k in range(last + 1):
+        part: list = []
+        for level, P in made:
+            if level == k or level < k and len(P) <= 2:
+                part.append(P)
+            elif level < k and len(P) <= _FINAL:
+                part += [[x] for x in P]
+        rounds.append(part)
+    return rounds
 
 
 def block_ids(order: LinearOrder, B: int, offset: int = 0) -> list:

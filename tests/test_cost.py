@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from treelayout import (LinearOrder, ResourceLimitError, TreeError,
                         TreeTopology, block_ids, brute_force_optimal,
                         budget_along_path, compute_weights, cost_report,
-                        gen_path, gen_perfect, gen_random, layout_aware,
-                        layout_oblivious, padded_order, path_cost,
-                        phase2_layout, solve_p, theoretical_bound,
-                        worst_by_offset)
+                        gen_path, gen_perfect, gen_random, iter_shapes,
+                        layout_aware, layout_oblivious, padded_order,
+                        path_cost, phase2_layout, shape_to_tree, solve_p,
+                        theoretical_bound, worst_by_offset)
 
 
 # ------------------------------------------------------------ path_cost
@@ -460,6 +460,28 @@ def test_oracle_against_exhaustive_enumeration():
         D = rng.randint(0, t.height)
         got, _ = brute_force_optimal(t, B, D)
         assert got == _exhaustive_optimum(t, B, D), (n, B, D)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_oracle_matches_exhaustive_on_every_small_shape(n):
+    for shape in iter_shapes(n):
+        t = shape_to_tree(shape)
+        for B in (1, 2, 3, 4):
+            for D in range(t.height + 1):
+                got, _ = brute_force_optimal(t, B, D)
+                assert got == _exhaustive_optimum(t, B, D), (shape, B, D)
+
+
+def test_oracle_backtracks_into_earlier_siblings():
+    # the two children compete for room in the root's part: giving the
+    # left child's subtree its first fit there leaves the right one none
+    t = shape_to_tree(((None, (None, None)), ((None, None), (None, None))))
+    best, parts = brute_force_optimal(t, 2, 2)
+    assert best == 2
+    blk = {x: j for j, p in enumerate(parts) for x in p}
+    assert max(path_cost(blk, t, x) for x in (2, 4, 5)) == 2
+    assert cost_report(t, {0: 0, 3: 0, 1: 1, 2: 1, 4: 2, 5: 2}
+                       ).worst_exact[2] == 2
 
 
 def test_oracle_rejects_large_instances():

@@ -2,14 +2,15 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treelayout import (LinearOrder, TreeError, block_ids, cost_report,
-                        gen_path, gen_perfect, gen_random, layout_aware,
-                        layout_oblivious, order_from_json, order_to_json,
-                        refinement_levels)
+from treelayout import (LinearOrder, TreeError, TreeTopology, block_ids,
+                        cost_report, gen_lower_bound, gen_path, gen_perfect,
+                        gen_random, layout_aware, layout_oblivious,
+                        order_from_json, order_to_json, refinement_levels)
 from treelayout.aware import _budget_partition
 from treelayout.oblivious import _piece_budget
 
@@ -182,6 +183,52 @@ def test_rounds_match_reference_on_random_trees(n, seed):
                                         lambda n: gen_random(n, seed=n))])
 def test_rounds_match_reference(t):
     assert refinement_levels(t) == _reference_rounds(t)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_path(1 << 15),
+                                  lambda: gen_random(1 << 15, 3)],
+                         ids=["path", "random"])
+def test_order_build_memory_per_node(make):
+    # a build that holds a whole round of pieces at once (every node as
+    # its own list in the last one) peaks at about 145-160 bytes a node;
+    # refining one piece at a time peaks at about 75-85
+    tree = make()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        order = layout_oblivious(tree)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert order.n == tree.n
+    assert peak <= 120 * tree.n
+
+
+def test_rounds_match_reference_on_mirrored_and_lower_bound_trees():
+    # the mirrored random trees of the differential tests, and the
+    # lower-bound trees of the differential and golden tests with their
+    # mirror images
+    def mirror(t):
+        return TreeTopology(t.right, t.left, t.root)
+
+    trees = [mirror(gen_random(n, seed)) for n in (1, 2, 3, 5, 7, 8, 9, 64,
+                                                   400, 1000)
+             for seed in (0, n)]
+    for B, N in [(B, 600) for B in (1, 2, 3, 4, 7, 8, 16, 64)] + [
+            (1, 4096), (4, 4096), (64, 4096)]:
+        t = gen_lower_bound(B, 4, N)
+        trees += [t, mirror(t)]
+    seen = set()
+    for t in trees:
+        rounds = refinement_levels(t)
+        assert rounds == _reference_rounds(t)
+        # the largest piece the last round re-split: none for a single
+        # round; if at most 7, the last round exists only because pieces of
+        # 3-7 nodes made one level up still split into single nodes
+        big = max(map(len, rounds[-2])) if len(rounds) > 1 else 0
+        seen.add("single" if not big else "3-7" if big <= 7 else "larger")
+    assert {"single", "3-7"} <= seen
 
 
 # ------------------------------------------------------------ block_ids
