@@ -8,54 +8,12 @@ theoretical cost bound, an adversarial tree generator, and a brute-force
 optimal-layout oracle for tiny instances.
 """
 
-from .tree import (
-    TreeError,
-    ResourceLimitError,
-    TreeTopology,
-    build_tree,
-    compute_weights,
-    gen_perfect,
-    gen_path,
-    gen_random,
-    gen_lower_bound,
-    iter_shapes,
-    shape_of,
-    shape_to_tree,
-    mirror_shape,
-    json_text,
-    read_json,
-    tree_to_json,
-    tree_from_json,
-    save_tree,
-    load_tree,
-)
-from .aware import (
-    BlockAssignment,
-    k_set,
-    phase2_layout,
-    layout_aware,
-    exclusion_violations,
-    padded_order,
-    layout_to_json,
-    layout_from_json,
-)
-from .oblivious import (
-    LinearOrder,
-    layout_oblivious,
-    refinement_levels,
-    block_ids,
-    order_to_json,
-    order_from_json,
-)
-from .cost import (
-    CostReport,
-    path_cost,
-    cost_report,
-    worst_by_offset,
-    theoretical_bound,
-    solve_p,
-    budget_along_path,
-    brute_force_optimal,
-)
+from . import aware, cost, oblivious, tree
+from .tree import *
+from .aware import *
+from .oblivious import *
+from .cost import *
+
+__all__ = tree.__all__ + aware.__all__ + oblivious.__all__ + cost.__all__
 
 __version__ = "0.1.0"

@@ -10,7 +10,8 @@ Subcommands:
 
 All artifacts are plain JSON or CSV and contain no timestamps, so a fixed
 seed reproduces them byte for byte.  Exit codes: 0 success, 2 usage,
-3 invalid input, 4 resource budget exceeded.
+3 invalid input, 4 resource budget exceeded or input too large for
+memory.
 """
 
 from __future__ import annotations
@@ -384,20 +385,11 @@ def _gadget_inv_p(N: int, D: int, B: int) -> int:
 
 def _sweep_tree(family: str, N: int, B: int, cfg: SweepConfig,
                 cache: dict):
-    """The cell's tree, its subtree sizes and its id; trees and sizes are
-    made once per cache key."""
-    if family == "lowerbound":
-        # the gadget shape depends on B; pick the density for a mid-range
-        # depth so one tree serves the whole depth grid
-        D_ref = max(1, math.ceil(math.log2(max(2, N)) * math.sqrt(B)))
-        inv_p = _gadget_inv_p(N, D_ref, B)
-        key = (family, N, B, inv_p)
-        tid = f"lowerbound-{N}-B{B}"
-    else:
-        key = (family, N)
-        tid = f"{family}-{N}"
-    if key in cache:
-        return (*cache[key], tid)
+    """The cell's tree id and ``(tree, subtree sizes, oblivious order)``,
+    made once per id."""
+    tid = f"lowerbound-{N}-B{B}" if family == "lowerbound" else f"{family}-{N}"
+    if tid in cache:
+        return tid, cache[tid]
     if family == "perfect":
         h = (N + 1).bit_length() - 2
         if h < 0 or (1 << (h + 1)) - 1 != N:
@@ -408,9 +400,12 @@ def _sweep_tree(family: str, N: int, B: int, cfg: SweepConfig,
     elif family == "random":
         tree = gen_random(N, seed=cfg.seed * 1_000_003 + N)
     else:
-        tree = gen_lower_bound(B, inv_p, N)
-    cache[key] = tree, compute_weights(tree)
-    return (*cache[key], tid)
+        # the gadget shape depends on B; pick the density for a mid-range
+        # depth so one tree serves the whole depth grid
+        D_ref = max(1, math.ceil(math.log2(max(2, N)) * math.sqrt(B)))
+        tree = gen_lower_bound(B, _gadget_inv_p(N, D_ref, B), N)
+    cache[tid] = tree, compute_weights(tree), layout_oblivious(tree)
+    return tid, cache[tid]
 
 
 def _price_grid(cfg: SweepConfig):
@@ -418,13 +413,12 @@ def _price_grid(cfg: SweepConfig):
     violations)."""
     records: list = []
     trees: dict = {}
-    orders: dict = {}
     excl = 0
     t0 = time.perf_counter()
     for family in sorted(cfg.families):
         for N in cfg.families[family]:
             for B in cfg.Bs:
-                tree, w, tid = _sweep_tree(family, N, B, cfg, trees)
+                tid, (tree, w, order) = _sweep_tree(family, N, B, cfg, trees)
                 bounds = _bounds(tree.n, B,
                                  _depth_grid(tree.height, cfg.depths))
                 asg = layout_aware(tree, B)
@@ -433,9 +427,7 @@ def _price_grid(cfg: SweepConfig):
                 rep = cost_report(tree, asg.block_of)
                 records.append(_Priced(*cell, "aware", 0, bounds,
                                        rep.worst_exact, rep.worst_cum))
-                if tid not in orders:
-                    orders[tid] = layout_oblivious(tree)
-                records += _priced_order(cell, bounds, tree, orders[tid],
+                records += _priced_order(cell, bounds, tree, order,
                                          cfg.offsets == "all")
                 log.info("sweep cell %s B=%d done (%.1fs elapsed)",
                          tid, B, time.perf_counter() - t0)
@@ -573,8 +565,9 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        log.error("%s", exc)
+    except (ResourceLimitError, MemoryError, OverflowError) as exc:
+        # str(MemoryError()) is empty
+        log.error("%s", str(exc) or type(exc).__name__)
         return 4
     except (ValueError, OSError) as exc:
         log.error("%s", exc)

@@ -42,14 +42,12 @@ class CostReport:
     """Worst-case transfer counts per depth for one (tree, layout) pair.
 
     ``worst_exact[D]`` is the max cost over nodes at depth exactly D;
-    ``worst_cum[D]`` the max over depths <= D; ``argmax[D]`` one node
-    attaining ``worst_exact[D]``.  Lists run from depth 0 to the tree
-    height inclusive.
+    ``worst_cum[D]`` the max over depths <= D.  Lists run from depth 0 to
+    the tree height inclusive.
     """
 
     worst_exact: list
     worst_cum: list
-    argmax: list
 
 
 def path_cost(block_of, tree: TreeTopology, node: int) -> int:
@@ -74,14 +72,11 @@ def cost_report(tree: TreeTopology, block_of) -> CostReport:
     largest subtree end seen so far.  That is correct for any hashable
     block ids, including blocks scattered across the tree (aligned
     slices of a linear order) and the ``-1`` that ``phase2_layout``
-    leaves outside its subtree.  ``argmax[D]`` is the first node in
-    preorder that reaches ``worst_exact[D]``.
+    leaves outside its subtree.
     """
     pre, parent, depth = tree.preorder(), tree.parent, tree.depth
     root = tree.root
-    height = tree.height
-    worst = [0] * (height + 1)
-    arg = [root] * (height + 1)
+    worst = [0] * (tree.height + 1)
     worst[0] = 1
     # subtree sizes, overwritten in preorder by path costs: w[x] is read
     # before x's own cost replaces it, and parents precede children
@@ -101,9 +96,8 @@ def cost_report(tree: TreeTopology, block_of) -> CostReport:
         d = depth[x]
         if c > worst[d]:
             worst[d] = c
-            arg[d] = x
     return CostReport(worst_exact=worst,
-                      worst_cum=list(accumulate(worst, max)), argmax=arg)
+                      worst_cum=list(accumulate(worst, max)))
 
 
 def worst_by_offset(tree: TreeTopology, order, B: int) -> list:

@@ -18,7 +18,6 @@ __all__ = [
     "TreeError",
     "ResourceLimitError",
     "TreeTopology",
-    "build_tree",
     "compute_weights",
     "gen_perfect",
     "gen_path",
@@ -166,34 +165,6 @@ class TreeTopology:
 
     def __repr__(self):
         return "TreeTopology(n=%d, root=%d, height=%d)" % (self.n, self.root, self.height)
-
-
-def build_tree(edges, n: Optional[int] = None) -> TreeTopology:
-    """Build a validated tree from ``(parent, child, side)`` triples.
-
-    ``side`` is ``"L"`` or ``"R"``.  When ``n`` is omitted it is inferred
-    as ``max id + 1`` (a single node for an empty edge list).  The root is
-    the unique node that never appears as a child.
-    """
-    if n is None:
-        n = 1
-        for p, c, _s in edges:
-            n = max(n, p + 1, c + 1)
-    left: list = [None] * n
-    right: list = [None] * n
-    for p, c, side in edges:
-        if not (0 <= p < n and 0 <= c < n):
-            raise TreeError("edge id out of range: (%r, %r)" % (p, c))
-        if side not in ("L", "R"):
-            raise TreeError("side must be 'L' or 'R', got %r" % (side,))
-        slot = left if side == "L" else right
-        if slot[p] is not None:
-            raise TreeError("duplicate child slot: node %d side %s" % (p, side))
-        slot[p] = c
-    # TreeTopology rejects a second parentless node, or none at all
-    children = {c for _p, c, _s in edges}
-    root = next((x for x in range(n) if x not in children), 0)
-    return TreeTopology(left, right, root)
 
 
 def compute_weights(tree: TreeTopology) -> list:

@@ -564,6 +564,31 @@ def test_oracle_command_too_large(tmp_path):
     assert run(["oracle", "--tree", tree, "--B", 3, "--D", 2]) == 4
 
 
+# ------------------------------------------------------------ inputs too large
+
+def _one_error_line(caplog, capsys) -> str:
+    errors = [r.getMessage() for r in caplog.records
+              if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0], errors
+    assert "Traceback" not in capsys.readouterr().err
+    return errors[0]
+
+
+def test_oversized_n_exits_4(caplog, capsys):
+    # overflows an index-sized integer before anything is allocated
+    assert run(["gen", "random", "--n", 10**21]) == 4
+    assert _one_error_line(caplog, capsys)
+
+
+def test_out_of_memory_exits_4(monkeypatch, caplog, capsys):
+    def gen_path(n):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "gen_path", gen_path)
+    assert run(["gen", "path", "--n", 3]) == 4
+    assert _one_error_line(caplog, capsys) == "MemoryError"
+
+
 # ------------------------------------------------------------ gc
 
 @pytest.mark.parametrize("enabled", [True, False])

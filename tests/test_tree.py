@@ -7,23 +7,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treelayout import (TreeError, TreeTopology, build_tree, compute_weights,
+from treelayout import (TreeError, TreeTopology, compute_weights,
                         gen_lower_bound, gen_path, gen_perfect, gen_random,
                         iter_shapes, load_tree, mirror_shape, save_tree,
                         shape_of, shape_to_tree, tree_from_json, tree_to_json)
 from treelayout.tree import json_text
 
 
-# ------------------------------------------------------------ build_tree
+# ------------------------------------------------------------ TreeTopology
 
 def test_single_node():
-    t = build_tree([], n=1)
+    t = TreeTopology([None], [None], 0)
     assert t.n == 1 and t.root == 0
     assert t.depth[0] == 0
 
 
 def test_three_node_depths():
-    t = build_tree([(0, 1, "L"), (0, 2, "R")])
+    t = TreeTopology([1, None, None], [2, None, None], 0)
     assert t.n == 3
     assert [t.depth[i] for i in range(3)] == [0, 1, 1]
     assert t.parent[1] == 0 and t.parent[2] == 0
@@ -31,27 +31,17 @@ def test_three_node_depths():
 
 def test_cycle_detected():
     with pytest.raises(TreeError, match="cycle"):
-        build_tree([(0, 1, "L"), (1, 0, "R")])
+        TreeTopology([1, None], [None, 0], 0)
 
 
 def test_two_parents_rejected():
     with pytest.raises(TreeError):
-        build_tree([(0, 1, "L"), (0, 2, "R"), (2, 1, "L")])
-
-
-def test_duplicate_child_slot_rejected():
-    with pytest.raises(TreeError):
-        build_tree([(0, 1, "L"), (0, 2, "L")])
+        TreeTopology([1, None, 1], [2, None, None], 0)
 
 
 def test_disconnected_node_rejected():
     with pytest.raises(TreeError, match="disconnected"):
-        build_tree([(0, 1, "L")], n=3)
-
-
-def test_bad_side_rejected():
-    with pytest.raises(TreeError):
-        build_tree([(0, 1, "X")])
+        TreeTopology([1, None, None], [None, None, None], 0)
 
 
 # ------------------------------------------------------------ weights
@@ -289,18 +279,14 @@ def _reference_root(edges, n):
 @given(edge_lists())
 @settings(max_examples=400, deadline=None)
 def test_validation_matches_reference(case):
-    """build_tree, TreeTopology and the columnar reader accept exactly the
-    edge lists that form a tree, and derive parents/depths/preorder."""
+    """The columnar reader (and so ``TreeTopology``) accepts exactly the
+    edge lists that form a tree, at their root only, and derives
+    parents/depths/preorder."""
     n, edges = case
     want = _reference_root(edges, n)
-    try:
-        t = build_tree(edges, n=n)
-    except TreeError:
-        t = None
-    assert (t is not None) == (want is not None)
-
     slot_clash = len({(p, side) for p, _c, side in edges}) != len(edges)
     if slot_clash:
+        assert want is None
         return  # not expressible as left/right lists
     left, right = [None] * n, [None] * n
     for p, c, side in edges:
@@ -312,10 +298,10 @@ def test_validation_matches_reference(case):
         except TreeError:
             got = None
         assert (got is not None) == (root == want)
-        if got is not None:
-            assert got == t
-    if t is None:
+    if want is None:
         return
+    t = tree_from_json({"version": 2, "n": n, "root": want, "left": left,
+                        "right": right})
     parent = {c: p for p, c, _side in edges}
     assert t.parent == tuple(parent.get(x) for x in range(n))
     for x in range(n):
