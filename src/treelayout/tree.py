@@ -49,6 +49,40 @@ MAX_PERFECT_HEIGHT = 40
 _CHILD_TYPES = {int, type(None)}
 
 
+def _diagnose(left: tuple, right: tuple, root: int) -> None:
+    """Raise the error that names what is wrong with child lists the
+    construction walk rejected.
+
+    Runs only after the walk has failed, so a valid tree never pays for
+    these whole-list passes.  Returns only when every node but the root
+    has exactly one parent; the nodes the walk missed then sit on cycles.
+    """
+    n = len(left)
+    if not set(map(type, left)).union(map(type, right)) <= _CHILD_TYPES:
+        bad = next(c for c in left + right
+                   if c is not None and type(c) is not int)
+        raise TreeError("child id must be an integer, got %r" % (bad,))
+    kids = set(left)
+    kids.update(right)
+    kids.discard(None)
+    nkids = 2 * n - left.count(None) - right.count(None)
+    if kids and (min(kids) < 0 or max(kids) >= n):
+        bad = min(kids) if min(kids) < 0 else max(kids)
+        raise TreeError("child id out of range: %r" % (bad,))
+    if len(kids) != nkids:
+        dup = next(c for c, k in Counter(left + right).items()
+                   if k > 1 and c is not None)
+        raise TreeError("duplicate child slot: node %d has two parents"
+                        % dup)
+    if nkids >= n:
+        raise TreeError("cycle detected: every node has a parent")
+    if nkids < n - 1:
+        raise TreeError("disconnected node: %d parentless nodes"
+                        % (n - nkids))
+    if root in kids:
+        raise TreeError("declared root %d is not the parentless node" % root)
+
+
 class TreeTopology:
     """Immutable rooted binary tree over dense node ids.
 
@@ -61,9 +95,15 @@ class TreeTopology:
 
     Construction validates that the arrays describe a single connected
     tree: every child id is an ``int`` in ``0..n-1``, every non-root node
-    has exactly one parent, and there are no cycles.  Parents, depths and
-    preorder come out of the same single traversal from the root, which
-    walks down left children in place and stacks only right children.
+    has exactly one parent, and there are no cycles.  One traversal from
+    the root, which walks down left children in place and stacks only
+    right children, both validates and derives parents, depths and
+    preorder.  It stops at the first child id that is negative or names
+    a node already reached (a second parent, or the root again), and an
+    id of ``n`` or more or a non-integer fails to index.  It must reach
+    all ``n`` nodes, and only ``int`` ids may land in the preorder (a
+    ``bool`` indexes like one).  Only when the walk fails do the
+    whole-list checks of ``_diagnose`` run, to name the error.
     """
 
     __slots__ = ("n", "root", "left", "right", "parent", "depth", "height",
@@ -80,61 +120,48 @@ class TreeTopology:
             raise TreeError("left/right arrays differ in length")
         if type(root) is not int or not 0 <= root < n:
             raise TreeError("root id out of range: %r" % (root,))
-        # whole-list checks, each one pass in C
-        if not set(map(type, left)).union(map(type, right)) <= _CHILD_TYPES:
-            bad = next(c for c in left + right
-                       if c is not None and type(c) is not int)
-            raise TreeError("child id must be an integer, got %r" % (bad,))
-        kids = set(left)
-        kids.update(right)
-        kids.discard(None)
-        nkids = 2 * n - left.count(None) - right.count(None)
-        if kids and (min(kids) < 0 or max(kids) >= n):
-            bad = min(kids) if min(kids) < 0 else max(kids)
-            raise TreeError("child id out of range: %r" % (bad,))
-        if len(kids) != nkids:
-            dup = next(c for c, k in Counter(left + right).items()
-                       if k > 1 and c is not None)
-            raise TreeError("duplicate child slot: node %d has two parents"
-                            % dup)
-        if nkids >= n:
-            raise TreeError("cycle detected: every node has a parent")
-        if nkids < n - 1:
-            raise TreeError("disconnected node: %d parentless nodes"
-                            % (n - nkids))
-        if root in kids:
-            raise TreeError("declared root %d is not the parentless node" % root)
 
-        # every node but the root now has exactly one parent, so one DFS
-        # from the root reaches each node at most once
+        # depth -1 marks a node not yet reached
         parent: list = [None] * n
-        depth = [0] * n
+        depth = [-1] * n
+        depth[root] = 0
         pre: list = []
         visit = pre.append
         stack: list = []
         pop = stack.pop
         push = stack.append
         x, d = root, 0
-        while True:
-            visit(x)
-            d += 1                              # the children's depth
-            c = right[x]
-            if c is not None:
-                parent[c] = x
-                depth[c] = d
-                push(c)
-            c = left[x]
-            if c is not None:
-                parent[c] = x
-                depth[c] = d
-                x = c
-            elif stack:
-                x = pop()
-                d = depth[x]
-            else:
-                break
-        if len(pre) != n:
-            # unreachable nodes all have parents here, so they sit on cycles
+        done = False
+        try:
+            while True:
+                visit(x)
+                d += 1                          # the children's depth
+                c = right[x]
+                if c is not None:
+                    if c < 0 or depth[c] >= 0:
+                        break
+                    parent[c] = x
+                    depth[c] = d
+                    push(c)
+                c = left[x]
+                if c is not None:
+                    if c < 0 or depth[c] >= 0:
+                        break
+                    parent[c] = x
+                    depth[c] = d
+                    x = c
+                elif stack:
+                    x = pop()
+                    d = depth[x]
+                else:
+                    done = True
+                    break
+        except (IndexError, TypeError):
+            pass                                # an id >= n, or a non-int
+        # every child id of a reached node is in pre, so this one type
+        # pass covers every id that matters
+        if not done or len(pre) != n or set(map(type, pre)) != {int}:
+            _diagnose(left, right, root)
             raise TreeError("cycle detected: %d nodes unreachable from root"
                             % (n - len(pre)))
 
@@ -216,21 +243,27 @@ def gen_random(n: int, seed: int) -> TreeTopology:
     Grows a random full binary tree one leaf at a time (each of the
     ``4k+2`` insertion positions equally likely, which makes all shapes
     equally likely), then strips the leaves so the internal nodes form the
-    returned n-node tree.  Node ids are assigned in preorder by a walk
-    that goes on into each left child in place and stacks only right
-    children, each with its parent's new id.  Deterministic for a fixed
-    ``(n, seed)``.
+    returned n-node tree.  Each position is drawn by the rejection loop
+    of ``random.Random.randrange`` inlined, so the draws are the ones
+    ``randrange(4k+2)`` makes, without its per-call argument checks.
+    Node ids are assigned in preorder by a walk that goes on into each
+    left child in place and stacks only right children, each with its
+    parent's new id.  Deterministic for a fixed ``(n, seed)``.
     """
     if n < 1:
         raise TreeError("n must be positive")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     size = 2 * n + 1
     left = [None] * size
     right = [None] * size
     par: list = [None] * size
     root = 0  # lone leaf; leaves get even ids, internals odd ids
     for k in range(n):
-        x = rng.randrange(4 * k + 2)
+        span = 4 * k + 2
+        nbits = span.bit_length()
+        x = getrandbits(nbits)
+        while x >= span:
+            x = getrandbits(nbits)
         j = x >> 1
         m = 2 * k + 1
         leaf = 2 * k + 2

@@ -103,6 +103,13 @@ BAD_TREE_FILES = {
     "v2-child-float": _columnar(left=[1.0, None, None]),
     "v2-child-list": _columnar(left=[[1], None, None]),
     "v2-child-range": _columnar(left=[3, None, None]),
+    "v2-child-negative": _columnar(right=[-1, None, None]),
+    "v2-child-huge": _columnar(left=[10**30, None, None]),
+    "v2-child-string-below-root": _columnar(left=[1, "2", None],
+                                            right=[None, None, None]),
+    "v2-child-repeated": _columnar(right=[1, None, None]),
+    "v2-detached-cycle": _columnar(n=4, left=[1, None, 3, 2],
+                                   right=[None] * 4),
     "v2-no-right": {"version": 2, "n": 1, "root": 0, "left": [None]},
     "v2-bad-version": _columnar(version="2"),
     "legacy-nodes-ints": _legacy(nodes=[1, 2, 3]),

@@ -205,6 +205,28 @@ def test_order_build_memory_per_node(make):
     assert peak <= 120 * tree.n
 
 
+@pytest.mark.parametrize("make", [lambda: gen_random(1 << 15, 3),
+                                  lambda: gen_path(1 << 15),
+                                  lambda: gen_perfect(14)],
+                         ids=["random", "path", "perfect"])
+def test_topology_build_memory_per_node(make):
+    # five whole-list checks ahead of the walk (a set of every child id
+    # among them) peak at about 128-160 bytes a node; validating inside
+    # the walk peaks at about 64-96
+    t = make()
+    left, right = list(t.left), list(t.right)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tree = TreeTopology(left, right, t.root)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert tree == t
+    assert peak <= 112 * tree.n
+
+
 def test_rounds_match_reference_on_mirrored_and_lower_bound_trees():
     # the mirrored random trees of the differential tests, and the
     # lower-bound trees of the differential and golden tests with their

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -130,6 +132,61 @@ def test_gen_random_uniform_chi_square():
     expect = trials / 14
     for s, c in counts.items():
         assert abs(c - expect) <= 0.05 * expect, (s, c)
+
+
+def _reference_random_lists(n, seed):
+    """``gen_random``'s growth and relabel loops as they were when each
+    insertion position came from ``randrange``: the child lists."""
+    rng = random.Random(seed)
+    size = 2 * n + 1
+    left = [None] * size
+    right = [None] * size
+    par = [None] * size
+    root = 0
+    for k in range(n):
+        x = rng.randrange(4 * k + 2)
+        j = x >> 1
+        m = 2 * k + 1
+        leaf = 2 * k + 2
+        p = par[j]
+        par[m] = p
+        if p is None:
+            root = m
+        elif left[p] == j:
+            left[p] = m
+        else:
+            right[p] = m
+        if x & 1:
+            left[m], right[m] = leaf, j
+        else:
+            left[m], right[m] = j, leaf
+        par[j] = m
+        par[leaf] = m
+    out_left = [None] * n
+    out_right = [None] * n
+    stack = []
+    x = root
+    for i in range(n):
+        c = right[x]
+        if c & 1:
+            stack.append((c, i))
+        c = left[x]
+        if c & 1:
+            out_left[i] = i + 1
+            x = c
+        elif stack:
+            x, p = stack.pop()
+            out_right[p] = i + 1
+    return out_left, out_right
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 1000, 4097])
+def test_gen_random_matches_randrange_reference(n, seed):
+    t = gen_random(n, seed)
+    left, right = _reference_random_lists(n, seed)
+    assert t.root == 0
+    assert (list(t.left), list(t.right)) == (left, right)
 
 
 def test_gen_lower_bound_single_gadget():
@@ -405,6 +462,111 @@ def test_topology_error_messages():
     for args, word in cases:
         with pytest.raises(TreeError, match=word):
             TreeTopology(*args)
+
+
+def _reference_topology(left, right, root):
+    """The constructor as it was before validation moved into its walk:
+    five whole-list checks, then the walk.  Returns ``(parent, depth,
+    preorder)`` of a valid tree, else the ``TreeError`` message."""
+    left, right = tuple(left), tuple(right)
+    n = len(left)
+    if not set(map(type, left)).union(map(type, right)) <= {int, type(None)}:
+        bad = next(c for c in left + right
+                   if c is not None and type(c) is not int)
+        return "child id must be an integer, got %r" % (bad,)
+    kids = set(left)
+    kids.update(right)
+    kids.discard(None)
+    nkids = 2 * n - left.count(None) - right.count(None)
+    if kids and (min(kids) < 0 or max(kids) >= n):
+        bad = min(kids) if min(kids) < 0 else max(kids)
+        return "child id out of range: %r" % (bad,)
+    if len(kids) != nkids:
+        dup = next(c for c, k in Counter(left + right).items()
+                   if k > 1 and c is not None)
+        return "duplicate child slot: node %d has two parents" % dup
+    if nkids >= n:
+        return "cycle detected: every node has a parent"
+    if nkids < n - 1:
+        return "disconnected node: %d parentless nodes" % (n - nkids)
+    if root in kids:
+        return "declared root %d is not the parentless node" % root
+    parent, depth, pre, stack = [None] * n, [0] * n, [], [root]
+    while stack:
+        x = stack.pop()
+        pre.append(x)
+        for c in (right[x], left[x]):
+            if c is not None:
+                parent[c], depth[c] = x, depth[x] + 1
+                stack.append(c)
+    if len(pre) != n:
+        return "cycle detected: %d nodes unreachable from root" % (n - len(pre))
+    return tuple(parent), tuple(depth), tuple(pre)
+
+
+def _check_against_reference(left, right, root):
+    want = _reference_topology(left, right, root)
+    try:
+        t = TreeTopology(left, right, root)
+    except TreeError as exc:
+        assert str(exc) == want
+    else:
+        assert (t.parent, t.depth, t.preorder()) == want
+
+
+ODD_IDS = [True, False, 1.0, 0.5, float("nan"), "1", "", 10**30, -10**30]
+
+
+@st.composite
+def child_lists(draw):
+    """A random tree on up to 7 nodes with its ids permuted, then up to
+    three child slots overwritten by None, an int in -3..n+2, a bool, a
+    float, a string or 10**30."""
+    n = draw(st.integers(1, 7))
+    t = gen_random(n, draw(st.integers(0, 2**16)))
+    perm = draw(st.permutations(range(n)))
+    left, right = [None] * n, [None] * n
+    for x in range(n):
+        for src, dst in ((t.left, left), (t.right, right)):
+            if src[x] is not None:
+                dst[perm[x]] = perm[src[x]]
+    value = st.one_of(st.none(), st.integers(-3, n + 2),
+                      st.sampled_from(ODD_IDS))
+    for _ in range(draw(st.integers(0, 3))):
+        side = draw(st.sampled_from((left, right)))
+        side[draw(st.integers(0, n - 1))] = draw(value)
+    return left, right
+
+
+@given(child_lists())
+@settings(max_examples=500, deadline=None)
+def test_topology_errors_match_reference(case):
+    """At every root, the constructor raises exactly when the reference
+    does, with the same message, and otherwise derives the same parents,
+    depths and preorder."""
+    left, right = case
+    for root in range(len(left)):
+        _check_against_reference(left, right, root)
+
+
+@pytest.mark.parametrize("left,right,root", [
+    ([1, None, None], [-1, None, None], 0),    # -1 would index node n-1
+    ([1, None, None], [-3, None, None], 0),    # -n would index node 0
+    ([1, None], [2, None], 0),                 # an id of exactly n
+    ([1, None, None], [10**30, None, None], 0),
+    ([1, "2", None], [None, None, None], 0),   # a string below the root
+    ([1, None, None], [1, None, None], 0),     # one child in both slots
+    ([1, 2, 3, 0], [None] * 4, 0),             # the root as a deep child
+    ([1, 2, 0, None], [None] * 4, 0),
+    ([1, 2, 0, None], [None] * 4, 3),
+    ([1, None, 3, 2], [None] * 4, 0),          # plus a detached 2-cycle
+    ([1, True, None], [None] * 3, 0),          # a bool aliasing node 1
+    ([None, None], [1, False], 0),             # a bool aliasing the root
+])
+def test_topology_error_messages_match_reference(left, right, root):
+    with pytest.raises(TreeError):
+        TreeTopology(left, right, root)
+    _check_against_reference(left, right, root)
 
 
 # ------------------------------------------------------------ serialization
