@@ -16,8 +16,8 @@ Budgets are exact rationals.  The literal recursion is exposed as
 :func:`k_set`; the production engine uses an equivalent reciprocal-sum
 membership test (a node x with block root r is in r's block iff
 ``sum(1/w(y) for y on the r..x path) <= B / w(r)``) evaluated in floating
-point with a rigorous error bound and an exact rational fallback when a
-comparison is too close to call.  Decisions are therefore exact and
+point against one error bound per piece, with an exact rational fallback
+when a comparison is too close to call.  Decisions are therefore exact and
 bit-reproducible while staying O(1) per node in the common case.
 """
 from __future__ import annotations
@@ -39,8 +39,8 @@ __all__ = [
     "layout_from_json",
 ]
 
-# covers two ulps per float operation; overestimating only costs extra
-# exact fallbacks, never wrong answers
+# twice the unit roundoff 2**-53, per term of a float sum; overestimating
+# only costs extra exact fallbacks, never wrong answers
 _U = 2.3e-16
 
 
@@ -112,46 +112,46 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
 
     The walk goes on into a placed node's left child with its state in
     local variables and stacks only the right child, as ``(node, block,
-    S, E)``: the placed parent's block (relative to the first), the
-    reciprocal sum ``S`` from that block's root down to the parent, and
-    the float error bound ``E`` on ``S``.
+    S)``: the placed parent's block id and the reciprocal sum ``S`` from
+    that block's root r down to the parent.  Those m nodes are members,
+    so ``m / w(r) <= S <= B / w(r)`` exactly and ``m <= min(B, w[root])``:
+    the one tolerance ``k * (s2 + tgt)`` covers the rounding of an m-term
+    ``S``, of the new term, of the target and of the margin.
     """
-    b0 = len(blocks)
-    targets = [B / w[root]]
-    broots = [root]
+    b = len(blocks)
     blocks.append([root])
-    block_of[root] = b0
+    block_of[root] = b
+    k = (min(B, w[root]) + 2) * _U
     stack: list = []
     push = stack.append
     pop = stack.pop
-    # x is placed in block b; s2 is the reciprocal sum from the block's
-    # root down to x, ce its error bound
-    x, b = root, 0
+    # x is placed in block b; s2 sums 1/w from the block's root down to x
+    x = root
     s2 = 1.0 / w[root]
-    ce = _U * s2
+    tgt = B / w[root]
     while True:
         c = right[x]
         if c is not None and block_of[c] == -1:
-            push((c, b, s2, ce))
+            push((c, b, s2))
         c = left[x]
         if c is not None and block_of[c] == -1:
-            x, S, E = c, s2, ce
+            x, S = c, s2
         elif stack:
-            x, b, S, E = pop()
+            x, b, S = pop()
+            tgt = B / w[blocks[b][0]]
         else:
             return
         wx = w[x]
         t = 1.0 / wx
         s2 = S + t
-        tgt = targets[b]
         margin = tgt - s2
-        tol = E + _U * (t + s2 + tgt)
+        tol = k * (s2 + tgt)
         if margin > tol:
             include = True
         elif margin < -tol:
             include = False
         else:
-            r = broots[b]
+            r = blocks[b][0]
             ws = [wx]
             y = x
             while y != r:
@@ -159,17 +159,14 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
                 ws.append(w[y])
             include = _exact_reciprocal_le(ws, B, w[r])
         if include:
-            blocks[b0 + b].append(x)
-            block_of[x] = b0 + b
-            ce = E + _U * (t + s2)
+            blocks[b].append(x)
+            block_of[x] = b
         else:
-            b = len(blocks) - b0
-            targets.append(B / wx)
-            broots.append(x)
+            b = len(blocks)
             blocks.append([x])
-            block_of[x] = b0 + b
+            block_of[x] = b
             s2 = t
-            ce = _U * t
+            tgt = B / wx
 
 
 def phase2_layout(tree: TreeTopology, root: int, B: int) -> BlockAssignment:
@@ -289,7 +286,7 @@ def layout_to_json(asg: BlockAssignment) -> dict:
 
 def layout_from_json(obj, n: int) -> BlockAssignment:
     """Read ``{"B": int, "blocks": [[node, ...], ...]}`` for a tree of
-    ``n`` nodes; every node must sit in exactly one block of <= B nodes.
+    ``n`` nodes; every node must sit in exactly one block of 1..B nodes.
     Other keys are ignored."""
     try:
         B = obj["B"]
@@ -302,6 +299,8 @@ def layout_from_json(obj, n: int) -> BlockAssignment:
         raise TreeError("blocks must be a list of node-id lists")
     block_of = [-1] * n
     for i, mem in enumerate(blocks):
+        if not mem:
+            raise TreeError("block %d is empty" % i)
         if len(mem) > B:
             raise TreeError("block %d exceeds size B=%d" % (i, B))
         for v in mem:

@@ -306,9 +306,10 @@ def budget_along_path(tree: TreeTopology, weights, B: int, path):
 
 # -- brute-force oracle -------------------------------------------------
 
+_STATE_BUDGET = 10_000_000
 
-def brute_force_optimal(tree: TreeTopology, B: int, D: int,
-                        state_budget: int = 10_000_000):
+
+def brute_force_optimal(tree: TreeTopology, B: int, D: int):
     """Exact minimum worst-case cost over *all* block partitions.
 
     Searches partitions of the node set into parts of size <= B (parts
@@ -323,8 +324,8 @@ def brute_force_optimal(tree: TreeTopology, B: int, D: int,
     relevant nodes one at a time in preorder, backtracking chronologically
     (a dead end revisits the latest choice, whichever subtree it was made
     in) over first-use-canonical part choices, so the result is
-    exhaustive-exact while visiting far fewer states; ``state_budget``
-    caps the visited states (ResourceLimitError beyond).
+    exhaustive-exact while visiting far fewer states; beyond
+    ``_STATE_BUDGET`` visited states it raises ResourceLimitError.
     """
     n = tree.n
     if n > 12:
@@ -373,7 +374,7 @@ def brute_force_optimal(tree: TreeTopology, B: int, D: int,
         if i == len(rnodes):
             return True
         visited += 1
-        if visited > state_budget:
+        if visited > _STATE_BUDGET:
             raise ResourceLimitError("brute-force state budget exceeded")
         x = rnodes[i]
         d = depth[x]

@@ -1,6 +1,7 @@
 """Two-phase block layout for a known block size: K-recursion, strata, blocks."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,28 @@ def test_aware_deterministic():
     a = layout_aware(t, 32)
     b = layout_aware(t, 32)
     assert a.blocks == b.blocks and a.block_of == b.block_of
+
+
+@pytest.mark.parametrize("make", [lambda: gen_random(1 << 15, 3),
+                                  lambda: gen_path(1 << 15),
+                                  lambda: gen_perfect(14)],
+                         ids=["random", "path", "perfect"])
+def test_aware_layout_memory_per_node(make):
+    # a block id made per node (piece offset plus local id) and per-block
+    # side lists of roots and targets peak at about 74-78 bytes a node on
+    # random and path trees; one shared id object per block and no side
+    # lists peak at about 46-57
+    tree = make()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        asg = layout_aware(tree, 64)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(asg.block_of) == tree.n
+    assert peak <= 64 * tree.n
 
 
 def test_exclusion_bound_zero_violations():

@@ -340,6 +340,7 @@ def test_eval_rejects_mismatched_ids(tmp_path):
     {"B": 2, "blocks": [[0, 1], [2, True]]},
     {"B": 0, "blocks": [[0], [1], [2], [3]]},
     {"B": 2, "blocks": [[0, 1], [2, 4]]},
+    {"B": 2, "blocks": [[0, 1], [2, 3], []]},
 ])
 def test_eval_rejects_bad_layout(tmp_path, layout):
     tree = tmp_path / "t.json"

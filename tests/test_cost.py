@@ -482,9 +482,10 @@ def test_oracle_rejects_large_instances():
         brute_force_optimal(gen_perfect(3), 4, 3)  # 15 nodes > 12
 
 
-def test_oracle_state_budget():
+def test_oracle_state_budget(monkeypatch):
+    monkeypatch.setattr("treelayout.cost._STATE_BUDGET", 50)
     with pytest.raises(ResourceLimitError):
-        brute_force_optimal(gen_random(12, seed=1), 2, 5, state_budget=50)
+        brute_force_optimal(gen_random(12, seed=1), 2, 5)
 
 
 def test_oracle_never_beaten_by_real_layouts():

@@ -72,7 +72,7 @@ def mirror(tree):
 
 
 @given(n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
-       B=st.sampled_from(BS), mirrored=st.booleans())
+       B=st.sampled_from(BS + (1024,)), mirrored=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_random_layouts_match_kset(n, seed, B, mirrored):
     t = gen_random(n, seed)
@@ -109,8 +109,39 @@ def test_perfect_layouts_match_kset(monkeypatch):
     monkeypatch.setattr(aware, "_exact_reciprocal_le", counted)
     for h in range(11):
         t = gen_perfect(h)
-        for B in BS:
+        for B in BS + (1024,):
             for d in range(h + 1):
                 check_blocks(t, phase2_layout(t, (1 << d) - 1, B))
         check_refinement(t)
     assert calls, "the exact fallback never ran"
+
+
+def spine_tree(ws):
+    """A tree whose left spine has subtree sizes ``ws``, root first; the
+    rest of each spine node's subtree is a path below its right child."""
+    left, right = [], []
+    below = None
+    for i in reversed(range(len(ws))):
+        top = None
+        for _ in range(ws[i] - 1 - (ws[i + 1] if i + 1 < len(ws) else 0)):
+            left.append(top)
+            right.append(None)
+            top = len(left) - 1
+        left.append(below)
+        right.append(top)
+        below = len(left) - 1
+    return TreeTopology(left, right, below)
+
+
+@pytest.mark.parametrize("B, ws", [(3, [10, 5]), (5, [44, 11]),
+                                   (10, [15, 10, 2]),
+                                   (24, [14, 12, 7, 6, 4, 1])])
+def test_float_rounding_across_a_tie_matches_kset(B, ws):
+    # the spine's last node has budget exactly 1, but the float sum of
+    # 1/w down the spine lands just above B / ws[0]: only the tolerance
+    # sends this decision to the exact fallback
+    t = spine_tree(ws)
+    assert sum(1.0 / w for w in ws) > B / ws[0]
+    for tree in (t, mirror(t)):
+        asg = check_blocks(tree, phase2_layout(tree, tree.root, B))
+        assert len(asg.blocks[0]) >= len(ws)
