@@ -33,10 +33,9 @@ from typing import NamedTuple, Optional
 
 from .aware import (exclusion_violations, layout_aware, layout_from_json,
                     layout_to_json, padded_order)
-from .cost import (brute_force_optimal, cost_report, theoretical_bound,
-                   solve_p, worst_by_offset)
-from .oblivious import (block_ids, layout_oblivious, order_from_json,
-                        order_to_json)
+from .cost import (brute_force_optimal, cost_report, order_report,
+                   theoretical_bound, solve_p, worst_by_offset)
+from .oblivious import layout_oblivious, order_from_json, order_to_json
 from .tree import (ResourceLimitError, TreeError, TreeTopology, compute_weights,
                    gen_lower_bound, gen_path, gen_perfect, gen_random,
                    json_text, load_tree, read_json, tree_to_json)
@@ -100,10 +99,11 @@ def _bounds(N: int, B: int, depths) -> list:
 def _priced_order(cell: tuple, bounds: list, tree: TreeTopology, order,
                   all_offsets: bool) -> list:
     """The ``_Priced`` records of a linear order at B = ``cell[3]``: offset
-    0 only, or every offset from one ``worst_by_offset`` scan."""
+    0 only, priced by ``order_report`` straight from the slot positions,
+    or every offset from one ``worst_by_offset`` scan."""
     B = cell[3]
     if not all_offsets:
-        rep = cost_report(tree, block_ids(order, B, 0))
+        rep = order_report(tree, order, B)
         return [_Priced(*cell, "oblivious", 0, bounds, rep.worst_exact,
                         rep.worst_cum)]
     records = []

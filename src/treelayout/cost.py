@@ -6,13 +6,15 @@ root-to-node path (cold cache, downward walk: each block faults at most
 once, so distinct-block counting is the transfer count).  The simulator
 works for any per-node block id function, connected blocks or not.
 
-``worst_by_offset`` prices a linear order under all B alignments of its
-slots at once.  A node at slot p opens a new block exactly at the offsets
-o with ``(p + o) mod B`` in ``[B - a, b)``, where b and a are the
-distances to the nearest ancestor slot before and after p (B when none
-lies within B - 1 slots).  So a node's costs over all offsets are its
-parent's plus 1 on one cyclic run of offsets, and one depth-first scan
-prices every alignment.
+``order_report`` prices a linear order cut into aligned size-B slices
+(the node in slot p lands in slice ``(p + offset) // B``) with the same
+scan, reading each node's slice from its slot.  ``worst_by_offset``
+prices it under all B alignments of its slots at once.  A node at slot p
+opens a new block exactly at the offsets o with ``(p + o) mod B`` in
+``[B - a, b)``, where b and a are the distances to the nearest ancestor
+slot before and after p (B when none lies within B - 1 slots).  So a
+node's costs over all offsets are its parent's plus 1 on one cyclic run
+of offsets, and one depth-first scan prices every alignment.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ __all__ = [
     "CostReport",
     "path_cost",
     "cost_report",
+    "order_report",
     "worst_by_offset",
     "theoretical_bound",
     "solve_p",
@@ -100,14 +103,61 @@ def cost_report(tree: TreeTopology, block_of) -> CostReport:
                       worst_cum=list(accumulate(worst, max)))
 
 
+def _check_order(tree: TreeTopology, order, B: int) -> None:
+    if B < 1:
+        raise TreeError("B must be positive")
+    if order.n != tree.n:
+        raise TreeError("order holds %d nodes, the tree %d"
+                        % (order.n, tree.n))
+
+
+def order_report(tree: TreeTopology, order, B: int,
+                 offset: int = 0) -> CostReport:
+    """``cost_report`` of a linear order cut into aligned size-B slices.
+
+    ``order`` is a ``LinearOrder`` of the tree's nodes; padding slots are
+    allowed and any node may come first.  The result equals
+    ``cost_report(tree, block_ids(order, B, offset))``, but the scan reads
+    the node at slot p's slice as ``(p + offset) // B`` and keeps each
+    slice's largest subtree end in a list indexed by slice, so it builds
+    neither a per-node block id list nor a dict.
+    """
+    _check_order(tree, order, B)
+    if not 0 <= offset < B:
+        raise TreeError("offset must lie in [0, B)")
+    pos, pre = order.position, tree.preorder()
+    parent, depth, root = tree.parent, tree.depth, tree.root
+    worst = [0] * (tree.height + 1)
+    worst[0] = 1
+    # subtree sizes overwritten by path costs, as in cost_report
+    cost = compute_weights(tree)
+    cost[root] = 1
+    end = [0] * ((len(order.order) - 1 + offset) // B + 1)
+    end[(pos[root] + offset) // B] = tree.n
+    for i in range(1, tree.n):
+        x = pre[i]
+        b = (pos[x] + offset) // B
+        if i < end[b]:
+            c = cost[parent[x]]
+        else:
+            c = cost[parent[x]] + 1
+            end[b] = i + cost[x]
+        cost[x] = c
+        d = depth[x]
+        if c > worst[d]:
+            worst[d] = c
+    return CostReport(worst_exact=worst,
+                      worst_cum=list(accumulate(worst, max)))
+
+
 def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
     """``worst_exact`` per depth under every alignment of a linear order.
 
     ``order`` is a ``LinearOrder`` of the tree's nodes; padding slots are
     allowed and any node may come first.  Returns B columns: column o
     lists, for D = 0..height, the ``worst_exact[D]`` of
-    ``cost_report(tree, block_ids(order, B, o))``.  Each column is a
-    read-only sequence of ints (a memoryview; ``tolist()`` copies it).
+    ``order_report(tree, order, B, o)``.  Each column is a read-only
+    sequence of ints (a memoryview; ``tolist()`` copies it).
 
     One depth-first scan finds, for the node at slot p, the nearest
     ancestor slots before and after p with ``bytearray.rfind``/``find`` on
@@ -127,11 +177,7 @@ def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
     stacks the heavier one with its parent's costs, so at most lg N
     vectors are pending.
     """
-    if B < 1:
-        raise TreeError("B must be positive")
-    if order.n != tree.n:
-        raise TreeError("order holds %d nodes, the tree %d"
-                        % (order.n, tree.n))
+    _check_order(tree, order, B)
     pos, nslots, height = order.position, len(order.order), tree.height
     # no cost exceeds the path length or the number of slices met
     most = min(height + 1, nslots // B + 2)

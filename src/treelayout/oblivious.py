@@ -168,7 +168,11 @@ def block_ids(order: LinearOrder, B: int, offset: int = 0) -> list:
     """Per-node block ids of an order cut into aligned size-B slices: the
     node in slot p lands in block ``(p + offset) // B``.  Offset 0 is the
     canonical alignment; other offsets model unknown alignment of the
-    storage start."""
+    storage start.
+
+    This is the reference definition of an order's blocks:
+    ``cost_report(tree, block_ids(order, B, offset))`` is what
+    ``order_report`` and ``worst_by_offset`` compute without the list."""
     if B < 1:
         raise TreeError("B must be positive")
     if not 0 <= offset < B:

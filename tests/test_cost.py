@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from treelayout import (LinearOrder, ResourceLimitError, TreeError,
                         TreeTopology, block_ids, brute_force_optimal,
                         budget_along_path, compute_weights, cost_report,
-                        gen_path, gen_perfect, gen_random, iter_shapes,
-                        layout_aware, layout_oblivious, padded_order,
-                        path_cost, phase2_layout, shape_to_tree, solve_p,
-                        theoretical_bound, worst_by_offset)
+                        gen_lower_bound, gen_path, gen_perfect, gen_random,
+                        iter_shapes, layout_aware, layout_oblivious,
+                        order_report, padded_order, path_cost, phase2_layout,
+                        shape_to_tree, solve_p, theoretical_bound,
+                        worst_by_offset)
 
 
 # ------------------------------------------------------------ path_cost
@@ -246,6 +247,86 @@ def test_worst_by_offset_memory_stays_at_the_table(kind):
         tracemalloc.stop()
     assert len(cols) == B
     assert peak <= table + (1 << 20)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_random(1 << 15, 3),
+                                  lambda: gen_path(1 << 15),
+                                  lambda: gen_perfect(14)],
+                         ids=["random", "path", "perfect"])
+def test_order_report_memory_per_node(make):
+    # a block id list and a dict entry per slice opened peak at about
+    # 66-90 bytes a node; the subtree sizes and one int per slice at
+    # about 18-50
+    tree = make()
+    order = layout_oblivious(tree)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rep = order_report(tree, order, 4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(rep.worst_exact) == tree.height + 1
+    assert peak <= 56 * tree.n
+
+
+# ------------------------------------------------------------ order_report
+
+def _report_order(tree, kind, rng):
+    """The oblivious order, an aware layout's padded order (null slots),
+    or a random permutation with nulls whose first slot is not the root."""
+    if kind == "oblivious":
+        return layout_oblivious(tree)
+    if kind == "padded":
+        return LinearOrder(padded_order(layout_aware(tree, rng.randint(1, 6))))
+    order = list(range(tree.n))
+    rng.shuffle(order)
+    for _ in range(rng.randint(1, tree.n)):
+        order.insert(rng.randint(0, len(order)), None)
+    if order[0] == tree.root:
+        order.append(order.pop(0))
+    return LinearOrder(order)
+
+
+@given(kind=st.sampled_from(["random", "path", "perfect", "lowerbound"]),
+       size=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+       order_kind=st.sampled_from(["oblivious", "padded", "unrooted"]),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_order_report_matches_cost_report(kind, size, seed, order_kind,
+                                          data):
+    if kind == "lowerbound":
+        # gadgets of at most 15 nodes
+        t = gen_lower_bound(1 + seed % 8, 2 << seed % 2, max(size, 15))
+    else:
+        t = _tree(kind, size, seed)
+    order = _report_order(t, order_kind, random.Random(seed))
+    assert order_kind != "unrooted" or order.order[0] != t.root
+    B = data.draw(st.integers(1, len(order.order) + 2), label="B")
+    for off in range(B):
+        got = order_report(t, order, B, off)
+        want = cost_report(t, block_ids(order, B, off))
+        assert got.worst_exact == want.worst_exact
+        assert got.worst_cum == want.worst_cum
+
+
+def test_order_report_rejects_bad_input():
+    # the messages of block_ids and worst_by_offset
+    t = gen_path(4)
+    order = layout_oblivious(t)
+    for B, off in ((0, 0), (-3, 0), (2, -1), (2, 2), (3, 7)):
+        with pytest.raises(TreeError) as want:
+            block_ids(order, B, off)
+        with pytest.raises(TreeError) as got:
+            order_report(t, order, B, off)
+        assert str(got.value) == str(want.value)
+    for other in (LinearOrder([0, 1, 2]), LinearOrder([4, 0, 1, 2, 3])):
+        with pytest.raises(TreeError) as want:
+            worst_by_offset(t, other, 2)
+        with pytest.raises(TreeError) as got:
+            order_report(t, other, 2)
+        assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------------ bound

@@ -5,7 +5,9 @@ columns per priced layout; any change to quoting, float formatting, row
 order or summary layout shows up here as a different sha256.  The
 all-offset digests of a padded order, of an order that ends with the
 root, and of ``--format json`` were recorded while every offset was still
-priced by its own ``block_ids`` + ``cost_report`` pass.
+priced by its own ``block_ids`` + ``cost_report`` pass.  The offset-0
+digests of ``sweep-zero``, ``eval-padded`` and ``eval-unrooted`` were
+recorded while offset 0 of an order was priced the same way.
 """
 
 import hashlib
@@ -34,6 +36,14 @@ DIGESTS = {
         "8212a2b85cd0541cfd12aac6c3be2357ae1522501e41d14a3380dfd5e8bdee95",
     "eval-offsets.json":
         "72cd447b288c819af30adc84c685e04111a9748d8393d4a239d92e9c0a001f43",
+    "sweep-zero.csv":
+        "f399398f689533aed551372a36ed6773288e4cf966aa84e6bdda53f8a5933cfe",
+    "sweep-zero-summary.json":
+        "5c54a149af419258ec1fef708bed2fdbef08c35239c73dfa3f25eda72d5f3284",
+    "eval-padded.csv":
+        "3a3c94d152bf4984622fa9296687fa845d32be7a00e094d8d9db78a9cc797b1e",
+    "eval-unrooted.csv":
+        "fbc271c2cdec8e1328987eda821b470dd8f54a9ca646884c564e254f614f8659",
 }
 
 
@@ -55,6 +65,10 @@ def outputs(tmp_path_factory):
            "summary_out": str(tmp / "sweep-summary.json")}
     (tmp / "cfg.json").write_text(json.dumps(cfg))
     run(["sweep", "--config", tmp / "cfg.json"])
+    cfg.update(offsets="zero", csv_out=str(tmp / "sweep-zero.csv"),
+               summary_out=str(tmp / "sweep-zero-summary.json"))
+    (tmp / "cfg-zero.json").write_text(json.dumps(cfg))
+    run(["sweep", "--config", tmp / "cfg-zero.json"])
 
     tree = tmp / "t.json"
     run(["gen", "random", "--n", 70, "--seed", 5, "--out", tree])
@@ -85,6 +99,9 @@ def outputs(tmp_path_factory):
     run(["eval", "--tree", tree, "--layout", tmp / "unrooted.json", "--B", 1,
          "--B", 4, "--B", 7, "--offsets", "all",
          "--out", tmp / "eval-unrooted-offsets.csv"])
+    for name in ("padded", "unrooted"):
+        run(["eval", "--tree", tree, "--layout", tmp / (name + ".json"),
+             "--B", 1, "--B", 4, "--B", 7, "--out", tmp / f"eval-{name}.csv"])
 
     weird = tmp / 'we,ird"name.json'
     weird.write_bytes(tree.read_bytes())
