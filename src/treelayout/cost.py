@@ -7,9 +7,9 @@ once, so distinct-block counting is the transfer count).  The simulator
 works for any per-node block id function, connected blocks or not.
 
 ``order_report`` prices a linear order cut into aligned size-B slices
-(the node in slot p lands in slice ``(p + offset) // B``) with the same
-scan, reading each node's slice from its slot.  ``worst_by_offset``
-prices it under all B alignments of its slots at once.  A node at slot p
+(the node in slot p lands in slice ``p // B``) with the same scan,
+reading each node's slice from its slot.  ``worst_by_offset`` prices it
+under all B alignments of its slots at once.  A node at slot p
 opens a new block exactly at the offsets o with ``(p + o) mod B`` in
 ``[B - a, b)``, where b and a are the distances to the nearest ancestor
 slot before and after p (B when none lies within B - 1 slots).  So a
@@ -111,20 +111,17 @@ def _check_order(tree: TreeTopology, order, B: int) -> None:
                         % (order.n, tree.n))
 
 
-def order_report(tree: TreeTopology, order, B: int,
-                 offset: int = 0) -> CostReport:
+def order_report(tree: TreeTopology, order, B: int) -> CostReport:
     """``cost_report`` of a linear order cut into aligned size-B slices.
 
     ``order`` is a ``LinearOrder`` of the tree's nodes; padding slots are
     allowed and any node may come first.  The result equals
-    ``cost_report(tree, block_ids(order, B, offset))``, but the scan reads
-    the node at slot p's slice as ``(p + offset) // B`` and keeps each
-    slice's largest subtree end in a list indexed by slice, so it builds
-    neither a per-node block id list nor a dict.
+    ``cost_report(tree, block_ids(order, B))``, but the scan reads the
+    node at slot p's slice as ``p // B`` and keeps each slice's largest
+    subtree end in a list indexed by slice, so it builds neither a
+    per-node block id list nor a dict.
     """
     _check_order(tree, order, B)
-    if not 0 <= offset < B:
-        raise TreeError("offset must lie in [0, B)")
     pos, pre = order.position, tree.preorder()
     parent, depth, root = tree.parent, tree.depth, tree.root
     worst = [0] * (tree.height + 1)
@@ -132,11 +129,11 @@ def order_report(tree: TreeTopology, order, B: int,
     # subtree sizes overwritten by path costs, as in cost_report
     cost = compute_weights(tree)
     cost[root] = 1
-    end = [0] * ((len(order.order) - 1 + offset) // B + 1)
-    end[(pos[root] + offset) // B] = tree.n
+    end = [0] * ((len(order.order) - 1) // B + 1)
+    end[pos[root] // B] = tree.n
     for i in range(1, tree.n):
         x = pre[i]
-        b = (pos[x] + offset) // B
+        b = pos[x] // B
         if i < end[b]:
             c = cost[parent[x]]
         else:
@@ -156,7 +153,7 @@ def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
     ``order`` is a ``LinearOrder`` of the tree's nodes; padding slots are
     allowed and any node may come first.  Returns B columns: column o
     lists, for D = 0..height, the ``worst_exact[D]`` of
-    ``order_report(tree, order, B, o)``.  Each column is a read-only
+    ``cost_report(tree, block_ids(order, B, o))``.  Each column is a read-only
     sequence of ints (a memoryview; ``tolist()`` copies it).
 
     One depth-first scan finds, for the node at slot p, the nearest

@@ -172,7 +172,8 @@ def block_ids(order: LinearOrder, B: int, offset: int = 0) -> list:
 
     This is the reference definition of an order's blocks:
     ``cost_report(tree, block_ids(order, B, offset))`` is what
-    ``order_report`` and ``worst_by_offset`` compute without the list."""
+    ``order_report`` computes at offset 0 and ``worst_by_offset`` at every
+    offset, without the list."""
     if B < 1:
         raise TreeError("B must be positive")
     if not 0 <= offset < B:
