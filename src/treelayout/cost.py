@@ -3,18 +3,22 @@ optimal-layout oracle.
 
 The cost of reaching a node is the number of distinct blocks met on the
 root-to-node path (cold cache, downward walk: each block faults at most
-once, so distinct-block counting is the transfer count).  The simulator
-works for any per-node block id function, connected blocks or not.
+once, so distinct-block counting is the transfer count).  One preorder
+scan prices both kinds of layout: a node adds 1 to its parent's cost iff
+no ancestor shares its block, and the scan tests that against the
+current root path and the node that last opened each block.
+``cost_report`` reads int block ids from a list or a dict, connected
+blocks or not, in O(height + id range) memory; ``order_report`` reads
+the aligned size-B slice ``p // B`` of the node in slot p of a linear
+order, in O(height + slots / B).
 
-``order_report`` prices a linear order cut into aligned size-B slices
-(the node in slot p lands in slice ``p // B``) with the same scan,
-reading each node's slice from its slot.  ``worst_by_offset`` prices it
-under all B alignments of its slots at once.  A node at slot p
-opens a new block exactly at the offsets o with ``(p + o) mod B`` in
-``[B - a, b)``, where b and a are the distances to the nearest ancestor
-slot before and after p (B when none lies within B - 1 slots).  So a
-node's costs over all offsets are its parent's plus 1 on one cyclic run
-of offsets, and one depth-first scan prices every alignment.
+``worst_by_offset`` prices a linear order under all B alignments of its
+slots at once.  A node at slot p opens a new block exactly at the
+offsets o with ``(p + o) mod B`` in ``[B - a, b)``, where b and a are
+the distances to the nearest ancestor slot before and after p (B when
+none lies within B - 1 slots).  So a node's costs over all offsets are
+its parent's plus 1 on one cyclic run of offsets, and one depth-first
+scan prices every alignment.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Optional
 
 from .tree import TreeError, ResourceLimitError, TreeTopology, compute_weights
@@ -66,41 +70,56 @@ def path_cost(block_of, tree: TreeTopology, node: int) -> int:
     return len(seen)
 
 
-def cost_report(tree: TreeTopology, block_of) -> CostReport:
-    """Worst-case path cost at every depth in one O(N) preorder scan.
+def _scan(tree: TreeTopology, slot, B: int, top: list) -> CostReport:
+    """Worst path cost per depth when node x sits in block ``slot[x] // B``.
 
-    A node opens a new block iff no ancestor shares its block id.  An
-    earlier node y in preorder is an ancestor of the node at rank i iff
-    ``i < rank(y) + w(y)``, so per block id it suffices to keep the
-    largest subtree end seen so far.  That is correct for any hashable
-    block ids, including blocks scattered across the tree (aligned
-    slices of a linear order) and the ``-1`` that ``phase2_layout``
-    leaves outside its subtree.
+    One preorder pass keeps the current root path: ``path[d]`` is its node
+    at depth d and ``cost[d]`` that node's cost.  ``top[b]`` is the node
+    that last opened block b, or -1 if none has.  x opens a new block iff
+    no ancestor shares it, and then the shallowest such ancestor is
+    ``top[b]`` (nothing under it can open b), so the test is whether
+    y = ``top[b]`` lies on x's path: ``path[depth[y]] == y`` and
+    ``depth[y] < depth[x]``.  No path slot holds -1.
     """
-    pre, parent, depth = tree.preorder(), tree.parent, tree.depth
-    root = tree.root
-    worst = [0] * (tree.height + 1)
-    worst[0] = 1
-    # subtree sizes, overwritten in preorder by path costs: w[x] is read
-    # before x's own cost replaces it, and parents precede children
-    cost = compute_weights(tree)
-    cost[root] = 1
-    end = {block_of[root]: tree.n}
-    get = end.get
-    for i in range(1, tree.n):
-        x = pre[i]
-        b = block_of[x]
-        if i < get(b, 0):
-            c = cost[parent[x]]
-        else:
-            c = cost[parent[x]] + 1
-            end[b] = i + cost[x]
-        cost[x] = c
+    depth, root = tree.depth, tree.root
+    path = [0] * (tree.height + 1)
+    # every cost is >= 1 and every depth up to the height holds a node
+    cost = [1] * (tree.height + 1)
+    worst = [1] * (tree.height + 1)
+    top[slot[root] // B] = path[0] = root
+    for x in islice(tree.preorder(), 1, None):
         d = depth[x]
+        b = slot[x] // B
+        y = top[b]
+        e = depth[y]
+        if path[e] == y and e < d:
+            c = cost[d - 1]
+        else:
+            c = cost[d - 1] + 1
+            top[b] = x
+        path[d] = x
+        cost[d] = c
         if c > worst[d]:
             worst[d] = c
     return CostReport(worst_exact=worst,
                       worst_cum=list(accumulate(worst, max)))
+
+
+def cost_report(tree: TreeTopology, block_of) -> CostReport:
+    """Worst-case path cost at every depth in one O(N) preorder scan.
+
+    ``block_of`` maps each node to an int block id, as a list or a dict.
+    A node opens a new block iff no ancestor shares its id, which the
+    scan tests against the current root path and the node that last
+    opened each id.  Ids may be negative (``phase2_layout`` leaves -1
+    outside its subtree) and blocks may be scattered across the tree
+    (aligned slices of a linear order).  Memory: O(height + id range),
+    one list slot per int between the smallest and largest id.
+    """
+    ids = block_of.values() if isinstance(block_of, dict) else block_of
+    lo, hi = min(ids), max(ids)
+    # negative ids index the list's tail
+    return _scan(tree, block_of, 1, [-1] * (max(hi, -1) + 1 + max(-lo, 0)))
 
 
 def _check_order(tree: TreeTopology, order, B: int) -> None:
@@ -116,35 +135,14 @@ def order_report(tree: TreeTopology, order, B: int) -> CostReport:
 
     ``order`` is a ``LinearOrder`` of the tree's nodes; padding slots are
     allowed and any node may come first.  The result equals
-    ``cost_report(tree, block_ids(order, B))``, but the scan reads the
-    node at slot p's slice as ``p // B`` and keeps each slice's largest
-    subtree end in a list indexed by slice, so it builds neither a
-    per-node block id list nor a dict.
+    ``cost_report(tree, block_ids(order, B))``: the same root-path scan
+    reads the node in slot p's slice as ``p // B``, so it builds no
+    per-node block id list.  Memory: O(height + slots / B), one list slot
+    per slice.
     """
     _check_order(tree, order, B)
-    pos, pre = order.position, tree.preorder()
-    parent, depth, root = tree.parent, tree.depth, tree.root
-    worst = [0] * (tree.height + 1)
-    worst[0] = 1
-    # subtree sizes overwritten by path costs, as in cost_report
-    cost = compute_weights(tree)
-    cost[root] = 1
-    end = [0] * ((len(order.order) - 1) // B + 1)
-    end[pos[root] // B] = tree.n
-    for i in range(1, tree.n):
-        x = pre[i]
-        b = pos[x] // B
-        if i < end[b]:
-            c = cost[parent[x]]
-        else:
-            c = cost[parent[x]] + 1
-            end[b] = i + cost[x]
-        cost[x] = c
-        d = depth[x]
-        if c > worst[d]:
-            worst[d] = c
-    return CostReport(worst_exact=worst,
-                      worst_cum=list(accumulate(worst, max)))
+    return _scan(tree, order.position, B,
+                 [-1] * ((len(order.order) - 1) // B + 1))
 
 
 def worst_by_offset(tree: TreeTopology, order, B: int) -> list:

@@ -106,7 +106,8 @@ def _tree(kind, size, seed):
 
 @given(kind=st.sampled_from(["random", "path", "perfect"]),
        size=st.integers(1, 90), seed=st.integers(0, 2**32 - 1),
-       ids=st.sampled_from(["list", "dict", "phase2"]), data=st.data())
+       ids=st.sampled_from(["list", "dict", "phase2", "negative"]),
+       data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_report_matches_path_cost(kind, size, seed, ids, data):
     t = _tree(kind, size, seed)
@@ -115,8 +116,10 @@ def test_report_matches_path_cost(kind, size, seed, ids, data):
         root = data.draw(st.integers(0, t.n - 1))
         blk = phase2_layout(t, root, data.draw(st.integers(1, 6))).block_of
     else:
-        # few ids over many nodes: blocks scattered across the tree
-        blk = data.draw(st.lists(st.integers(-3, 4), min_size=t.n,
+        # few ids over many nodes: blocks scattered across the tree; the
+        # negative kind reaches further below zero than above it
+        lo, hi = (-40, 2) if ids == "negative" else (-3, 4)
+        blk = data.draw(st.lists(st.integers(lo, hi), min_size=t.n,
                                  max_size=t.n))
         if ids == "dict":
             blk = {x: b for x, b in enumerate(blk)}
@@ -249,21 +252,38 @@ def test_worst_by_offset_memory_stays_at_the_table(kind):
     assert peak <= table + (1 << 20)
 
 
-@pytest.mark.parametrize("make", [lambda: gen_random(1 << 15, 3),
-                                  lambda: gen_path(1 << 15),
-                                  lambda: gen_perfect(14)],
-                         ids=["random", "path", "perfect"])
-def test_order_report_memory_per_node(make):
-    # a block id list and a dict entry per slice opened peak at about
-    # 66-90 bytes a node; the subtree sizes and one int per slice at
-    # about 18-50
-    tree = make()
+def _order_pricer(tree):
     order = layout_oblivious(tree)
+    return lambda: order_report(tree, order, 4)
+
+
+def _block_pricer(tree):
+    block_of = layout_aware(tree, 4).block_of
+    return lambda: cost_report(tree, block_of)
+
+
+_MEMORY_TREES = {"random": lambda: gen_random(1 << 15, 3),
+                 "path": lambda: gen_path(1 << 15),
+                 "perfect": lambda: gen_perfect(14)}
+
+
+@pytest.mark.parametrize(
+    "make,pricer",
+    [pytest.param(make, _order_pricer, id=name)
+     for name, make in _MEMORY_TREES.items()]
+    + [pytest.param(make, _block_pricer, id="cost_report-" + name)
+       for name, make in _MEMORY_TREES.items()])
+def test_order_report_memory_per_node(make, pricer):
+    # the root-path scan keeps O(height) ints and one list slot per block
+    # or slice: about 2-6 bytes a node on bushy trees, and about 42-46 on
+    # a path, whose root path is the whole tree
+    tree = make()
+    price = pricer(tree)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        rep = order_report(tree, order, 4)
+        rep = price()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
