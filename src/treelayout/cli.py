@@ -36,9 +36,10 @@ from .aware import (exclusion_violations, layout_aware, layout_from_json,
 from .cost import (brute_force_optimal, cost_report, order_report,
                    theoretical_bound, solve_p, worst_by_offset)
 from .oblivious import layout_oblivious, order_from_json, order_to_json
-from .tree import (ResourceLimitError, TreeError, TreeTopology, compute_weights,
-                   gen_lower_bound, gen_path, gen_perfect, gen_random,
-                   json_text, load_tree, read_json, tree_to_json)
+from .tree import (ResourceLimitError, TreeError, TreeTopology, _node_count,
+                   compute_weights, gen_lower_bound, gen_path, gen_perfect,
+                   gen_random, json_text, load_tree, read_json,
+                   tree_from_json, tree_to_json)
 
 log = logging.getLogger("treelayout")
 
@@ -214,47 +215,67 @@ def cmd_gen(args) -> int:
 def cmd_layout(args) -> int:
     _reject_unread(args, _LAYOUT_READS, args.mode)
     tree = load_tree(args.tree)
+    n = tree.n
     t0 = time.perf_counter()
+    # the writers need only the layout's own lists: the tree, and an
+    # aware layout's block_of, go before the JSON text is built
     if args.mode == "aware":
         B = args.B
         if B is None:
             args.parser.error("layout aware requires --B")
         asg = layout_aware(tree, B)
-        _write_json(layout_to_json(asg), args.out)
-        if args.padded_out is not None:
-            slots = padded_order(asg)
+        obj = layout_to_json(asg)
+        slots = None if args.padded_out is None else padded_order(asg)
+        del tree, asg
+        _write_json(obj, args.out)
+        if slots is not None:
             _write_json({"B": B, "order": slots}, args.padded_out)
         log.info("aware layout: N=%d B=%d blocks=%d (%.3fs)",
-                 tree.n, B, len(asg.blocks), time.perf_counter() - t0)
+                 n, B, len(obj["blocks"]), time.perf_counter() - t0)
     else:
         order = layout_oblivious(tree)
+        del tree
         _write_json(order_to_json(order), args.out)
         log.info("oblivious order: N=%d (%.3fs)",
-                 tree.n, time.perf_counter() - t0)
+                 n, time.perf_counter() - t0)
     return 0
 
 
 # ---------------------------------------------------------------- eval
 
-def _load_layout_file(path: str, tree: TreeTopology):
-    """Return ("blocks", BlockAssignment) or ("order", LinearOrder).
+def _layout_kind(obj, path: str) -> str:
+    """"blocks" for a parsed block layout, "order" for a linear order.
 
     An order may hold ``None`` padding slots (see ``padded_order``) and
     need not start at the root.
     """
-    obj = read_json(path)
     if type(obj) is not dict:
         raise TreeError(f"{path}: layout json must be an object")
     if "blocks" in obj:
-        return "blocks", layout_from_json(obj, tree.n)
+        return "blocks"
     if "order" in obj:
-        return "order", order_from_json(obj, tree.n)
+        return "order"
     raise TreeError(f"{path}: neither a block layout nor a linear order")
 
 
 def cmd_eval(args) -> int:
-    tree = load_tree(args.tree)
-    kind, payload = _load_layout_file(args.layout, tree)
+    # a block layout is read down to B and block_of, against the tree
+    # file's n, before the tree is built, so its parsed lists and the
+    # tree are never alive together; an order is read after the tree, as
+    # a LinearOrder holds more than its parsed list
+    obj = read_json(args.tree)
+    n = _node_count(obj)
+    layout = read_json(args.layout)
+    kind = _layout_kind(layout, args.layout)
+    if kind == "blocks":
+        asg = layout_from_json(layout, n)
+        B, block_of = asg.B, asg.block_of
+        del layout, asg
+    tree = tree_from_json(obj)
+    del obj
+    if kind == "order":
+        order = order_from_json(layout, n)
+        del layout
     tree_id = Path(args.tree).stem
     if args.D is not None:
         if not 0 <= args.D <= tree.height:
@@ -266,10 +287,6 @@ def cmd_eval(args) -> int:
     _check_unique(args.B or [], "--B")
     records = []
     if kind == "blocks":
-        # pricing needs only B and block_of; dropping the parsed block
-        # lists first keeps them from living through cost_report
-        B, block_of = payload.B, payload.block_of
-        del payload
         if any(b != B for b in args.B or ()) or args.offsets != "zero":
             raise ValueError(f"a block layout is priced at its own B={B} "
                              f"and offset 0: --B must be {B} and "
@@ -285,7 +302,7 @@ def cmd_eval(args) -> int:
             raise ValueError("B must be >= 1")
         for B in args.B:
             records += _priced_order((tree_id, "-", N, B),
-                                     _bounds(N, B, depths), tree, payload,
+                                     _bounds(N, B, depths), tree, order,
                                      args.offsets == "all")
     if args.format == "json":
         _write_json({"rows": _row_dicts(records)}, args.out)

@@ -121,10 +121,18 @@ class TreeTopology:
         if type(root) is not int or not 0 <= root < n:
             raise TreeError("root id out of range: %r" % (root,))
 
-        # depth -1 marks a node not yet reached
+        # depth -1 marks a node not yet reached.  Depths are read from
+        # the table nxt, whose entry k is the int k + 1, so the nodes of
+        # one level share one int where adding 1 per visit would make one
+        # per parent.  The table doubles when the walk reaches its end, so
+        # it can run past the deepest level: h is the largest children's
+        # depth met at a node without a left child, as the deepest leaf is
         parent: list = [None] * n
         depth = [-1] * n
         depth[root] = 0
+        nxt: list = []
+        deep = 0                                # len(nxt)
+        h = 1
         pre: list = []
         visit = pre.append
         stack: list = []
@@ -135,7 +143,10 @@ class TreeTopology:
         try:
             while True:
                 visit(x)
-                d += 1                          # the children's depth
+                if d == deep:                   # no depth is n or more
+                    nxt += range(d + 1, min(2 * d + 2, n + 1))
+                    deep = len(nxt)
+                d = nxt[d]                      # the children's depth
                 c = right[x]
                 if c is not None:
                     if c < 0 or depth[c] >= 0:
@@ -150,12 +161,15 @@ class TreeTopology:
                     parent[c] = x
                     depth[c] = d
                     x = c
-                elif stack:
-                    x = pop()
-                    d = depth[x]
                 else:
-                    done = True
-                    break
+                    if d > h:
+                        h = d
+                    if stack:
+                        x = pop()
+                        d = depth[x]
+                    else:
+                        done = True
+                        break
         except (IndexError, TypeError):
             pass                                # an id >= n, or a non-int
         # every child id of a reached node is in pre, so this one type
@@ -165,13 +179,19 @@ class TreeTopology:
             raise TreeError("cycle detected: %d nodes unreachable from root"
                             % (n - len(pre)))
 
+        # each list goes as soon as its tuple exists, so at most one
+        # list and its copy are alive at once; on a path the table is as
+        # long as the lists
+        del nxt
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "parent", tuple(parent))
+        del parent
         object.__setattr__(self, "depth", tuple(depth))
-        object.__setattr__(self, "height", max(depth))
+        del depth
+        object.__setattr__(self, "height", h - 1)
         object.__setattr__(self, "_pre", tuple(pre))
 
     def __setattr__(self, name, value):
@@ -503,18 +523,25 @@ def _legacy_children(nodes: list, n: int):
     return left, right
 
 
+def _node_count(obj) -> int:
+    """The node count ``n`` of a parsed tree file, checked as
+    :func:`tree_from_json` checks it, without building the tree."""
+    if type(obj) is not dict:
+        raise TreeError("tree json must be an object, got %s"
+                        % type(obj).__name__)
+    n = _field(obj, "n")
+    if type(n) is not int or n < 1:
+        raise TreeError("n must be a positive integer, got %r" % (n,))
+    return n
+
+
 def tree_from_json(obj) -> TreeTopology:
     """Read a version-2 columnar tree, or a legacy one-record-per-node tree.
 
     Both go through the same :class:`TreeTopology` validation.
     """
-    if type(obj) is not dict:
-        raise TreeError("tree json must be an object, got %s"
-                        % type(obj).__name__)
-    n = _field(obj, "n")
+    n = _node_count(obj)
     root = _field(obj, "root")
-    if type(n) is not int or n < 1:
-        raise TreeError("n must be a positive integer, got %r" % (n,))
     if type(root) is not int:
         raise TreeError("root must be an integer, got %r" % (root,))
     version = obj.get("version")

@@ -3,11 +3,12 @@
 import csv
 import gc
 import json
+import tracemalloc
 
 import pytest
 
-from treelayout import (gen_perfect, gen_random, layout_aware, load_tree,
-                        phase2_layout, layout_to_json, save_tree)
+from treelayout import (gen_perfect, gen_random, json_text, layout_aware,
+                        load_tree, phase2_layout, layout_to_json, save_tree)
 import treelayout.cli as cli
 from treelayout.cli import SweepConfig, main, run_sweep
 
@@ -92,6 +93,8 @@ BAD_TREE_FILES = {
     "v2-n-float": _columnar(n=3.0),
     "v2-n-bool": _columnar(n=True),
     "v2-n-zero": _columnar(n=0),
+    "v2-n-negative": _columnar(n=-1),
+    "v2-n-above-lists": _columnar(n=4),
     "v2-root-bool": _columnar(root=False),
     "v2-root-string": _columnar(root="0"),
     "v2-left-bool": _columnar(left=True),
@@ -128,13 +131,22 @@ BAD_TREE_FILES = {
 
 @pytest.mark.parametrize("case", sorted(BAD_TREE_FILES))
 def test_bad_tree_file_exits_3(case, tmp_path, caplog, capsys):
-    tree = tmp_path / "t.json"
-    tree.write_text(json.dumps(BAD_TREE_FILES[case]))
-    assert run(["layout", "aware", "--tree", tree, "--B", 2]) == 3
-    errors = [r.getMessage() for r in caplog.records
-              if r.levelname == "ERROR"]
-    assert len(errors) == 1 and "\n" not in errors[0], errors
-    assert "Traceback" not in capsys.readouterr().err
+    # eval reads a block layout between the tree file's n and its child
+    # lists; given a layout that fits the declared n, it names the fault
+    # in the same words as layout
+    obj = BAD_TREE_FILES[case]
+    tree, lay = tmp_path / "t.json", tmp_path / "l.json"
+    tree.write_text(json.dumps(obj))
+    n = obj.get("n") if type(obj) is dict else None
+    n = n if type(n) is int and n >= 1 else 3
+    lay.write_text(json.dumps({"B": 1, "blocks": [[x] for x in range(n)]}))
+    errors = []
+    for argv in (["layout", "aware", "--tree", tree, "--B", 2],
+                 ["eval", "--tree", tree, "--layout", lay]):
+        caplog.clear()
+        assert run(argv) == 3
+        errors.append(_one_error_line(caplog, capsys))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("nested", ["eval-tree", "eval-layout", "sweep"])
@@ -341,13 +353,18 @@ def test_eval_rejects_mismatched_ids(tmp_path):
     {"B": 0, "blocks": [[0], [1], [2], [3]]},
     {"B": 2, "blocks": [[0, 1], [2, 4]]},
     {"B": 2, "blocks": [[0, 1], [2, 3], []]},
+    {"B": 2, "blocks": [[0, 1], [2, 3], [4]]},
+    {"B": 8, "blocks": [[0, 1, 2, 3, 4, 5, 6, 7]]},
+    {"B": 2},
 ])
-def test_eval_rejects_bad_layout(tmp_path, layout):
+def test_eval_rejects_bad_layout(tmp_path, layout, caplog, capsys):
     tree = tmp_path / "t.json"
     lay = tmp_path / "l.json"
     run(["gen", "path", "--n", 4, "--out", tree])
     lay.write_text(json.dumps(layout))
+    caplog.clear()
     assert run(["eval", "--tree", tree, "--layout", lay]) == 3
+    assert _one_error_line(caplog, capsys)
 
 
 def test_eval_ignores_c_in_older_layout_files(perfect7_files):
@@ -388,13 +405,16 @@ def test_eval_block_layout_accepts_its_own_B(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("order", [[0, True, 2, 3], [0, 1, 2, 2], "0123", 7])
-def test_eval_rejects_bad_order(tmp_path, order):
+@pytest.mark.parametrize("order", [[0, True, 2, 3], [0, 1, 2, 2], "0123", 7,
+                                   [0, 1, 2, 4], [0, 1, 2, 3, 4]])
+def test_eval_rejects_bad_order(tmp_path, order, caplog, capsys):
     tree = tmp_path / "t.json"
     lay = tmp_path / "o.json"
     run(["gen", "path", "--n", 4, "--out", tree])
     lay.write_text(json.dumps({"order": order}))
+    caplog.clear()
     assert run(["eval", "--tree", tree, "--layout", lay, "--B", 2]) == 3
+    assert _one_error_line(caplog, capsys)
 
 
 @pytest.mark.parametrize("order", [[None, 0, 1, 2, 3], [1, 0, 3, 2],
@@ -421,6 +441,28 @@ def test_eval_rejects_repeated_B(tmp_path, caplog, mode):
                 "--B", 4, "--out", out]) == 3
     assert not out.exists()
     assert [r.getMessage() for r in caplog.records] == ["--B repeats 4"]
+
+
+def test_eval_of_block_layout_memory_per_node(tmp_path):
+    # the layout read down to B and block_of before the tree is built
+    # peaks at about 148 bytes a node; the whole parsed layout beside
+    # the built tree, at about 187
+    tree, lay = tmp_path / "t.json", tmp_path / "l.json"
+    t = gen_random(1 << 15, 3)
+    n = t.n
+    save_tree(t, tree)
+    lay.write_text(json_text(layout_to_json(layout_aware(t, 4))))
+    del t
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run(["eval", "--tree", tree, "--layout", lay,
+                    "--out", tmp_path / "rows.csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 165 * n
 
 
 def test_eval_streams_the_same_csv_to_stdout(tmp_path, capsys):

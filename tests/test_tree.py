@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -599,6 +600,23 @@ def test_file_roundtrip(tmp_path):
     save_tree(t, p)
     assert load_tree(p) == t
     assert p.read_text() == json_text(tree_to_json(t))
+
+
+def test_loaded_tree_memory_per_node(tmp_path):
+    # a loaded tree holds five tuples of n entries and one int per node
+    # id; an int per depth level rather than per parent takes a random
+    # tree from about 84 to 68 bytes a node
+    p = tmp_path / "t.json"
+    save_tree(gen_random(1 << 15, 3), p)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tree = load_tree(p)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 72 * tree.n
+    assert len(set(map(id, tree.depth))) == tree.height + 1
 
 
 def test_legacy_file_loads(tmp_path):
