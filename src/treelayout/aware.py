@@ -284,10 +284,10 @@ def layout_to_json(asg: BlockAssignment) -> dict:
     return {"B": asg.B, "blocks": asg.blocks}
 
 
-def layout_from_json(obj, n: int) -> BlockAssignment:
+def layout_from_json(obj, n: Optional[int] = None) -> BlockAssignment:
     """Read ``{"B": int, "blocks": [[node, ...], ...]}`` for a tree of
-    ``n`` nodes; every node must sit in exactly one block of 1..B nodes.
-    Other keys are ignored."""
+    ``n`` nodes, by default as many as the blocks hold; every node must
+    sit in exactly one block of 1..B nodes.  Other keys are ignored."""
     try:
         B = obj["B"]
         blocks = obj["blocks"]
@@ -297,6 +297,8 @@ def layout_from_json(obj, n: int) -> BlockAssignment:
         raise TreeError("B must be a positive integer")
     if type(blocks) is not list or not set(map(type, blocks)) <= {list}:
         raise TreeError("blocks must be a list of node-id lists")
+    if n is None:
+        n = sum(map(len, blocks))
     block_of = [-1] * n
     for i, mem in enumerate(blocks):
         if not mem:

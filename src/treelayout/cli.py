@@ -36,10 +36,9 @@ from .aware import (exclusion_violations, layout_aware, layout_from_json,
 from .cost import (brute_force_optimal, cost_report, order_report,
                    theoretical_bound, solve_p, worst_by_offset)
 from .oblivious import layout_oblivious, order_from_json, order_to_json
-from .tree import (ResourceLimitError, TreeError, TreeTopology, _node_count,
-                   compute_weights, gen_lower_bound, gen_path, gen_perfect,
-                   gen_random, json_text, load_tree, read_json,
-                   tree_from_json, tree_to_json)
+from .tree import (ResourceLimitError, TreeError, TreeTopology, compute_weights,
+                   gen_lower_bound, gen_path, gen_perfect, gen_random,
+                   json_text, load_tree, read_json, tree_to_json)
 
 log = logging.getLogger("treelayout")
 
@@ -259,22 +258,23 @@ def _layout_kind(obj, path: str) -> str:
 
 
 def cmd_eval(args) -> int:
-    # a block layout is read down to B and block_of, against the tree
-    # file's n, before the tree is built, so its parsed lists and the
-    # tree are never alive together; an order is read after the tree, as
-    # a LinearOrder holds more than its parsed list
-    obj = read_json(args.tree)
-    n = _node_count(obj)
+    # a block layout is read down to B and block_of, sized by its own
+    # blocks, before the tree is loaded, so its parsed lists and the tree
+    # are never alive together; an order file is parsed before the tree
+    # is built and made a LinearOrder after it, which holds more
     layout = read_json(args.layout)
     kind = _layout_kind(layout, args.layout)
     if kind == "blocks":
-        asg = layout_from_json(layout, n)
+        asg = layout_from_json(layout)
         B, block_of = asg.B, asg.block_of
         del layout, asg
-    tree = tree_from_json(obj)
-    del obj
-    if kind == "order":
-        order = order_from_json(layout, n)
+    tree = load_tree(args.tree)
+    if kind == "blocks":
+        if len(block_of) != tree.n:
+            raise TreeError("layout holds %d nodes, the tree %d"
+                            % (len(block_of), tree.n))
+    else:
+        order = order_from_json(layout, tree.n)
         del layout
     tree_id = Path(args.tree).stem
     if args.D is not None:

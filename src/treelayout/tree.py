@@ -523,25 +523,18 @@ def _legacy_children(nodes: list, n: int):
     return left, right
 
 
-def _node_count(obj) -> int:
-    """The node count ``n`` of a parsed tree file, checked as
-    :func:`tree_from_json` checks it, without building the tree."""
-    if type(obj) is not dict:
-        raise TreeError("tree json must be an object, got %s"
-                        % type(obj).__name__)
-    n = _field(obj, "n")
-    if type(n) is not int or n < 1:
-        raise TreeError("n must be a positive integer, got %r" % (n,))
-    return n
-
-
 def tree_from_json(obj) -> TreeTopology:
     """Read a version-2 columnar tree, or a legacy one-record-per-node tree.
 
     Both go through the same :class:`TreeTopology` validation.
     """
-    n = _node_count(obj)
+    if type(obj) is not dict:
+        raise TreeError("tree json must be an object, got %s"
+                        % type(obj).__name__)
+    n = _field(obj, "n")
     root = _field(obj, "root")
+    if type(n) is not int or n < 1:
+        raise TreeError("n must be a positive integer, got %r" % (n,))
     if type(root) is not int:
         raise TreeError("root must be an integer, got %r" % (root,))
     version = obj.get("version")

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treelayout import (compute_weights, exclusion_violations, gen_path,
-                        gen_perfect, gen_random, k_set, layout_aware,
-                        layout_from_json, layout_to_json, padded_order,
-                        phase2_layout)
+from treelayout import (TreeError, compute_weights, exclusion_violations,
+                        gen_path, gen_perfect, gen_random, k_set,
+                        layout_aware, layout_from_json, layout_to_json,
+                        padded_order, phase2_layout)
 from treelayout.aware import _budget_partition
 
 
@@ -306,6 +306,13 @@ def test_layout_json_roundtrip():
     back = layout_from_json(obj, t.n)
     assert list(back.blocks) == [list(b) for b in asg.blocks]
     assert back.B == 9
+    # without n, the layout is read for as many nodes as its blocks hold
+    assert layout_from_json(obj).block_of == back.block_of
+
+
+def test_layout_json_sized_by_its_blocks_rejects_gaps():
+    with pytest.raises(TreeError, match="out of range"):
+        layout_from_json({"B": 2, "blocks": [[0, 1], [3]]})
 
 
 def test_layout_json_rejects_oversized_block():

@@ -95,6 +95,9 @@ BAD_TREE_FILES = {
     "v2-n-zero": _columnar(n=0),
     "v2-n-negative": _columnar(n=-1),
     "v2-n-above-lists": _columnar(n=4),
+    "v2-n-huge": _columnar(n=2_000_000_000),
+    "v2-n-overflow": _columnar(n=10**21),
+    "legacy-n-huge": _legacy(n=2_000_000_000),
     "v2-root-bool": _columnar(root=False),
     "v2-root-string": _columnar(root="0"),
     "v2-left-bool": _columnar(left=True),
@@ -131,15 +134,13 @@ BAD_TREE_FILES = {
 
 @pytest.mark.parametrize("case", sorted(BAD_TREE_FILES))
 def test_bad_tree_file_exits_3(case, tmp_path, caplog, capsys):
-    # eval reads a block layout between the tree file's n and its child
-    # lists; given a layout that fits the declared n, it names the fault
-    # in the same words as layout
-    obj = BAD_TREE_FILES[case]
+    # eval reads its block layout, sized by its own blocks, before the
+    # tree: given a valid one, it names the tree's fault in the same words
+    # as layout, and a huge declared n allocates nothing before the child
+    # lists are checked against it
     tree, lay = tmp_path / "t.json", tmp_path / "l.json"
-    tree.write_text(json.dumps(obj))
-    n = obj.get("n") if type(obj) is dict else None
-    n = n if type(n) is int and n >= 1 else 3
-    lay.write_text(json.dumps({"B": 1, "blocks": [[x] for x in range(n)]}))
+    tree.write_text(json.dumps(BAD_TREE_FILES[case]))
+    lay.write_text(json.dumps({"B": 1, "blocks": [[0]]}))
     errors = []
     for argv in (["layout", "aware", "--tree", tree, "--B", 2],
                  ["eval", "--tree", tree, "--layout", lay]):
@@ -336,12 +337,14 @@ def test_eval_padded_order_agrees_with_blocks(tmp_path):
     assert da == db
 
 
-def test_eval_rejects_mismatched_ids(tmp_path):
+def test_eval_rejects_mismatched_ids(tmp_path, caplog, capsys):
     tree = tmp_path / "t.json"
     lay = tmp_path / "l.json"
     run(["gen", "path", "--n", 4, "--out", tree])
     lay.write_text(json.dumps({"B": 2, "c": "1", "blocks": [[0, 1], [2]]}))
+    caplog.clear()
     assert run(["eval", "--tree", tree, "--layout", lay]) == 3
+    assert _one_error_line(caplog, capsys) == "layout holds 3 nodes, the tree 4"
 
 
 @pytest.mark.parametrize("layout", [
@@ -444,8 +447,8 @@ def test_eval_rejects_repeated_B(tmp_path, caplog, mode):
 
 
 def test_eval_of_block_layout_memory_per_node(tmp_path):
-    # the layout read down to B and block_of before the tree is built
-    # peaks at about 148 bytes a node; the whole parsed layout beside
+    # the layout read down to B and block_of before the tree is loaded
+    # peaks at about 122 bytes a node; the whole parsed layout beside
     # the built tree, at about 187
     tree, lay = tmp_path / "t.json", tmp_path / "l.json"
     t = gen_random(1 << 15, 3)
