@@ -27,6 +27,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
+from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -114,20 +115,18 @@ def _priced_order(cell: tuple, bounds: list, tree: TreeTopology, order,
     return records
 
 
-class _Tails(dict):
-    """CSV row text after the shared columns, ``D,worst_exact,worst_cum,
-    bound,ratio``, keyed by ``(D, worst_exact, worst_cum)`` and formatted
-    on first use from one ``depths`` list (see ``_Priced``)."""
+def _tails(depths: list):
+    """The CSV row text after the shared columns, ``D,worst_exact,
+    worst_cum,bound,ratio``, as a function of ``(D, worst_exact,
+    worst_cum)`` over one ``depths`` list (see ``_Priced``), each
+    distinct triple formatted once."""
+    bounds = {D: (text, den) for D, _, text, den in depths}
 
-    def __init__(self, depths: list):
-        super().__init__()
-        self.bounds = {D: (text, den) for D, _, text, den in depths}
-
-    def __missing__(self, key):
-        D, e, c = key
-        text, den = self.bounds[D]
-        tail = self[key] = f"{D},{e},{c},{text},{e / den:.9g}\n"
-        return tail
+    @lru_cache(maxsize=None)
+    def tail(D, e, c):
+        text, den = bounds[D]
+        return f"{D},{e},{c},{text},{e / den:.9g}\n"
+    return tail
 
 
 def _write_csv(records, fh) -> None:
@@ -136,7 +135,7 @@ def _write_csv(records, fh) -> None:
     columns once per record; the per-depth numbers never need quoting,
     and floats are written as ``.9g``.  The records of one (tree, B) share
     their ``depths`` list and repeat few cost pairs, so they share one
-    ``_Tails``."""
+    ``_tails`` formatter."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
@@ -148,71 +147,32 @@ def _write_csv(records, fh) -> None:
         w.writerow(rec[:6])
         head = buf.getvalue()[:-1] + ","
         if rec.depths is not depths:
-            depths, tails = rec.depths, _Tails(rec.depths)
+            depths, tail = rec.depths, _tails(rec.depths)
             Ds = [D for D, _, _, _ in depths]
-        keys = zip(Ds, map(rec.worst_exact.__getitem__, Ds),
-                   map(rec.worst_cum.__getitem__, Ds))
-        fh.write(head + head.join(map(tails.__getitem__, keys)))
+        fh.write(head + head.join(map(tail, Ds,
+                                      map(rec.worst_exact.__getitem__, Ds),
+                                      map(rec.worst_cum.__getitem__, Ds))))
 
 
 def _row_dicts(records) -> list:
-    rows = []
-    for rec in records:
-        we, wc = rec.worst_exact, rec.worst_cum
-        rows += [{"tree_id": rec.tree_id, "family": rec.family, "N": rec.N,
-                  "B": rec.B, "layout": rec.kind, "offset": rec.offset,
-                  "D": D, "worst_exact": we[D], "worst_cum": wc[D],
-                  "bound": bound, "ratio": we[D] / den}
-                 for D, bound, _, den in rec.depths]
-    return rows
+    return [dict(zip(CSV_COLUMNS, (*rec[:6], D, rec.worst_exact[D],
+                                   rec.worst_cum[D], bound,
+                                   rec.worst_exact[D] / den)))
+            for rec in records for D, bound, _, den in rec.depths]
 
 
 # ---------------------------------------------------------------- gen
 
-# the options each gen family and layout mode reads; giving one that the
-# chosen family or mode does not read is a usage error, not ignored
-_GEN_READS = {"perfect": {"height"}, "path": {"n"}, "random": {"n", "seed"},
-             "lowerbound": {"B", "inv_p", "n"}}
-_LAYOUT_READS = {"aware": {"B", "padded_out"}, "oblivious": set()}
-
-
-def _reject_unread(args, reads: dict, choice: str) -> None:
-    """Usage error (exit 2) for an option given that ``choice`` does not
-    read."""
-    for dest in sorted(set().union(*reads.values()) - reads[choice]):
-        if getattr(args, dest) is not None:
-            flag = "--" + dest.replace("_", "-")
-            args.parser.error(f"{args.command} {choice} does not read {flag}")
-
-
 def cmd_gen(args) -> int:
-    family = args.family
-    _reject_unread(args, _GEN_READS, family)
-    if family == "perfect":
-        if args.height is None:
-            raise ValueError("gen perfect requires --height")
-        tree = gen_perfect(args.height)
-    elif family == "path":
-        if args.n is None:
-            raise ValueError("gen path requires --n")
-        tree = gen_path(args.n)
-    elif family == "random":
-        if args.n is None:
-            raise ValueError("gen random requires --n")
-        tree = gen_random(args.n, seed=args.seed or 0)
-    else:  # lowerbound
-        if args.B is None or args.inv_p is None or args.n is None:
-            raise ValueError("gen lowerbound requires --B, --inv-p and --n")
-        tree = gen_lower_bound(args.B, args.inv_p, args.n)
+    tree = args.make(args)
     _write_json(tree_to_json(tree), args.out)
-    log.info("gen %s: %d nodes", family, tree.n)
+    log.info("gen %s: %d nodes", args.family, tree.n)
     return 0
 
 
 # ---------------------------------------------------------------- layout
 
 def cmd_layout(args) -> int:
-    _reject_unread(args, _LAYOUT_READS, args.mode)
     tree = load_tree(args.tree)
     n = tree.n
     t0 = time.perf_counter()
@@ -220,8 +180,6 @@ def cmd_layout(args) -> int:
     # aware layout's block_of, go before the JSON text is built
     if args.mode == "aware":
         B = args.B
-        if B is None:
-            args.parser.error("layout aware requires --B")
         asg = layout_aware(tree, B)
         obj = layout_to_json(asg)
         slots = None if args.padded_out is None else padded_order(asg)
@@ -527,34 +485,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "and their transfer-cost measurements.")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # each gen family and layout mode declares only the options it reads,
+    # so any other option is a usage error
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default stdout)")
+    tree = argparse.ArgumentParser(add_help=False)
+    tree.add_argument("--tree", required=True, help="tree file")
+
     g = sub.add_parser("gen", help="generate a tree file")
-    g.add_argument("family", choices=FAMILIES)
-    g.add_argument("--height", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--seed", type=int, help="random only (default 0)")
-    g.add_argument("--B", type=int, action=_Once)
-    g.add_argument("--inv-p", type=int, dest="inv_p")
-    g.add_argument("--out")
-    g.set_defaults(func=cmd_gen, parser=g)
+    g.set_defaults(func=cmd_gen)
+    fam = g.add_subparsers(dest="family", required=True)
+    f = fam.add_parser("perfect", parents=[out], help="leaves at --height")
+    f.add_argument("--height", type=int, required=True)
+    f.set_defaults(make=lambda a: gen_perfect(a.height))
+    f = fam.add_parser("path", parents=[out], help="left-spine path")
+    f.add_argument("--n", type=int, required=True)
+    f.set_defaults(make=lambda a: gen_path(a.n))
+    f = fam.add_parser("random", parents=[out], help="uniform random shape")
+    f.add_argument("--n", type=int, required=True)
+    f.add_argument("--seed", type=int, default=0, help="default 0")
+    f.set_defaults(make=lambda a: gen_random(a.n, seed=a.seed))
+    f = fam.add_parser("lowerbound", parents=[out], help="gadget for --B")
+    f.add_argument("--B", type=int, action=_Once, required=True)
+    f.add_argument("--inv-p", type=int, dest="inv_p", required=True)
+    f.add_argument("--n", type=int, required=True)
+    f.set_defaults(make=lambda a: gen_lower_bound(a.B, a.inv_p, a.n))
 
     l = sub.add_parser("layout", help="lay a tree out")
-    l.add_argument("mode", choices=("aware", "oblivious"))
-    l.add_argument("--tree", required=True)
-    l.add_argument("--B", type=int, action=_Once)
-    l.add_argument("--out")
-    l.add_argument("--padded-out", dest="padded_out",
-                   help="also write the aware layout as an aligned, padded "
+    l.set_defaults(func=cmd_layout)
+    mode = l.add_subparsers(dest="mode", required=True)
+    m = mode.add_parser("aware", parents=[tree, out], help="blocks for --B")
+    m.add_argument("--B", type=int, action=_Once, required=True)
+    m.add_argument("--padded-out", dest="padded_out",
+                   help="also write the layout as an aligned, padded "
                         "linear order")
-    l.set_defaults(func=cmd_layout, parser=l)
+    mode.add_parser("oblivious", parents=[tree, out], help="one order, all B")
 
-    e = sub.add_parser("eval", help="cost a layout against a tree")
-    e.add_argument("--tree", required=True)
+    e = sub.add_parser("eval", parents=[tree, out],
+                       help="cost a layout against a tree")
     e.add_argument("--layout", required=True)
     e.add_argument("--B", type=int, action="append")
     e.add_argument("--D", type=int)
     e.add_argument("--offsets", choices=("zero", "all"), default="zero")
     e.add_argument("--format", choices=("csv", "json"), default="csv")
-    e.add_argument("--out")
     e.set_defaults(func=cmd_eval)
 
     s = sub.add_parser("sweep", help="run a measurement grid from a config")
@@ -562,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", help="override the config's CSV path")
     s.set_defaults(func=cmd_sweep)
 
-    o = sub.add_parser("oracle", help="brute-force optimum for small trees")
-    o.add_argument("--tree", required=True)
+    o = sub.add_parser("oracle", parents=[tree],
+                       help="brute-force optimum for small trees")
     o.add_argument("--B", type=int, action=_Once, required=True)
     o.add_argument("--D", type=int, required=True)
     o.set_defaults(func=cmd_oracle)

@@ -369,12 +369,12 @@ def brute_force_optimal(tree: TreeTopology, B: int, D: int):
     ``_STATE_BUDGET`` visited states it raises ResourceLimitError.
     """
     n = tree.n
-    if n > 12:
-        raise ResourceLimitError("brute force limited to 12 nodes, got %d" % n)
     if B < 1:
         raise TreeError("B must be positive")
     if not 0 <= D <= tree.height:
         raise TreeError("no nodes at depth %d (height %d)" % (D, tree.height))
+    if n > 12:
+        raise ResourceLimitError("brute force limited to 12 nodes, got %d" % n)
 
     depth, parent = tree.depth, tree.parent
     relevant = [False] * n

@@ -58,8 +58,7 @@ class LinearOrder:
     position: tuple = field(init=False)
 
     def __post_init__(self):
-        order = tuple(self.order)
-        object.__setattr__(self, "order", order)
+        order = self.order = tuple(self.order)
         # one pass in C: bools are not node ids
         if not set(map(type, order)) <= {int, type(None)}:
             raise TreeError("order entries must be node ids or null")
@@ -71,7 +70,7 @@ class LinearOrder:
                     raise TreeError("order is not a permutation of 0..%d"
                                     % (n - 1))
                 pos[x] = i
-        object.__setattr__(self, "position", tuple(pos))
+        self.position = tuple(pos)
 
     @property
     def n(self) -> int:

@@ -239,13 +239,10 @@ def gen_perfect(height: int) -> TreeTopology:
         raise ResourceLimitError("perfect-tree height %d exceeds guard %d"
                                  % (height, MAX_PERFECT_HEIGHT))
     n = (1 << (height + 1)) - 1
-    left: list = [None] * n
-    right: list = [None] * n
-    limit = (n - 1) // 2
-    for x in range(limit):
-        left[x] = 2 * x + 1
-        right[x] = 2 * x + 2
-    return TreeTopology(left, right, 0)
+    # node x < n // 2 has children 2x + 1 and 2x + 2; the rest are leaves
+    leaves = [None] * (n - n // 2)
+    return TreeTopology([*range(1, n, 2), *leaves],
+                        [*range(2, n + 1, 2), *leaves], 0)
 
 
 def gen_path(n: int) -> TreeTopology:

@@ -1,5 +1,6 @@
 """End-to-end command behavior: files in, files out, exit codes."""
 
+import argparse
 import csv
 import gc
 import json
@@ -42,7 +43,9 @@ def test_gen_random_n0_fails():
 
 
 def test_gen_perfect_missing_height():
-    assert run(["gen", "perfect"]) == 3
+    with pytest.raises(SystemExit) as exc:
+        run(["gen", "perfect"])
+    assert exc.value.code == 2
 
 
 def test_gen_random_deterministic(tmp_path):
@@ -259,8 +262,52 @@ def test_options_the_choice_does_not_read_are_usage_errors(tmp_path, capsys,
     assert exc.value.code == 2
     err = [line for line in capsys.readouterr().err.splitlines()
            if "error:" in line]
-    assert len(err) == 1 and err[0].endswith(f"does not read {flag}")
+    assert len(err) == 1 and f"unrecognized arguments: {flag}" in err[0]
     assert not out.exists() and not pad.exists()
+
+
+def _subcommands(parser) -> dict:
+    action, = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command,choice,options", [
+    ("gen", "perfect", {"--height", "--out"}),
+    ("gen", "path", {"--n", "--out"}),
+    ("gen", "random", {"--n", "--seed", "--out"}),
+    ("gen", "lowerbound", {"--B", "--inv-p", "--n", "--out"}),
+    ("layout", "aware", {"--tree", "--B", "--padded-out", "--out"}),
+    ("layout", "oblivious", {"--tree", "--out"}),
+])
+def test_each_choice_declares_exactly_the_options_it_reads(command, choice,
+                                                           options):
+    parser = _subcommands(_subcommands(cli.build_parser())[command])[choice]
+    declared = {s for a in parser._actions for s in a.option_strings
+                if s.startswith("--")} - {"--help"}
+    assert declared == options
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gen", "perfect"], "--height"),
+    (["gen", "path"], "--n"),
+    (["gen", "random", "--seed", 3], "--n"),
+    (["gen", "lowerbound", "--B", 4, "--n", 9], "--inv-p"),
+    (["gen", "lowerbound", "--inv-p", 2, "--n", 9], "--B"),
+    (["gen", "lowerbound", "--B", 4, "--inv-p", 2], "--n"),
+    (["layout", "aware", "--tree", "{tree}"], "--B"),
+])
+def test_missing_required_option_is_a_usage_error(tmp_path, capsys, argv,
+                                                  flag):
+    tree, out = tmp_path / "p.json", tmp_path / "out.json"
+    run(["gen", "path", "--n", 4, "--out", tree])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([str(a).format(tree=tree) for a in argv] + ["--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"the following arguments are required: {flag}" in err
+    assert not out.exists()
 
 
 def test_gen_random_seed_defaults_to_0(tmp_path):
@@ -615,6 +662,18 @@ def test_oracle_command_too_large(tmp_path):
     tree = tmp_path / "big.json"
     save_tree(gen_perfect(3), tree)  # 15 nodes
     assert run(["oracle", "--tree", tree, "--B", 3, "--D", 2]) == 4
+
+
+@pytest.mark.parametrize("B,D,message", [
+    (0, 2, "B must be positive"),
+    (3, 99, "no nodes at depth 99 (height 3)"),
+])
+def test_oracle_reports_bad_input_before_the_size_limit(tmp_path, caplog, B,
+                                                        D, message):
+    tree = tmp_path / "big.json"
+    save_tree(gen_perfect(3), tree)  # 15 nodes
+    assert run(["oracle", "--tree", tree, "--B", B, "--D", D]) == 3
+    assert [r.getMessage() for r in caplog.records] == [message]
 
 
 # ------------------------------------------------------------ inputs too large
