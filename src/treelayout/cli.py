@@ -478,12 +478,31 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+class _SubParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports the arguments it does not declare
+    itself, under its own usage line, instead of handing them back to the
+    parser above it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
+def _name_choices(action) -> None:
+    """Let a missing subcommand be reported by its choices, as the usage
+    line shows them, rather than by its ``dest``."""
+    action.metavar = "{%s}" % ",".join(action.choices)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="treelayout",
         description="Block layouts for fixed-topology binary trees "
                     "and their transfer-cost measurements.")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_SubParser)
 
     # each gen family and layout mode declares only the options it reads,
     # so any other option is a usage error
@@ -540,6 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--B", type=int, action=_Once, required=True)
     o.add_argument("--D", type=int, required=True)
     o.set_defaults(func=cmd_oracle)
+    for action in (sub, fam, mode):
+        _name_choices(action)
     return ap
 
 

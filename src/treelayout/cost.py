@@ -456,8 +456,13 @@ def brute_force_optimal(tree: TreeTopology, B: int, D: int):
         return False
 
     lb = (D + 1 + B - 1) // B
-    # c = D + 1 always admits singleton parts
-    best = next(c for c in range(max(1, lb), D + 2) if solve(0, c))
+    try:
+        # c = D + 1 always admits singleton parts
+        best = next(c for c in range(max(1, lb), D + 2) if solve(0, c))
+    finally:
+        # solve calls itself through its own closure cell; emptying the
+        # cell breaks that cycle, so reference counting frees the search
+        del solve
 
     # pack the nodes that sit on no depth-D path into leftover space
     for x in range(n):

@@ -1,6 +1,6 @@
 """Block-size-independent ("cache-oblivious") linear order.
 
-The order is built by one depth-first recursion over pieces.  The pieces
+The order is built by one depth-first walk over pieces.  The pieces
 of level 0 are the blocks of the aware layout (top-level clustering plus
 budget recursion) at a power-of-two block size near sqrt(N).  A piece of
 more than seven nodes is split with the budget recursion alone, at a
@@ -11,10 +11,10 @@ in preorder, so a piece of at most seven nodes is final: it has at most
 two nodes or budget 2, under which a child's share
 ``(2 - 1) * w(child) / w(parent)`` is below 1 and every block is one
 node in preorder.  The final pieces, concatenated in the order the
-recursion reaches them, are the order.  The recursion is as deep as the
+walk reaches them, are the order.  The walk's stack is as deep as the
 number of levels, about lg lg N.
 
-:func:`refinement_levels` regroups the same recursion into rounds: round
+:func:`refinement_levels` regroups the same walk into rounds: round
 k holds every piece made at level k, and every final piece of an earlier
 level, as itself if it has at most two nodes, else as its single nodes.
 
@@ -87,52 +87,58 @@ def _piece_budget(size: int) -> int:
 _FINAL = 7
 
 
-def _refine(tree: TreeTopology, emit) -> None:
-    """Call ``emit(level, piece)`` for every piece of the refinement,
-    depth first: each piece before its sub-pieces, sub-pieces in order.
-    Pieces list their nodes in preorder, root first."""
+def _refine(tree: TreeTopology, order: list, made=None) -> None:
+    """Extend ``order`` with the final pieces of the refinement, in order,
+    and, when ``made`` is a list, append ``(level, piece)`` to it for
+    every piece, depth first: each piece before its sub-pieces,
+    sub-pieces in order.  Pieces list their nodes in preorder, root
+    first.
+
+    ``stack[k]`` iterates over the pieces of level k still to refine
+    under one piece of level k - 1.  A final piece goes to ``order`` in
+    its parent's loop; a larger one is split, and its sub-pieces are
+    refined before its next sibling.  The loop makes no call per piece
+    and no closure, so it leaves nothing for the cyclic collector.
+    """
     top = layout_aware(tree, _piece_budget(tree.n))
     block_of = top.block_of
     left, right, parent = tree.left, tree.right, tree.parent
     w = [0] * tree.n
-
-    def refine(P, level):
-        emit(level, P)
-        if len(P) <= _FINAL:
-            return
-        # unassign the piece bottom-up, counting subtree sizes within it;
-        # every other node holds a block id, so a child is in the piece
-        # iff it is already unassigned.  Block ids are indices into the
-        # local list; only -1 is ever asked for.
-        for x in reversed(P):
-            s = 1
-            c = left[x]
-            if c is not None and block_of[c] == -1:
-                s += w[c]
-            c = right[x]
-            if c is not None and block_of[c] == -1:
-                s += w[c]
-            w[x] = s
-            block_of[x] = -1
-        sub: list = []
-        _budget_partition(left, right, parent, w, P[0],
-                          _piece_budget(len(P)), sub, block_of)
-        for Q in sub:
-            refine(Q, level + 1)
-
-    for P in top.blocks:
-        refine(P, 0)
+    stack = [iter(top.blocks)]
+    while stack:
+        for P in stack[-1]:
+            if made is not None:
+                made.append((len(stack) - 1, P))
+            if len(P) <= _FINAL:
+                order += P
+                continue
+            # unassign the piece bottom-up, counting subtree sizes within
+            # it; every other node holds a block id, so a child is in the
+            # piece iff it is already unassigned.  Block ids are indices
+            # into the local list; only -1 is ever asked for.
+            for x in reversed(P):
+                s = 1
+                c = left[x]
+                if c is not None and block_of[c] == -1:
+                    s += w[c]
+                c = right[x]
+                if c is not None and block_of[c] == -1:
+                    s += w[c]
+                w[x] = s
+                block_of[x] = -1
+            sub: list = []
+            _budget_partition(left, right, parent, w, P[0],
+                              _piece_budget(len(P)), sub, block_of)
+            stack.append(iter(sub))
+            break
+        else:
+            stack.pop()
 
 
 def layout_oblivious(tree: TreeTopology) -> LinearOrder:
     """Single linear order serving every block size at once."""
     order: list = []
-
-    def keep(level, P):
-        if len(P) <= _FINAL:
-            order.extend(P)
-
-    _refine(tree, keep)
+    _refine(tree, order)
     return LinearOrder(tuple(order))
 
 
@@ -147,7 +153,7 @@ def refinement_levels(tree: TreeTopology) -> list:
     inside one block of the round before.
     """
     made: list = []
-    _refine(tree, lambda level, P: made.append((level, P)))
+    _refine(tree, [], made)
     # a final piece of 3-7 nodes still splits one round after its own
     last = max(level + (len(P) > 2) for level, P in made
                if len(P) <= _FINAL)

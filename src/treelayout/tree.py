@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from array import array
 from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -44,7 +45,13 @@ class ResourceLimitError(RuntimeError):
     """Raised when an operation would exceed its configured size guard."""
 
 
-MAX_PERFECT_HEIGHT = 40
+# the most nodes a generator builds: gen_random's full tree has 2n + 1
+# ids, which its int32 slot tables can index up to this n
+MAX_NODES = 2**30 - 1
+
+# gen_random keeps its slot tables in lists below this many nodes and in
+# arrays of C ints from it on (see _slot_table)
+_ARRAY_TABLES_FROM = 1 << 15
 
 _CHILD_TYPES = {int, type(None)}
 
@@ -231,13 +238,24 @@ def compute_weights(tree: TreeTopology) -> list:
 # -- generators ---------------------------------------------------------
 
 
+def _check_node_count(n: int) -> None:
+    """Refuse a tree of more than ``MAX_NODES`` nodes, before any of it is
+    allocated."""
+    if n > MAX_NODES:
+        raise ResourceLimitError("%d nodes exceed the limit of %d"
+                                 % (n, MAX_NODES))
+
+
 def gen_perfect(height: int) -> TreeTopology:
     """Perfect binary tree with all ``2**height`` leaves at depth ``height``."""
     if height < 0:
         raise TreeError("height must be nonnegative")
-    if height > MAX_PERFECT_HEIGHT:
-        raise ResourceLimitError("perfect-tree height %d exceeds guard %d"
-                                 % (height, MAX_PERFECT_HEIGHT))
+    # 2**(height + 1) - 1 nodes: the limit on them caps the height at 29
+    if height >= MAX_NODES.bit_length():
+        raise ResourceLimitError("perfect-tree height %d exceeds the limit "
+                                 "of %d (at most %d nodes)"
+                                 % (height, MAX_NODES.bit_length() - 1,
+                                    MAX_NODES))
     n = (1 << (height + 1)) - 1
     # node x < n // 2 has children 2x + 1 and 2x + 2; the rest are leaves
     leaves = [None] * (n - n // 2)
@@ -249,55 +267,86 @@ def gen_path(n: int) -> TreeTopology:
     """Left-spine path: node ``i`` has single left child ``i+1``."""
     if n < 1:
         raise TreeError("n must be positive")
+    _check_node_count(n)
     left: list = [i + 1 for i in range(n - 1)] + [None]
     right: list = [None] * n
     return TreeTopology(left, right, 0)
 
 
+def _slot_table(n: int):
+    """A zeroed table of ``2n + 1`` node ids for :func:`gen_random`.
+
+    This is the one place that picks the container.  Below
+    ``_ARRAY_TABLES_FROM`` nodes it is a list, whose indexing Python
+    specialises and which is the faster while the tables fit in cache.
+    From there on it is an array of C ints: it holds no int objects, so a
+    random read or write touches one 4-byte slot and no refcount of a
+    randomly placed int, and it takes 4 bytes an id instead of 8 plus an
+    int object.
+    """
+    if n < _ARRAY_TABLES_FROM:
+        return [0] * (2 * n + 1)
+    return array("i", [0]) * (2 * n + 1)
+
+
 def gen_random(n: int, seed: int) -> TreeTopology:
     """Uniformly random binary-tree shape on ``n`` nodes.
 
-    Grows a random full binary tree one leaf at a time (each of the
-    ``4k+2`` insertion positions equally likely, which makes all shapes
-    equally likely), then strips the leaves so the internal nodes form the
-    returned n-node tree.  Each position is drawn by the rejection loop
-    of ``random.Random.randrange`` inlined, so the draws are the ones
-    ``randrange(4k+2)`` makes, without its per-call argument checks.
+    Grows a random full binary tree one leaf at a time by Remy's
+    algorithm (each of the ``4k+2`` insertion positions equally likely,
+    which makes all shapes equally likely), then strips the leaves so the
+    internal nodes form the returned n-node tree.  Each position is drawn
+    by the rejection loop of ``random.Random.randrange`` inlined, so the
+    draws are the ones ``randrange(4k+2)`` makes, without its per-call
+    argument checks; ``k`` runs over one power-of-two range at a time,
+    in which ``(4k+2).bit_length()`` is fixed.
+
+    The full tree's ``2n + 1`` ids are its leaves (even) and internal
+    nodes (odd).  It is held in two tables: internal node ``m`` has its
+    children at ``kids[m - 1]`` (left) and ``kids[m]`` (right),
+    ``kids[2n]`` holds the root, and ``slot[v]`` is the index of ``kids``
+    that holds node v.  Inserting internal node m with new leaf ``m + 1``
+    above node j reads ``slot[j]`` and writes ``kids[slot[j]]`` and
+    ``slot[j]``: one random read and two random writes, while the other
+    writes go to ids m - 1 to m + 1.  See :func:`_slot_table` for what
+    the tables are.
+
     Node ids are assigned in preorder by a walk that goes on into each
     left child in place and stacks only right children, each with its
     parent's new id.  Deterministic for a fixed ``(n, seed)``.
     """
     if n < 1:
         raise TreeError("n must be positive")
+    _check_node_count(n)
     getrandbits = random.Random(seed).getrandbits
-    size = 2 * n + 1
-    left = [None] * size
-    right = [None] * size
-    par: list = [None] * size
-    root = 0  # lone leaf; leaves get even ids, internals odd ids
-    for k in range(n):
-        span = 4 * k + 2
-        nbits = span.bit_length()
-        x = getrandbits(nbits)
-        while x >= span:
+    kids = _slot_table(n)
+    slot = _slot_table(n)
+    slot[0] = 2 * n             # kids[2n] = 0: the lone leaf 0 is the root
+    # internal node m = 2k + 1 has 4k + 2 = 2m insertion positions, a
+    # number of nbits bits for every k in [lo, hi)
+    lo, hi, nbits = 0, 1, 2
+    while lo < n:
+        for m in range(2 * lo + 1, 2 * min(hi, n) + 1, 2):
+            span = 2 * m
             x = getrandbits(nbits)
-        j = x >> 1
-        m = 2 * k + 1
-        leaf = 2 * k + 2
-        p = par[j]
-        par[m] = p
-        if p is None:
-            root = m
-        elif left[p] == j:
-            left[p] = m
-        else:
-            right[p] = m
-        if x & 1:
-            left[m], right[m] = leaf, j
-        else:
-            left[m], right[m] = j, leaf
-        par[j] = m
-        par[leaf] = m
+            while x >= span:
+                x = getrandbits(nbits)
+            j = x >> 1
+            s = slot[j]
+            kids[s] = m
+            slot[m] = s
+            if x & 1:
+                kids[m - 1] = m + 1
+                kids[m] = j
+                slot[j] = m
+                slot[m + 1] = m - 1
+            else:
+                kids[m - 1] = j
+                kids[m] = m + 1
+                slot[j] = m - 1
+                slot[m + 1] = m
+        lo, hi, nbits = hi, 2 * hi, nbits + 1
+    del slot                    # each table goes once it is last read
 
     # strip leaves (even ids), relabel internals in preorder; an internal
     # node always has two children.  The node with new id i is followed
@@ -306,18 +355,19 @@ def gen_random(n: int, seed: int) -> TreeTopology:
     out_left: list = [None] * n
     out_right: list = [None] * n
     stack: list = []
-    x = root
+    x = kids[2 * n]
     for i in range(n):
-        c = right[x]
+        c = kids[x]
         if c & 1:
             stack.append((c, i))
-        c = left[x]
+        c = kids[x - 1]
         if c & 1:
             out_left[i] = i + 1
             x = c
         elif stack:
             x, p = stack.pop()
             out_right[p] = i + 1
+    del kids
     return TreeTopology(out_left, out_right, 0)
 
 
@@ -351,6 +401,7 @@ def gen_lower_bound(B: int, inv_p: int, target_n: int) -> TreeTopology:
     if target_n < S:
         raise TreeError("target_n=%d smaller than one gadget (%d nodes)"
                         % (target_n, S))
+    _check_node_count(target_n)
 
     top = 2 * inv_p - 1
     left: list = [None] * target_n

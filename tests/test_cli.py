@@ -8,8 +8,10 @@ import tracemalloc
 
 import pytest
 
-from treelayout import (gen_perfect, gen_random, json_text, layout_aware,
-                        load_tree, phase2_layout, layout_to_json, save_tree)
+from treelayout import (brute_force_optimal, gen_perfect, gen_random,
+                        json_text, layout_aware, layout_oblivious,
+                        load_tree, phase2_layout, layout_to_json,
+                        refinement_levels, save_tree)
 import treelayout.cli as cli
 from treelayout.cli import SweepConfig, main, run_sweep
 
@@ -308,6 +310,43 @@ def test_missing_required_option_is_a_usage_error(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert f"the following arguments are required: {flag}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,command,flag", [
+    (["gen", "perfect", "--height", 2, "--seed", 3], "gen perfect",
+     "--seed 3"),
+    (["layout", "oblivious", "--tree", "{tree}", "--B", 4],
+     "layout oblivious", "--B 4"),
+    (["eval", "--tree", "{tree}", "--layout", "{tree}", "--seed", 3],
+     "eval", "--seed 3"),
+], ids=["gen-perfect", "layout-oblivious", "eval"])
+def test_unread_option_is_reported_by_its_own_subcommand(tmp_path, capsys,
+                                                         argv, command,
+                                                         flag):
+    tree, out = tmp_path / "p.json", tmp_path / "out.json"
+    run(["gen", "path", "--n", 4, "--out", tree])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([str(a).format(tree=tree) for a in argv] + ["--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: treelayout {command} ")
+    assert err[-1] == (f"treelayout {command}: error: "
+                       f"unrecognized arguments: {flag}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,choices", [
+    ([], "{gen,layout,eval,sweep,oracle}"),
+    (["gen"], "{perfect,path,random,lowerbound}"),
+    (["layout"], "{aware,oblivious}"),
+], ids=["command", "gen", "layout"])
+def test_missing_subcommand_is_named_by_its_choices(capsys, argv, choices):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"the following arguments are required: {choices}" in err
 
 
 def test_gen_random_seed_defaults_to_0(tmp_path):
@@ -692,6 +731,18 @@ def test_oversized_n_exits_4(caplog, capsys):
     assert _one_error_line(caplog, capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "perfect", "--height", 33],
+    ["gen", "random", "--n", 1 << 30],
+    ["gen", "path", "--n", 3_000_000_000],
+    ["gen", "lowerbound", "--B", 4, "--inv-p", 2, "--n", 1 << 30],
+], ids=["perfect", "random", "path", "lowerbound"])
+def test_more_nodes_than_the_limit_exits_4(argv, caplog, capsys):
+    # the node-count guard raises before anything is allocated
+    assert run(argv) == 4
+    assert "exceed" in _one_error_line(caplog, capsys)
+
+
 def test_out_of_memory_exits_4(monkeypatch, caplog, capsys):
     def gen_path(n):
         raise MemoryError()
@@ -702,6 +753,27 @@ def test_out_of_memory_exits_4(monkeypatch, caplog, capsys):
 
 
 # ------------------------------------------------------------ gc
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_random(1 << 15, 3),
+    lambda: layout_oblivious(gen_perfect(10)),
+    lambda: refinement_levels(gen_perfect(10)),
+    lambda: brute_force_optimal(gen_perfect(2), 3, 2),
+], ids=["gen_random", "layout_oblivious", "refinement_levels",
+        "brute_force_optimal"])
+def test_commands_leave_no_cycles_for_the_paused_collector(build):
+    # main() pauses the cyclic collector, so whatever a command's data
+    # forms a cycle with stays allocated until the process exits
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        build()
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_pauses_gc_and_restores_it(tmp_path, monkeypatch, enabled):

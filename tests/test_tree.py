@@ -181,8 +181,17 @@ def _reference_random_lists(n, seed):
     return out_left, out_right
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 1000, 4097])
+# every n up to 70; n on each side of the points where 4k + 2 passes
+# 2^12, 2^14 and 2^18 and gets one more bit; and n on each side of the
+# list/array switch at 2^15 nodes
+_REFERENCE_SIZES = [*range(1, 71), 1023, 1024, 1025, 4095, 4096, 4097,
+                    (1 << 15) - 1, 1 << 15, (1 << 16) + 1]
+
+
+@pytest.mark.parametrize("n,seed", sorted(
+    {(n, seed) for seed in (0, 1, 7, 2**40 + 3)
+     for n in (1, 2, 3, 5, 1000, 4097)}
+    | {(n, seed) for seed in (0, 2**40 + 3) for n in _REFERENCE_SIZES}))
 def test_gen_random_matches_randrange_reference(n, seed):
     t = gen_random(n, seed)
     left, right = _reference_random_lists(n, seed)
@@ -617,6 +626,23 @@ def test_loaded_tree_memory_per_node(tmp_path):
         tracemalloc.stop()
     assert held <= 72 * tree.n
     assert len(set(map(id, tree.depth))) == tree.height + 1
+
+
+def test_gen_random_memory_per_node():
+    # from 2^15 nodes the slot tables are arrays of C ints, 8 bytes an id
+    # for both, and they are gone before the topology is built; lists of
+    # ints took 219 bytes a node
+    n = 1 << 15
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tree = gen_random(n, 3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert tree.n == n
+    assert peak <= 120 * n
 
 
 def test_legacy_file_loads(tmp_path):
