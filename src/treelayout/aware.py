@@ -202,9 +202,10 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
     """
     if B < 1:
         raise TreeError("B must be positive")
-    w = compute_weights(tree)
     # the least L with 2**L >= N
     L1 = min((tree.n - 1).bit_length(), tree.height + 1)
+    # only phase 2, below depth L1, reads subtree sizes
+    w = compute_weights(tree) if L1 <= tree.height else None
     stride = (B + 1).bit_length() - 1
     left, right, parent, depth = tree.left, tree.right, tree.parent, tree.depth
 

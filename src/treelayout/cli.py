@@ -25,12 +25,13 @@ import logging
 import math
 import sys
 import time
+from array import array
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .aware import (exclusion_violations, layout_aware, layout_from_json,
                     layout_to_json, padded_order)
@@ -70,10 +71,11 @@ class _Priced(NamedTuple):
     """One priced layout; it stands for one output row per depth.
 
     The first six fields are the CSV columns every row of the record
-    shares.  ``depths`` holds ``(D, bound, bound as CSV text,
-    max(1, bound))`` per reported depth (see ``_bounds``); every record of
-    one (tree, B) shares the same list.  ``worst_exact`` and ``worst_cum``
-    run over all depths 0..height, as in ``CostReport``.
+    shares.  ``depths`` lists the reported depths, a range when they are
+    all of them, and ``bounds`` the bound at each (see ``_bounds``);
+    every record of one (tree, B) shares the same two.  ``worst_exact``
+    and ``worst_cum`` run over all depths 0..height, as in
+    ``CostReport``.
     """
 
     tree_id: str
@@ -82,83 +84,98 @@ class _Priced(NamedTuple):
     B: int
     kind: str
     offset: int
-    depths: list
+    depths: Sequence[int]
+    bounds: array
     worst_exact: list
     worst_cum: list
 
 
-def _bounds(N: int, B: int, depths) -> list:
-    """The ``depths`` entries of a ``_Priced``: one ``theoretical_bound``
-    call per depth, shared by the aware layout and every offset."""
-    out = []
-    for D in depths:
-        bound = theoretical_bound(N, D, B)
-        out.append((D, bound, f"{bound:.9g}", max(1.0, bound)))
-    return out
+def _bounds(N: int, B: int, depths) -> array:
+    """The ``bounds`` of a ``_Priced``: one ``theoretical_bound`` call per
+    depth, shared by the aware layout and every offset."""
+    return array("d", [theoretical_bound(N, D, B) for D in depths])
 
 
-def _priced_order(cell: tuple, bounds: list, tree: TreeTopology, order,
+def _priced_order(cell: tuple, grid: tuple, tree: TreeTopology, order,
                   all_offsets: bool) -> list:
-    """The ``_Priced`` records of a linear order at B = ``cell[3]``: offset
-    0 only, priced by ``order_report`` straight from the slot positions,
-    or every offset from one ``worst_by_offset`` scan."""
+    """The ``_Priced`` records of a linear order at B = ``cell[3]`` over
+    ``grid``, its ``(depths, bounds)``: offset 0 only, priced by
+    ``order_report`` straight from the slot positions, or every offset
+    from one ``worst_by_offset`` scan."""
     B = cell[3]
     if not all_offsets:
         rep = order_report(tree, order, B)
-        return [_Priced(*cell, "oblivious", 0, bounds, rep.worst_exact,
+        return [_Priced(*cell, "oblivious", 0, *grid, rep.worst_exact,
                         rep.worst_cum)]
     records = []
     for off, col in enumerate(worst_by_offset(tree, order, B)):
         we = col.tolist()
-        records.append(_Priced(*cell, "oblivious", off, bounds, we,
+        records.append(_Priced(*cell, "oblivious", off, *grid, we,
                                list(accumulate(we, max))))
     return records
 
 
-def _tails(depths: list):
+def _tails(depths, bounds):
     """The CSV row text after the shared columns, ``D,worst_exact,
     worst_cum,bound,ratio``, as a function of ``(D, worst_exact,
-    worst_cum)`` over one ``depths`` list (see ``_Priced``), each
-    distinct triple formatted once."""
-    bounds = {D: (text, den) for D, _, text, den in depths}
+    worst_cum)`` over ``depths`` and the ``bounds`` at them."""
+    at = {D: (f"{b:.9g}", max(1.0, b)) for D, b in zip(depths, bounds)}
 
-    @lru_cache(maxsize=None)
     def tail(D, e, c):
-        text, den = bounds[D]
+        text, den = at[D]
         return f"{D},{e},{c},{text},{e / den:.9g}\n"
     return tail
 
 
-def _write_csv(records, fh) -> None:
+# rows per write, so that neither a record's text nor the row formatter of
+# a record alone at its B is built whole: on a path a record has a row per
+# node
+_CHUNK = 1024
+
+
+def _write_csv(records: list, fh) -> None:
     """Write the CSV of ``records`` to ``fh``, one row per (record, depth)
-    and one ``write`` per record.  ``csv.writer`` quotes the shared text
-    columns once per record; the per-depth numbers never need quoting,
-    and floats are written as ``.9g``.  The records of one (tree, B) share
-    their ``depths`` list and repeat few cost pairs, so they share one
-    ``_tails`` formatter."""
+    and one ``write`` per ``_CHUNK`` rows.  ``csv.writer`` quotes the
+    shared text columns once per record; the per-depth numbers never need
+    quoting, and floats are written as ``.9g``.
+
+    Rows repeat only across the records of one (tree, B), which come
+    together and share their ``bounds``: its offsets, and a sweep cell's
+    aware layout beside its order.  Such a group shares one cached
+    ``_tails``, which formats each distinct ``(D, worst_exact,
+    worst_cum)`` once; a record alone in its group, as from ``eval`` at
+    offset 0, formats its rows a chunk at a time and keeps none.
+    """
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     fh.write(buf.getvalue())
-    depths = None
-    for rec in records:
+    bounds = None
+    for i, rec in enumerate(records):
         buf.seek(0)
         buf.truncate()
         w.writerow(rec[:6])
         head = buf.getvalue()[:-1] + ","
-        if rec.depths is not depths:
-            depths, tail = rec.depths, _tails(rec.depths)
-            Ds = [D for D, _, _, _ in depths]
-        fh.write(head + head.join(map(tail, Ds,
-                                      map(rec.worst_exact.__getitem__, Ds),
-                                      map(rec.worst_cum.__getitem__, Ds))))
+        Ds = rec.depths
+        if rec.bounds is not bounds:
+            bounds = rec.bounds
+            shared = i + 1 < len(records) and records[i + 1].bounds is bounds
+            if shared:
+                tail = lru_cache(maxsize=None)(_tails(Ds, bounds))
+        we, wc = rec.worst_exact.__getitem__, rec.worst_cum.__getitem__
+        for s in range(0, len(Ds), _CHUNK):
+            part = Ds[s:s + _CHUNK]
+            if not shared:
+                tail = _tails(part, bounds[s:s + _CHUNK])
+            fh.write(head + head.join(map(tail, part, map(we, part),
+                                          map(wc, part))))
 
 
 def _row_dicts(records) -> list:
     return [dict(zip(CSV_COLUMNS, (*rec[:6], D, rec.worst_exact[D],
                                    rec.worst_cum[D], bound,
-                                   rec.worst_exact[D] / den)))
-            for rec in records for D, bound, _, den in rec.depths]
+                                   rec.worst_exact[D] / max(1.0, bound))))
+            for rec in records for D, bound in zip(rec.depths, rec.bounds)]
 
 
 # ---------------------------------------------------------------- gen
@@ -176,8 +193,9 @@ def cmd_layout(args) -> int:
     tree = load_tree(args.tree)
     n = tree.n
     t0 = time.perf_counter()
-    # the writers need only the layout's own lists: the tree, and an
-    # aware layout's block_of, go before the JSON text is built
+    # the writers need only the layout's own lists: the tree, an aware
+    # layout's block_of and an order's positions go before the JSON text
+    # is built
     if args.mode == "aware":
         B = args.B
         asg = layout_aware(tree, B)
@@ -190,9 +208,9 @@ def cmd_layout(args) -> int:
         log.info("aware layout: N=%d B=%d blocks=%d (%.3fs)",
                  n, B, len(obj["blocks"]), time.perf_counter() - t0)
     else:
-        order = layout_oblivious(tree)
+        obj = order_to_json(layout_oblivious(tree))
         del tree
-        _write_json(order_to_json(order), args.out)
+        _write_json(obj, args.out)
         log.info("oblivious order: N=%d (%.3fs)",
                  n, time.perf_counter() - t0)
     return 0
@@ -218,8 +236,9 @@ def _layout_kind(obj, path: str) -> str:
 def cmd_eval(args) -> int:
     # a block layout is read down to B and block_of, sized by its own
     # blocks, before the tree is loaded, so its parsed lists and the tree
-    # are never alive together; an order file is parsed before the tree
-    # is built and made a LinearOrder after it, which holds more
+    # are never alive together.  An order file is parsed before the tree
+    # is loaded and made a LinearOrder after it, whose positions reuse the
+    # parsed ints, so that adds only tuples of pointers
     layout = read_json(args.layout)
     kind = _layout_kind(layout, args.layout)
     if kind == "blocks":
@@ -250,7 +269,7 @@ def cmd_eval(args) -> int:
                              f"and offset 0: --B must be {B} and "
                              "--offsets zero")
         rep = cost_report(tree, block_of)
-        records.append(_Priced(tree_id, "-", N, B, "aware", 0,
+        records.append(_Priced(tree_id, "-", N, B, "aware", 0, depths,
                                _bounds(N, B, depths), rep.worst_exact,
                                rep.worst_cum))
     else:
@@ -260,8 +279,8 @@ def cmd_eval(args) -> int:
             raise ValueError("B must be >= 1")
         for B in args.B:
             records += _priced_order((tree_id, "-", N, B),
-                                     _bounds(N, B, depths), tree, order,
-                                     args.offsets == "all")
+                                     (depths, _bounds(N, B, depths)), tree,
+                                     order, args.offsets == "all")
     if args.format == "json":
         _write_json({"rows": _row_dicts(records)}, args.out)
     else:
@@ -394,15 +413,15 @@ def _price_grid(cfg: SweepConfig):
         for N in cfg.families[family]:
             for B in cfg.Bs:
                 tid, (tree, w, order) = _sweep_tree(family, N, B, cfg, trees)
-                bounds = _bounds(tree.n, B,
-                                 _depth_grid(tree.height, cfg.depths))
+                depths = _depth_grid(tree.height, cfg.depths)
+                grid = depths, _bounds(tree.n, B, depths)
                 asg = layout_aware(tree, B)
                 excl += exclusion_violations(tree, w, asg)
                 cell = (tid, family, tree.n, B)
                 rep = cost_report(tree, asg.block_of)
-                records.append(_Priced(*cell, "aware", 0, bounds,
+                records.append(_Priced(*cell, "aware", 0, *grid,
                                        rep.worst_exact, rep.worst_cum))
-                records += _priced_order(cell, bounds, tree, order,
+                records += _priced_order(cell, grid, tree, order,
                                          cfg.offsets == "all")
                 log.info("sweep cell %s B=%d done (%.1fs elapsed)",
                          tid, B, time.perf_counter() - t0)
@@ -414,9 +433,13 @@ def _summary(records, excl: int) -> dict:
     how the largest N's max compares with the smallest's."""
     fams: dict = {}
     rows = 0
+    bounds = None
     for rec in records:
+        if rec.bounds is not bounds:
+            bounds = rec.bounds
+            dens = [max(1.0, b) for b in bounds]
         we = rec.worst_exact
-        r = max(we[D] / den for D, _, _, den in rec.depths)
+        r = max(we[D] / den for D, den in zip(rec.depths, dens))
         rows += len(rec.depths)
         f = fams.setdefault(rec.family, {})
         k = f.setdefault(rec.kind, {"max_ratio": 0.0, "by_N": {}})

@@ -145,6 +145,11 @@ def order_report(tree: TreeTopology, order, B: int) -> CostReport:
                  [-1] * ((len(order.order) - 1) // B + 1))
 
 
+# the most (depth, offset) cells worst_by_offset tabulates; at 1 or 2
+# bytes a cell the table and the per-depth ints stay within 64 MB
+_OFFSET_CELL_BUDGET = 1 << 24
+
+
 def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
     """``worst_exact`` per depth under every alignment of a linear order.
 
@@ -170,9 +175,14 @@ def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
     root path; and the cost vectors of the ancestors whose other child is
     still to come.  The scan goes on into the lighter child in place and
     stacks the heavier one with its parent's costs, so at most lg N
-    vectors are pending.
+    vectors are pending.  A table of more than ``_OFFSET_CELL_BUDGET``
+    cells raises ResourceLimitError before anything is allocated.
     """
     _check_order(tree, order, B)
+    if B * (tree.height + 1) > _OFFSET_CELL_BUDGET:
+        raise ResourceLimitError(
+            "pricing every offset at B=%d takes %d x %d cells, over the "
+            "budget of %d" % (B, tree.height + 1, B, _OFFSET_CELL_BUDGET))
     pos, nslots, height = order.position, len(order.order), tree.height
     # no cost exceeds the path length or the number of slices met
     most = min(height + 1, nslots // B + 2)

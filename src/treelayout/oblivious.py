@@ -30,6 +30,7 @@ measured ratio checks in the test suite.)  Runs in O(N lg lg N).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .aware import _budget_partition, layout_aware
 from .tree import TreeError, TreeTopology
@@ -52,6 +53,10 @@ class LinearOrder:
     slot (see ``padded_order``); ``position[x]`` is the slot of node x.
     Every node ``0..n-1`` appears exactly once.  Orders built by
     :func:`layout_oblivious` have no padding and put the root first.
+
+    The two tuples share one set of ints: the slot ``i < n`` in
+    ``position`` is the very int that ``order`` holds for node ``i``, so
+    only the slots of a padded order from ``n`` on are ints of their own.
     """
 
     order: tuple
@@ -63,13 +68,19 @@ class LinearOrder:
         if not set(map(type, order)) <= {int, type(None)}:
             raise TreeError("order entries must be node ids or null")
         n = len(order) - order.count(None)
-        pos = [-1] * n
-        for i, x in enumerate(order):
+        # ids[v] is the order's own int for node v, in node order
+        ids = [None] * n
+        for x in order:
             if x is not None:
-                if not 0 <= x < n or pos[x] != -1:
+                if not 0 <= x < n or ids[x] is not None:
                     raise TreeError("order is not a permutation of 0..%d"
                                     % (n - 1))
+                ids[x] = x
+        pos = [None] * n
+        for x, i in zip(order, chain(ids, range(n, len(order)))):
+            if x is not None:
                 pos[x] = i
+        del ids
         self.position = tuple(pos)
 
     @property

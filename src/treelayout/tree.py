@@ -574,8 +574,16 @@ def _legacy_children(nodes: list, n: int):
 def tree_from_json(obj) -> TreeTopology:
     """Read a version-2 columnar tree, or a legacy one-record-per-node tree.
 
-    Both go through the same :class:`TreeTopology` validation.
+    Both go through the same :class:`TreeTopology` validation.  ``obj``
+    is left unchanged.
     """
+    return _read_tree(obj, False)
+
+
+def _read_tree(obj, owned: bool) -> TreeTopology:
+    """``tree_from_json(obj)``; when ``owned``, nothing else holds ``obj``
+    and its child lists are taken out of it, so each list goes as soon as
+    its tuple exists."""
     if type(obj) is not dict:
         raise TreeError("tree json must be an object, got %s"
                         % type(obj).__name__)
@@ -591,8 +599,12 @@ def tree_from_json(obj) -> TreeTopology:
     elif type(version) is int and version == TREE_FORMAT_VERSION:
         left = _node_list(obj, "left", n)
         right = _node_list(obj, "right", n)
+        if owned:
+            del obj["left"], obj["right"]
     else:
         raise TreeError("unsupported tree file version %r" % (version,))
+    left = tuple(left)
+    right = tuple(right)
     return TreeTopology(left, right, root)
 
 
@@ -602,4 +614,4 @@ def save_tree(tree: TreeTopology, path) -> None:
 
 
 def load_tree(path) -> TreeTopology:
-    return tree_from_json(read_json(path))
+    return _read_tree(read_json(path), True)

@@ -1,7 +1,6 @@
 """Two-phase block layout for a known block size: K-recursion, strata, blocks."""
 
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from treelayout import (TreeError, compute_weights, exclusion_violations,
                         gen_path, gen_perfect, gen_random, k_set,
                         layout_aware, layout_from_json, layout_to_json,
                         padded_order, phase2_layout)
+from treelayout import aware
 from treelayout.aware import _budget_partition
 
 
@@ -269,22 +269,37 @@ def test_aware_deterministic():
                                   lambda: gen_path(1 << 15),
                                   lambda: gen_perfect(14)],
                          ids=["random", "path", "perfect"])
-def test_aware_layout_memory_per_node(make):
+def test_aware_layout_memory_per_node(make, peak_bytes):
     # a block id made per node (piece offset plus local id) and per-block
     # side lists of roots and targets peak at about 74-78 bytes a node on
     # random and path trees; one shared id object per block and no side
     # lists peak at about 46-57
     tree = make()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        asg = layout_aware(tree, 64)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    asg, peak, _ = peak_bytes(lambda: layout_aware(tree, 64))
     assert len(asg.block_of) == tree.n
     assert peak <= 64 * tree.n
+
+
+@pytest.mark.parametrize("make,calls", [
+    (lambda: gen_perfect(10), 0),
+    (lambda: gen_random(500, 2), 1),
+    (lambda: gen_path(50), 1),
+], ids=["perfect", "random", "path"])
+def test_subtree_sizes_only_for_phase_2(monkeypatch, make, calls):
+    # phase 1 reaches every level of a perfect tree, and only phase 2
+    # reads the sizes
+    seen = []
+
+    def counting(tree):
+        seen.append(tree)
+        return compute_weights(tree)
+
+    tree = make()
+    want = layout_aware(tree, 4)
+    monkeypatch.setattr(aware, "compute_weights", counting)
+    got = layout_aware(tree, 4)
+    assert (got.blocks, got.block_of) == (want.blocks, want.block_of)
+    assert len(seen) == calls
 
 
 def test_exclusion_bound_zero_violations():

@@ -4,14 +4,13 @@ import argparse
 import csv
 import gc
 import json
-import tracemalloc
 
 import pytest
 
-from treelayout import (brute_force_optimal, gen_perfect, gen_random,
-                        json_text, layout_aware, layout_oblivious,
+from treelayout import (brute_force_optimal, gen_path, gen_perfect,
+                        gen_random, json_text, layout_aware, layout_oblivious,
                         load_tree, phase2_layout, layout_to_json,
-                        refinement_levels, save_tree)
+                        order_to_json, refinement_levels, save_tree)
 import treelayout.cli as cli
 from treelayout.cli import SweepConfig, main, run_sweep
 
@@ -532,7 +531,7 @@ def test_eval_rejects_repeated_B(tmp_path, caplog, mode):
     assert [r.getMessage() for r in caplog.records] == ["--B repeats 4"]
 
 
-def test_eval_of_block_layout_memory_per_node(tmp_path):
+def test_eval_of_block_layout_memory_per_node(tmp_path, peak_bytes):
     # the layout read down to B and block_of before the tree is loaded
     # peaks at about 122 bytes a node; the whole parsed layout beside
     # the built tree, at about 187
@@ -542,16 +541,53 @@ def test_eval_of_block_layout_memory_per_node(tmp_path):
     save_tree(t, tree)
     lay.write_text(json_text(layout_to_json(layout_aware(t, 4))))
     del t
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert run(["eval", "--tree", tree, "--layout", lay,
-                    "--out", tmp_path / "rows.csv"]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    code, peak, _ = peak_bytes(lambda: run(["eval", "--tree", tree,
+                                           "--layout", lay,
+                                           "--out", tmp_path / "rows.csv"]))
+    assert code == 0
     assert peak <= 165 * n
+
+
+def test_eval_of_order_memory_per_node(tmp_path, peak_bytes):
+    # positions made of fresh ints, and both parsed child lists alive
+    # beside their tuples, peaked at about 171 bytes a node; positions
+    # made of the order's own ints, at about 143
+    tree, order = tmp_path / "t.json", tmp_path / "o.json"
+    t = gen_random(1 << 15, 3)
+    n = t.n
+    save_tree(t, tree)
+    order.write_text(json_text(order_to_json(layout_oblivious(t))))
+    del t
+    code, peak, _ = peak_bytes(lambda: run([
+        "eval", "--tree", tree, "--layout", order, "--B", 4, "--B", 64,
+        "--B", 1024, "--out", tmp_path / "rows.csv"]))
+    assert code == 0
+    assert peak <= 150 * n
+
+
+@pytest.mark.parametrize("kind", ["aware", "oblivious"])
+def test_eval_of_a_path_memory_per_node(tmp_path, peak_bytes, kind):
+    # on a path no two rows of a record repeat: a cache of every row's
+    # text, the bound's text per depth, and each record's rows joined
+    # whole peaked at about 740 bytes a node (aware, B=4) and 1000 (an
+    # order at B 4 and 64); rows formatted a chunk at a time, at about
+    # 190 and 220
+    tree, lay = tmp_path / "t.json", tmp_path / "l.json"
+    t = gen_path(1 << 15)
+    n = t.n
+    save_tree(t, tree)
+    if kind == "aware":
+        lay.write_text(json_text(layout_to_json(layout_aware(t, 4))))
+        Bs = []
+    else:
+        lay.write_text(json_text(order_to_json(layout_oblivious(t))))
+        Bs = ["--B", 4, "--B", 64]
+    del t
+    code, peak, _ = peak_bytes(lambda: run([
+        "eval", "--tree", tree, "--layout", lay, *Bs,
+        "--out", tmp_path / "rows.csv"]))
+    assert code == 0
+    assert peak <= 250 * n
 
 
 def test_eval_streams_the_same_csv_to_stdout(tmp_path, capsys):
@@ -726,9 +762,36 @@ def _one_error_line(caplog, capsys) -> str:
 
 
 def test_oversized_n_exits_4(caplog, capsys):
-    # overflows an index-sized integer before anything is allocated
+    # past the node limit: refused before anything is allocated
     assert run(["gen", "random", "--n", 10**21]) == 4
     assert _one_error_line(caplog, capsys)
+
+
+def _order_files(tmp_path, n):
+    tree, order = tmp_path / "t.json", tmp_path / "o.json"
+    assert run(["gen", "random", "--n", n, "--seed", 1, "--out", tree]) == 0
+    assert run(["layout", "oblivious", "--tree", tree, "--out", order]) == 0
+    return tree, order
+
+
+@pytest.mark.parametrize("B", [10**9, 10**20])
+def test_oversized_all_offset_pricing_exits_4(tmp_path, caplog, capsys, B):
+    # B x (height + 1) cells past the budget are refused before the
+    # table, or any B-field int of the scan, is allocated
+    tree, order = _order_files(tmp_path, 20)
+    caplog.clear()
+    assert run(["eval", "--tree", tree, "--layout", order, "--B", B,
+                "--offsets", "all"]) == 4
+    assert "B=%d" % B in _one_error_line(caplog, capsys)
+
+
+def test_B_past_the_float_range_exits_4(tmp_path, caplog, capsys):
+    # the bound's float arithmetic overflows
+    tree, order = _order_files(tmp_path, 20)
+    caplog.clear()
+    assert run(["eval", "--tree", tree, "--layout", order,
+                "--B", 10**400]) == 4
+    assert "too large" in _one_error_line(caplog, capsys)
 
 
 @pytest.mark.parametrize("argv", [

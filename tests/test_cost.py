@@ -2,7 +2,6 @@
 
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,6 +15,7 @@ from treelayout import (LinearOrder, ResourceLimitError, TreeError,
                         order_report, padded_order, path_cost, phase2_layout,
                         shape_to_tree, solve_p, theoretical_bound,
                         worst_by_offset)
+from treelayout import cost
 
 
 # ------------------------------------------------------------ path_cost
@@ -220,6 +220,18 @@ def test_worst_by_offset_rejects_bad_input():
         worst_by_offset(t, LinearOrder([0, 1, 2]), 2)
 
 
+def test_worst_by_offset_refuses_tables_past_the_budget(monkeypatch):
+    # B x (height + 1) cells; only the refusal is run at full size
+    t = gen_path(10)
+    order = layout_oblivious(t)
+    with pytest.raises(ResourceLimitError, match="B=1677722 "):
+        worst_by_offset(t, order, (1 << 24) // 10 + 1)
+    monkeypatch.setattr(cost, "_OFFSET_CELL_BUDGET", 40)
+    assert len(worst_by_offset(t, order, 4)) == 4
+    with pytest.raises(ResourceLimitError, match="B=5 "):
+        worst_by_offset(t, order, 5)
+
+
 def test_worst_by_offset_columns_are_read_only():
     t = gen_path(8)
     col = worst_by_offset(t, layout_oblivious(t), 4)[1]
@@ -229,7 +241,7 @@ def test_worst_by_offset_columns_are_read_only():
 
 @pytest.mark.parametrize("kind", ["caterpillar", "caterpillar-mirrored",
                                   "path"])
-def test_worst_by_offset_memory_stays_at_the_table(kind):
+def test_worst_by_offset_memory_stays_at_the_table(kind, peak_bytes):
     # The (height+1) x B table holds one byte per cell at these sizes
     # (costs stay below 128).  Beyond it the scan may keep O(N) small
     # lists and O(lg N) pending vectors, but not one B-cell vector per
@@ -240,14 +252,7 @@ def test_worst_by_offset_memory_stays_at_the_table(kind):
     B = 512
     order = layout_oblivious(tree)
     table = (tree.height + 1) * B
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        cols = worst_by_offset(tree, order, B)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    cols, peak, _ = peak_bytes(lambda: worst_by_offset(tree, order, B))
     assert len(cols) == B
     assert peak <= table + (1 << 20)
 
@@ -273,20 +278,13 @@ _MEMORY_TREES = {"random": lambda: gen_random(1 << 15, 3),
      for name, make in _MEMORY_TREES.items()]
     + [pytest.param(make, _block_pricer, id="cost_report-" + name)
        for name, make in _MEMORY_TREES.items()])
-def test_order_report_memory_per_node(make, pricer):
+def test_order_report_memory_per_node(make, pricer, peak_bytes):
     # the root-path scan keeps O(height) ints and one list slot per block
     # or slice: about 2-6 bytes a node on bushy trees, and about 42-46 on
     # a path, whose root path is the whole tree
     tree = make()
     price = pricer(tree)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        rep = price()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    rep, peak, _ = peak_bytes(price)
     assert len(rep.worst_exact) == tree.height + 1
     assert peak <= 56 * tree.n
 

@@ -1,8 +1,8 @@
 """Single linear order serving every block size; aligned-slice evaluation."""
 
+import json
 import math
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +11,7 @@ from treelayout import (LinearOrder, TreeError, TreeTopology, block_ids,
                         cost_report, gen_lower_bound, gen_path, gen_perfect,
                         gen_random, layout_aware, layout_oblivious,
                         order_from_json, order_to_json, refinement_levels)
+from treelayout import aware
 from treelayout.aware import _budget_partition
 from treelayout.oblivious import _piece_budget
 
@@ -188,19 +189,12 @@ def test_rounds_match_reference(t):
 @pytest.mark.parametrize("make", [lambda: gen_path(1 << 15),
                                   lambda: gen_random(1 << 15, 3)],
                          ids=["path", "random"])
-def test_order_build_memory_per_node(make):
+def test_order_build_memory_per_node(make, peak_bytes):
     # a build that holds a whole round of pieces at once (every node as
     # its own list in the last one) peaks at about 145-160 bytes a node;
     # refining one piece at a time peaks at about 75-85
     tree = make()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        order = layout_oblivious(tree)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    order, peak, _ = peak_bytes(lambda: layout_oblivious(tree))
     assert order.n == tree.n
     assert peak <= 120 * tree.n
 
@@ -209,20 +203,13 @@ def test_order_build_memory_per_node(make):
                                   lambda: gen_path(1 << 15),
                                   lambda: gen_perfect(14)],
                          ids=["random", "path", "perfect"])
-def test_topology_build_memory_per_node(make):
+def test_topology_build_memory_per_node(make, peak_bytes):
     # five whole-list checks ahead of the walk (a set of every child id
     # among them) peak at about 128-160 bytes a node; validating inside
     # the walk peaks at about 64-96
     t = make()
     left, right = list(t.left), list(t.right)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        tree = TreeTopology(left, right, t.root)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    tree, peak, _ = peak_bytes(lambda: TreeTopology(left, right, t.root))
     assert tree == t
     assert peak <= 112 * tree.n
 
@@ -314,6 +301,15 @@ def test_perfect_tree_ratio_to_aware_stays_small():
             assert obl.worst_exact[D] <= 4 * awa.worst_exact[D]
 
 
+def test_perfect_tree_order_sizes_no_whole_tree(monkeypatch):
+    # the top-level aware layout of a perfect tree is all phase 1, and
+    # each later piece counts its own sizes
+    calls = []
+    monkeypatch.setattr(aware, "compute_weights", calls.append)
+    assert layout_oblivious(gen_perfect(12)).n == (1 << 13) - 1
+    assert calls == []
+
+
 # ------------------------------------------------------------ serialization
 
 def test_order_json_roundtrip():
@@ -333,6 +329,59 @@ def test_order_json_rejects_non_permutation():
 def test_linear_order_rejects_non_ids(seq):
     with pytest.raises(TreeError):
         LinearOrder(seq)
+
+
+@pytest.mark.parametrize("seq,message", [
+    ((0, True, 2), "order entries must be node ids or null"),
+    ((0, None, 1.0), "order entries must be node ids or null"),
+    ((0, 2, 0, None), "order is not a permutation of 0..2"),
+    ((None, 1, 1, 0), "order is not a permutation of 0..2"),
+    ((0, 3, 1, None), "order is not a permutation of 0..2"),
+    ((None, -1, 0, 1), "order is not a permutation of 0..2"),
+])
+def test_linear_order_rejection_messages(seq, message):
+    with pytest.raises(TreeError) as err:
+        LinearOrder(seq)
+    assert str(err.value) == message
+
+
+def _json_order(seq):
+    """``LinearOrder`` of ``seq`` as read from a file: ints that no other
+    object shares."""
+    return order_from_json(json.loads(json.dumps({"order": list(seq)})),
+                           len(seq) - seq.count(None))
+
+
+@pytest.mark.parametrize("pad", ["none", "start", "middle", "end", "spread"])
+def test_positions_share_the_order_ints(pad):
+    rng = random.Random(11)
+    seq = list(range(1000))
+    rng.shuffle(seq)
+    gaps = {"none": [], "start": [0] * 5, "middle": [500] * 7,
+            "end": [1000] * 3, "spread": [rng.randrange(1001)
+                                          for _ in range(40)]}[pad]
+    for i in sorted(gaps, reverse=True):
+        seq.insert(i, None)
+    order = _json_order(seq)
+    want = [None] * 1000
+    for p, x in enumerate(seq):
+        if x is not None:
+            want[x] = p
+    assert order.position == tuple(want)
+    # the slot p < n is the order's own int for node p
+    assert all(p is order.order[order.position[p]]
+               for p in order.position if p < 1000)
+
+
+def test_linear_order_memory_per_node(peak_bytes):
+    # from a tuple of parsed ids, a fresh int per slot peaked at about 44
+    # bytes a node; the order's own ints as positions leave two lists of
+    # pointers, about 16 (a list to copy adds 8)
+    seq = tuple(json.loads(json.dumps(list(layout_oblivious(
+        gen_random(1 << 15, 3)).order))))
+    order, peak, _ = peak_bytes(lambda: LinearOrder(seq))
+    assert order.n == len(seq)
+    assert peak <= 24 * len(seq)
 
 
 @pytest.mark.parametrize("obj", [{"order": 7}, {"order": "012"},

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import random
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -603,6 +602,15 @@ def test_json_v2_columns():
     assert tree_from_json(json.loads(json.dumps(obj))) == gen_perfect(1)
 
 
+@pytest.mark.parametrize("legacy", [False, True], ids=["columnar", "legacy"])
+def test_tree_from_json_leaves_its_argument_unchanged(legacy):
+    t = gen_random(50, seed=6)
+    obj = _legacy_json(t) if legacy else tree_to_json(t)
+    before = json.dumps(obj)
+    assert tree_from_json(obj) == t
+    assert json.dumps(obj) == before
+
+
 def test_file_roundtrip(tmp_path):
     t = gen_perfect(3)
     p = tmp_path / "t.json"
@@ -611,36 +619,26 @@ def test_file_roundtrip(tmp_path):
     assert p.read_text() == json_text(tree_to_json(t))
 
 
-def test_loaded_tree_memory_per_node(tmp_path):
+def test_loaded_tree_memory_per_node(tmp_path, peak_bytes):
     # a loaded tree holds five tuples of n entries and one int per node
     # id; an int per depth level rather than per parent takes a random
-    # tree from about 84 to 68 bytes a node
+    # tree from about 84 to 68 bytes a node.  The load peaks at about 94
+    # bytes a node with both parsed child lists alive beside their
+    # tuples, and at about 77 when each list goes once its tuple exists
     p = tmp_path / "t.json"
     save_tree(gen_random(1 << 15, 3), p)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tree = load_tree(p)
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
+    tree, peak, held = peak_bytes(lambda: load_tree(p))
     assert held <= 72 * tree.n
+    assert peak <= 84 * tree.n
     assert len(set(map(id, tree.depth))) == tree.height + 1
 
 
-def test_gen_random_memory_per_node():
+def test_gen_random_memory_per_node(peak_bytes):
     # from 2^15 nodes the slot tables are arrays of C ints, 8 bytes an id
     # for both, and they are gone before the topology is built; lists of
     # ints took 219 bytes a node
     n = 1 << 15
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        tree = gen_random(n, 3)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    tree, peak, _ = peak_bytes(lambda: gen_random(n, 3))
     assert tree.n == n
     assert peak <= 120 * n
 
