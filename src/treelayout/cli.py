@@ -65,54 +65,61 @@ def _write_json(obj, out: Optional[str]) -> None:
         fh.write(json_text(obj))
 
 
-# ---------------------------------------------------------------- rows
+# ---------------------------------------------------------------- cells
 
-class _Priced(NamedTuple):
-    """One priced layout; it stands for one output row per depth.
+class _Cell(NamedTuple):
+    """Every layout priced at one (tree, B); one output row per (layout,
+    depth).
 
-    The first six fields are the CSV columns every row of the record
-    shares.  ``depths`` lists the reported depths, a range when they are
-    all of them, and ``bounds`` the bound at each (see ``_bounds``);
-    every record of one (tree, B) shares the same two.  ``worst_exact``
-    and ``worst_cum`` run over all depths 0..height, as in
-    ``CostReport``.
+    The first four fields are the CSV columns all its rows share.
+    ``depths`` lists the reported depths, a range when they are all of
+    them, and ``bounds`` the bound at each: it is a function of (N, B, D)
+    alone, so every layout of the cell shares it.  ``layouts`` holds one
+    ``(kind, offset, worst_exact, worst_cum)`` per priced layout, whose
+    two lists run over all depths 0..height, as in ``CostReport``.
     """
 
     tree_id: str
     family: str
     N: int
     B: int
-    kind: str
-    offset: int
     depths: Sequence[int]
     bounds: array
-    worst_exact: list
-    worst_cum: list
+    layouts: list
 
 
-def _bounds(N: int, B: int, depths) -> array:
-    """The ``bounds`` of a ``_Priced``: one ``theoretical_bound`` call per
-    depth, shared by the aware layout and every offset."""
-    return array("d", [theoretical_bound(N, D, B) for D in depths])
-
-
-def _priced_order(cell: tuple, grid: tuple, tree: TreeTopology, order,
-                  all_offsets: bool) -> list:
-    """The ``_Priced`` records of a linear order at B = ``cell[3]`` over
-    ``grid``, its ``(depths, bounds)``: offset 0 only, priced by
-    ``order_report`` straight from the slot positions, or every offset
-    from one ``worst_by_offset`` scan."""
-    B = cell[3]
-    if not all_offsets:
+def _price_cell(tree_id: str, family: str, tree: TreeTopology, B: int,
+                depths, block_of, order, all_offsets: bool) -> _Cell:
+    """The cell of ``tree`` at B over ``depths``: one ``theoretical_bound``
+    call per depth; the aware layout ``block_of``, unless None, priced by
+    ``cost_report``; then the linear order ``order``, unless None, at
+    offset 0 by ``order_report`` straight from the slot positions, or at
+    every offset from one ``worst_by_offset`` scan."""
+    N = tree.n
+    bounds = array("d", [theoretical_bound(N, D, B) for D in depths])
+    layouts = []
+    if block_of is not None:
+        rep = cost_report(tree, block_of)
+        layouts.append(("aware", 0, rep.worst_exact, rep.worst_cum))
+    if order is not None and not all_offsets:
         rep = order_report(tree, order, B)
-        return [_Priced(*cell, "oblivious", 0, *grid, rep.worst_exact,
-                        rep.worst_cum)]
-    records = []
-    for off, col in enumerate(worst_by_offset(tree, order, B)):
-        we = col.tolist()
-        records.append(_Priced(*cell, "oblivious", off, *grid, we,
-                               list(accumulate(we, max))))
-    return records
+        layouts.append(("oblivious", 0, rep.worst_exact, rep.worst_cum))
+    elif order is not None:
+        for off, col in enumerate(worst_by_offset(tree, order, B)):
+            we = col.tolist()
+            layouts.append(("oblivious", off, we, list(accumulate(we, max))))
+    return _Cell(tree_id, family, N, B, depths, bounds, layouts)
+
+
+@contextmanager
+def _B_too_large(name: str):
+    """Report a B past the float range of the aware layout or the bound as
+    one line naming ``name``, the option or key B came from."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise OverflowError(f"{name} is too large for float arithmetic "
+                            f"({exc})") from None
 
 
 def _tails(depths, bounds):
@@ -127,55 +134,52 @@ def _tails(depths, bounds):
     return tail
 
 
-# rows per write, so that neither a record's text nor the row formatter of
-# a record alone at its B is built whole: on a path a record has a row per
-# node
+# rows per write, so that neither a layout's text nor the row formatter of
+# a layout alone in its cell is built whole: on a path a layout has a row
+# per node
 _CHUNK = 1024
 
 
-def _write_csv(records: list, fh) -> None:
-    """Write the CSV of ``records`` to ``fh``, one row per (record, depth)
-    and one ``write`` per ``_CHUNK`` rows.  ``csv.writer`` quotes the
-    shared text columns once per record; the per-depth numbers never need
-    quoting, and floats are written as ``.9g``.
+def _write_csv(cells: list, fh) -> None:
+    """Write the CSV of ``cells`` to ``fh``, one row per (cell, layout,
+    depth) and one ``write`` per ``_CHUNK`` rows.  ``csv.writer`` quotes
+    the shared text columns once per layout; the per-depth numbers never
+    need quoting, and floats are written as ``.9g``.
 
-    Rows repeat only across the records of one (tree, B), which come
-    together and share their ``bounds``: its offsets, and a sweep cell's
-    aware layout beside its order.  Such a group shares one cached
-    ``_tails``, which formats each distinct ``(D, worst_exact,
-    worst_cum)`` once; a record alone in its group, as from ``eval`` at
+    Rows repeat only within one cell: its offsets, and a sweep cell's
+    aware layout beside its order.  A cell of more than one layout shares
+    one cached ``_tails``, which formats each distinct ``(D, worst_exact,
+    worst_cum)`` once; a layout alone in its cell, as from ``eval`` at
     offset 0, formats its rows a chunk at a time and keeps none.
     """
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     fh.write(buf.getvalue())
-    bounds = None
-    for i, rec in enumerate(records):
-        buf.seek(0)
-        buf.truncate()
-        w.writerow(rec[:6])
-        head = buf.getvalue()[:-1] + ","
-        Ds = rec.depths
-        if rec.bounds is not bounds:
-            bounds = rec.bounds
-            shared = i + 1 < len(records) and records[i + 1].bounds is bounds
-            if shared:
-                tail = lru_cache(maxsize=None)(_tails(Ds, bounds))
-        we, wc = rec.worst_exact.__getitem__, rec.worst_cum.__getitem__
-        for s in range(0, len(Ds), _CHUNK):
-            part = Ds[s:s + _CHUNK]
-            if not shared:
-                tail = _tails(part, bounds[s:s + _CHUNK])
-            fh.write(head + head.join(map(tail, part, map(we, part),
-                                          map(wc, part))))
+    for cell in cells:
+        Ds, bounds = cell.depths, cell.bounds
+        shared = len(cell.layouts) > 1
+        if shared:
+            tail = lru_cache(maxsize=None)(_tails(Ds, bounds))
+        for kind, offset, we, wc in cell.layouts:
+            buf.seek(0)
+            buf.truncate()
+            w.writerow((*cell[:4], kind, offset))
+            head = buf.getvalue()[:-1] + ","
+            we, wc = we.__getitem__, wc.__getitem__
+            for s in range(0, len(Ds), _CHUNK):
+                part = Ds[s:s + _CHUNK]
+                if not shared:
+                    tail = _tails(part, bounds[s:s + _CHUNK])
+                fh.write(head + head.join(map(tail, part, map(we, part),
+                                              map(wc, part))))
 
 
-def _row_dicts(records) -> list:
-    return [dict(zip(CSV_COLUMNS, (*rec[:6], D, rec.worst_exact[D],
-                                   rec.worst_cum[D], bound,
-                                   rec.worst_exact[D] / max(1.0, bound))))
-            for rec in records for D, bound in zip(rec.depths, rec.bounds)]
+def _row_dicts(cells) -> list:
+    return [dict(zip(CSV_COLUMNS, (*cell[:4], kind, offset, D, we[D], wc[D],
+                                   bound, we[D] / max(1.0, bound))))
+            for cell in cells for kind, offset, we, wc in cell.layouts
+            for D, bound in zip(cell.depths, cell.bounds)]
 
 
 # ---------------------------------------------------------------- gen
@@ -198,7 +202,8 @@ def cmd_layout(args) -> int:
     # is built
     if args.mode == "aware":
         B = args.B
-        asg = layout_aware(tree, B)
+        with _B_too_large("--B"):
+            asg = layout_aware(tree, B)
         obj = layout_to_json(asg)
         slots = None if args.padded_out is None else padded_order(asg)
         del tree, asg
@@ -238,54 +243,48 @@ def cmd_eval(args) -> int:
     # blocks, before the tree is loaded, so its parsed lists and the tree
     # are never alive together.  An order file is parsed before the tree
     # is loaded and made a LinearOrder after it, whose positions reuse the
-    # parsed ints, so that adds only tuples of pointers
+    # parsed ints, so that adds only tuples of pointers.  Every check of
+    # --B comes before the tree is read
     layout = read_json(args.layout)
     kind = _layout_kind(layout, args.layout)
+    Bs, name = args.B or [], "--B"
+    _check_unique(Bs, "--B")
+    block_of = order = None
     if kind == "blocks":
         asg = layout_from_json(layout)
         B, block_of = asg.B, asg.block_of
         del layout, asg
+        if any(b != B for b in Bs) or args.offsets != "zero":
+            raise ValueError(f"a block layout is priced at its own B={B} "
+                             f"and offset 0: --B must be {B} and "
+                             "--offsets zero")
+        Bs, name = [B], "the layout's B"
+    elif not Bs:
+        raise ValueError("--B is required to evaluate a linear order")
+    elif min(Bs) < 1:
+        raise ValueError("B must be >= 1")
     tree = load_tree(args.tree)
-    if kind == "blocks":
-        if len(block_of) != tree.n:
-            raise TreeError("layout holds %d nodes, the tree %d"
-                            % (len(block_of), tree.n))
-    else:
+    if kind == "order":
         order = order_from_json(layout, tree.n)
         del layout
-    tree_id = Path(args.tree).stem
+    elif len(block_of) != tree.n:
+        raise TreeError("layout holds %d nodes, the tree %d"
+                        % (len(block_of), tree.n))
     if args.D is not None:
         if not 0 <= args.D <= tree.height:
             raise ValueError(f"--D {args.D} outside 0..{tree.height}")
         depths = [args.D]
     else:
         depths = range(tree.height + 1)
-    N = tree.n
-    _check_unique(args.B or [], "--B")
-    records = []
-    if kind == "blocks":
-        if any(b != B for b in args.B or ()) or args.offsets != "zero":
-            raise ValueError(f"a block layout is priced at its own B={B} "
-                             f"and offset 0: --B must be {B} and "
-                             "--offsets zero")
-        rep = cost_report(tree, block_of)
-        records.append(_Priced(tree_id, "-", N, B, "aware", 0, depths,
-                               _bounds(N, B, depths), rep.worst_exact,
-                               rep.worst_cum))
-    else:
-        if not args.B:
-            raise ValueError("--B is required to evaluate a linear order")
-        if min(args.B) < 1:
-            raise ValueError("B must be >= 1")
-        for B in args.B:
-            records += _priced_order((tree_id, "-", N, B),
-                                     (depths, _bounds(N, B, depths)), tree,
-                                     order, args.offsets == "all")
+    tree_id = Path(args.tree).stem
+    with _B_too_large(name):
+        cells = [_price_cell(tree_id, "-", tree, B, depths, block_of, order,
+                             args.offsets == "all") for B in Bs]
     if args.format == "json":
-        _write_json({"rows": _row_dicts(records)}, args.out)
+        _write_json({"rows": _row_dicts(cells)}, args.out)
     else:
         with _output(args.out) as fh:
-            _write_csv(records, fh)
+            _write_csv(cells, fh)
     return 0
 
 
@@ -402,10 +401,11 @@ def _sweep_tree(family: str, N: int, B: int, cfg: SweepConfig,
     return tid, cache[tid]
 
 
+@_B_too_large("a B in Bs")
 def _price_grid(cfg: SweepConfig):
-    """Lay out and price every cell; returns (records, exclusion
+    """Lay out and price every cell; returns (cells, exclusion
     violations)."""
-    records: list = []
+    cells: list = []
     trees: dict = {}
     excl = 0
     t0 = time.perf_counter()
@@ -413,39 +413,31 @@ def _price_grid(cfg: SweepConfig):
         for N in cfg.families[family]:
             for B in cfg.Bs:
                 tid, (tree, w, order) = _sweep_tree(family, N, B, cfg, trees)
-                depths = _depth_grid(tree.height, cfg.depths)
-                grid = depths, _bounds(tree.n, B, depths)
                 asg = layout_aware(tree, B)
                 excl += exclusion_violations(tree, w, asg)
-                cell = (tid, family, tree.n, B)
-                rep = cost_report(tree, asg.block_of)
-                records.append(_Priced(*cell, "aware", 0, *grid,
-                                       rep.worst_exact, rep.worst_cum))
-                records += _priced_order(cell, grid, tree, order,
-                                         cfg.offsets == "all")
+                cells.append(_price_cell(
+                    tid, family, tree, B, _depth_grid(tree.height, cfg.depths),
+                    asg.block_of, order, cfg.offsets == "all"))
                 log.info("sweep cell %s B=%d done (%.1fs elapsed)",
                          tid, B, time.perf_counter() - t0)
-    return records, excl
+    return cells, excl
 
 
-def _summary(records, excl: int) -> dict:
+def _summary(cells, excl: int) -> dict:
     """Per family and layout kind: the max ratio overall and per N, and
     how the largest N's max compares with the smallest's."""
     fams: dict = {}
     rows = 0
-    bounds = None
-    for rec in records:
-        if rec.bounds is not bounds:
-            bounds = rec.bounds
-            dens = [max(1.0, b) for b in bounds]
-        we = rec.worst_exact
-        r = max(we[D] / den for D, den in zip(rec.depths, dens))
-        rows += len(rec.depths)
-        f = fams.setdefault(rec.family, {})
-        k = f.setdefault(rec.kind, {"max_ratio": 0.0, "by_N": {}})
-        k["max_ratio"] = max(k["max_ratio"], r)
-        key = str(rec.N)
-        k["by_N"][key] = max(k["by_N"].get(key, 0.0), r)
+    for cell in cells:
+        dens = [max(1.0, b) for b in cell.bounds]
+        rows += len(cell.depths) * len(cell.layouts)
+        f = fams.setdefault(cell.family, {})
+        key = str(cell.N)
+        for kind, _, we, _ in cell.layouts:
+            r = max(we[D] / den for D, den in zip(cell.depths, dens))
+            k = f.setdefault(kind, {"max_ratio": 0.0, "by_N": {}})
+            k["max_ratio"] = max(k["max_ratio"], r)
+            k["by_N"][key] = max(k["by_N"].get(key, 0.0), r)
     for stats in fams.values():
         for k in stats.values():
             by = k["by_N"]
@@ -462,17 +454,17 @@ def _summary(records, excl: int) -> dict:
 
 def run_sweep(cfg: SweepConfig):
     """Execute the grid; returns (rows, summary dict)."""
-    records, excl = _price_grid(cfg)
-    return _row_dicts(records), _summary(records, excl)
+    cells, excl = _price_grid(cfg)
+    return _row_dicts(cells), _summary(cells, excl)
 
 
 def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(read_json(args.config))
-    records, excl = _price_grid(cfg)
+    cells, excl = _price_grid(cfg)
     csv_out = args.out if args.out is not None else cfg.csv_out
     with _output(csv_out) as fh:
-        _write_csv(records, fh)
-    _write_json(_summary(records, excl), cfg.summary_out)
+        _write_csv(cells, fh)
+    _write_json(_summary(cells, excl), cfg.summary_out)
     return 0
 
 
@@ -484,7 +476,8 @@ def cmd_oracle(args) -> int:
     best, parts = brute_force_optimal(tree, B, args.D)
     print(f"optimal worst-case transfers at depth {args.D}: {best}")
     print(f"witness blocks: {json.dumps(parts)}")
-    asg = layout_aware(tree, B)
+    with _B_too_large("--B"):
+        asg = layout_aware(tree, B)
     got = cost_report(tree, asg.block_of).worst_exact[args.D]
     print(f"aware layout cost: {got} ({got / best:.2f}x optimal)")
     return 0

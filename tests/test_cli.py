@@ -605,6 +605,36 @@ def test_eval_streams_the_same_csv_to_stdout(tmp_path, capsys):
     assert len(printed.splitlines()) == 1 + (3 + 5) * (height + 1)
 
 
+_OWN_B = ("a block layout is priced at its own B=4 and offset 0: --B must "
+          "be 4 and --offsets zero")
+
+
+@pytest.mark.parametrize("layout,extra,message", [
+    ("order", ["--B", 0], "B must be >= 1"),
+    ("order", ["--B", 4, "--B", 4], "--B repeats 4"),
+    ("order", [], "--B is required to evaluate a linear order"),
+    ("blocks", ["--B", 4, "--B", 4], "--B repeats 4"),
+    ("blocks", ["--B", 8], _OWN_B),
+    ("blocks", ["--offsets", "all"], _OWN_B),
+], ids=["order-B0", "order-repeated", "order-no-B", "blocks-repeated",
+        "blocks-other-B", "blocks-all-offsets"])
+def test_eval_checks_B_before_loading_the_tree(tmp_path, monkeypatch, caplog,
+                                               layout, extra, message):
+    tree, order = _order_files(tmp_path, 20)
+    blocks = tmp_path / "blocks.json"
+    assert run(["layout", "aware", "--tree", tree, "--B", 4,
+                "--out", blocks]) == 0
+
+    def load_tree(path):
+        raise AssertionError("the tree was loaded")
+
+    monkeypatch.setattr(cli, "load_tree", load_tree)
+    caplog.clear()
+    lay = order if layout == "order" else blocks
+    assert run(["eval", "--tree", tree, "--layout", lay] + extra) == 3
+    assert [r.getMessage() for r in caplog.records] == [message]
+
+
 def test_eval_order_requires_B(tmp_path):
     tree = tmp_path / "t.json"
     order = tmp_path / "o.json"
@@ -716,11 +746,55 @@ def test_sweep_config_keys(tmp_path, caplog, config, word):
     assert any(word in r.getMessage() for r in caplog.records)
 
 
-def test_run_sweep_returns_rows_and_summary():
-    cfg = SweepConfig(families={"path": [32]}, Bs=[4], depths="all")
+@pytest.mark.parametrize("cfg,expected", [
+    # sum over cells of (1 + offsets) x (height + 1) rows
+    (SweepConfig(families={"path": [32]}, Bs=[4], depths="all"), 2 * 32),
+    (SweepConfig(families={"path": [32], "perfect": [15]}, Bs=[2, 5],
+                 depths="all", offsets="all"),
+     (1 + 2) * 32 + (1 + 5) * 32 + (1 + 2) * 4 + (1 + 5) * 4),
+], ids=["offset-0", "all-offsets"])
+def test_run_sweep_returns_rows_and_summary(cfg, expected):
     rows, summary = run_sweep(cfg)
-    assert summary["rows"] == len(rows) == 2 * 32
+    assert summary["rows"] == len(rows) == expected
     assert {r["layout"] for r in rows} == {"aware", "oblivious"}
+
+
+def test_sweep_and_eval_price_each_cell_once(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps these names in the cli module: one
+    # bound per (tree, B, reported depth), one cost_report per aware layout
+    calls = {"bound": 0, "cost_report": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "theoretical_bound",
+                        counting("bound", cli.theoretical_bound))
+    monkeypatch.setattr(cli, "cost_report",
+                        counting("cost_report", cli.cost_report))
+    tree, order = _order_files(tmp_path, 40)
+    lay = tmp_path / "aware.json"
+    assert run(["layout", "aware", "--tree", tree, "--B", 4,
+                "--out", lay]) == 0
+    levels = load_tree(tree).height + 1
+    assert run(["eval", "--tree", tree, "--layout", lay,
+                "--out", tmp_path / "a.csv"]) == 0
+    assert calls == {"bound": levels, "cost_report": 1}
+    assert run(["eval", "--tree", tree, "--layout", order, "--B", 2,
+                "--B", 4, "--offsets", "all",
+                "--out", tmp_path / "o.csv"]) == 0
+    assert calls == {"bound": 3 * levels, "cost_report": 1}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "families": {"path": [16], "perfect": [15]}, "Bs": [2, 4],
+        "depths": "all", "offsets": "all",
+        "csv_out": str(tmp_path / "s.csv"),
+        "summary_out": str(tmp_path / "s.json")}))
+    assert run(["sweep", "--config", cfg]) == 0
+    assert calls == {"bound": 3 * levels + 2 * (16 + 4),
+                     "cost_report": 1 + 4}
 
 
 # ------------------------------------------------------------ oracle
@@ -785,13 +859,54 @@ def test_oversized_all_offset_pricing_exits_4(tmp_path, caplog, capsys, B):
     assert "B=%d" % B in _one_error_line(caplog, capsys)
 
 
-def test_B_past_the_float_range_exits_4(tmp_path, caplog, capsys):
-    # the bound's float arithmetic overflows
+def _float_range_files(tmp_path, B):
+    """A 20-node path, a block layout of it at B and a sweep config of a
+    20-node path at B."""
+    path, blocks = tmp_path / "path.json", tmp_path / "blocks.json"
+    save_tree(gen_path(20), path)
+    blocks.write_text(json.dumps({"B": B, "blocks": [[v] for v in range(20)]}))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "families": {"path": [20]}, "Bs": [B],
+        "csv_out": str(tmp_path / "s.csv"),
+        "summary_out": str(tmp_path / "s.json")}))
+    return path, blocks, config
+
+
+@pytest.mark.parametrize("case,name", [
+    ("eval-order", "--B"),
+    ("eval-blocks", "the layout's B"),
+    ("sweep", "a B in Bs"),
+    ("layout-aware", "--B"),
+], ids=["eval-order", "eval-blocks", "sweep", "layout-aware"])
+def test_B_past_the_float_range_exits_4(tmp_path, caplog, capsys, case,
+                                        name):
+    # the bound's or the aware layout's float arithmetic overflows
+    B = 10**400
     tree, order = _order_files(tmp_path, 20)
+    path, blocks, config = _float_range_files(tmp_path, B)
+    argv = {
+        "eval-order": ["eval", "--tree", tree, "--layout", order, "--B", B],
+        "eval-blocks": ["eval", "--tree", path, "--layout", blocks],
+        "sweep": ["sweep", "--config", config],
+        "layout-aware": ["layout", "aware", "--tree", path, "--B", B],
+    }[case]
     caplog.clear()
-    assert run(["eval", "--tree", tree, "--layout", order,
-                "--B", 10**400]) == 4
-    assert "too large" in _one_error_line(caplog, capsys)
+    assert run(argv) == 4
+    message = _one_error_line(caplog, capsys)
+    assert "too large" in message and name in message
+
+
+def test_B_past_the_float_range_prices_a_perfect_tree(tmp_path):
+    # on a perfect tree every reported depth is in the B-tree regime and
+    # phase 1 covers every level, so no float holds B
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "families": {"perfect": [7]}, "Bs": [10**400], "depths": "all",
+        "csv_out": str(tmp_path / "s.csv"),
+        "summary_out": str(tmp_path / "s.json")}))
+    assert run(["sweep", "--config", config]) == 0
+    assert len(read_rows(tmp_path / "s.csv")) == 2 * 3
 
 
 @pytest.mark.parametrize("argv", [
