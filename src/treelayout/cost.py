@@ -304,8 +304,6 @@ def solve_p(N: int, D: int, B: int) -> Fraction:
     if N < 1 or B < 1:
         raise TreeError("need N >= 1, B >= 1")
     R = B * math.log2(N) / (2.0 * D)
-    if R <= 0.0:
-        return Fraction(1)
     hi = float(N)
     if N == 1 or hi * math.log2(hi) <= R:
         return Fraction(1, N)
@@ -316,9 +314,7 @@ def solve_p(N: int, D: int, B: int) -> Fraction:
             lo = mid
         else:
             hi = mid
-    u = (lo + hi) / 2.0
-    if u <= 1.0:
-        return Fraction(1)
+    u = (lo + hi) / 2.0         # > 1: lo stays >= 1 and hi > 1
     return Fraction(1) / Fraction(u)
 
 

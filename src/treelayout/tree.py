@@ -25,7 +25,6 @@ __all__ = [
     "gen_random",
     "gen_lower_bound",
     "iter_shapes",
-    "shape_of",
     "shape_to_tree",
     "mirror_shape",
     "json_text",
@@ -48,10 +47,6 @@ class ResourceLimitError(RuntimeError):
 # the most nodes a generator builds: gen_random's full tree has 2n + 1
 # ids, which its int32 slot tables can index up to this n
 MAX_NODES = 2**30 - 1
-
-# gen_random keeps its slot tables in lists below this many nodes and in
-# arrays of C ints from it on (see _slot_table)
-_ARRAY_TABLES_FROM = 1 << 15
 
 _CHILD_TYPES = {int, type(None)}
 
@@ -273,22 +268,6 @@ def gen_path(n: int) -> TreeTopology:
     return TreeTopology(left, right, 0)
 
 
-def _slot_table(n: int):
-    """A zeroed table of ``2n + 1`` node ids for :func:`gen_random`.
-
-    This is the one place that picks the container.  Below
-    ``_ARRAY_TABLES_FROM`` nodes it is a list, whose indexing Python
-    specialises and which is the faster while the tables fit in cache.
-    From there on it is an array of C ints: it holds no int objects, so a
-    random read or write touches one 4-byte slot and no refcount of a
-    randomly placed int, and it takes 4 bytes an id instead of 8 plus an
-    int object.
-    """
-    if n < _ARRAY_TABLES_FROM:
-        return [0] * (2 * n + 1)
-    return array("i", [0]) * (2 * n + 1)
-
-
 def gen_random(n: int, seed: int) -> TreeTopology:
     """Uniformly random binary-tree shape on ``n`` nodes.
 
@@ -308,8 +287,9 @@ def gen_random(n: int, seed: int) -> TreeTopology:
     that holds node v.  Inserting internal node m with new leaf ``m + 1``
     above node j reads ``slot[j]`` and writes ``kids[slot[j]]`` and
     ``slot[j]``: one random read and two random writes, while the other
-    writes go to ids m - 1 to m + 1.  See :func:`_slot_table` for what
-    the tables are.
+    writes go to ids m - 1 to m + 1.  Both tables are arrays of C ints:
+    they hold no int objects, so a random write moves no refcount of a
+    randomly placed int, and an id takes 4 bytes.
 
     Node ids are assigned in preorder by a walk that goes on into each
     left child in place and stacks only right children, each with its
@@ -319,8 +299,8 @@ def gen_random(n: int, seed: int) -> TreeTopology:
         raise TreeError("n must be positive")
     _check_node_count(n)
     getrandbits = random.Random(seed).getrandbits
-    kids = _slot_table(n)
-    slot = _slot_table(n)
+    kids = array("i", [0]) * (2 * n + 1)
+    slot = array("i", [0]) * (2 * n + 1)
     slot[0] = 2 * n             # kids[2n] = 0: the lone leaf 0 is the root
     # internal node m = 2k + 1 has 4k + 2 = 2m insertion positions, a
     # number of nbits bits for every k in [lo, hi)
@@ -481,17 +461,6 @@ def shape_to_tree(shape) -> TreeTopology:
     return TreeTopology(left, right, 0)
 
 
-def shape_of(tree: TreeTopology) -> tuple:
-    """Shape tuple of a topology (inverse of :func:`shape_to_tree`)."""
-    key: list = [None] * tree.n
-    left, right = tree.left, tree.right
-    for x in reversed(tree.preorder()):
-        l, r = left[x], right[x]
-        key[x] = (None if l is None else key[l],
-                  None if r is None else key[r])
-    return key[tree.root]
-
-
 # -- serialization ------------------------------------------------------
 
 
@@ -510,13 +479,13 @@ def json_text(obj) -> str:
 def read_json(path):
     """The one artifact reader: the parsed JSON file at ``path``.
 
-    Malformed JSON, and JSON nested too deeply for the parser, raise
-    ``TreeError`` like every other invalid input.
+    Malformed JSON, bytes that are not UTF-8, and JSON nested too deeply
+    for the parser raise ``TreeError`` like every other invalid input.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise TreeError("%s: invalid json: %s" % (path, exc)) from None
         except RecursionError:
             raise TreeError("%s: json nested too deeply" % (path,)) from None
@@ -577,13 +546,12 @@ def tree_from_json(obj) -> TreeTopology:
     Both go through the same :class:`TreeTopology` validation.  ``obj``
     is left unchanged.
     """
-    return _read_tree(obj, False)
+    return _read_tree(dict(obj) if type(obj) is dict else obj)
 
 
-def _read_tree(obj, owned: bool) -> TreeTopology:
-    """``tree_from_json(obj)``; when ``owned``, nothing else holds ``obj``
-    and its child lists are taken out of it, so each list goes as soon as
-    its tuple exists."""
+def _read_tree(obj) -> TreeTopology:
+    """``tree_from_json(obj)``, taking the child lists out of ``obj`` so
+    that each list goes as soon as its tuple exists."""
     if type(obj) is not dict:
         raise TreeError("tree json must be an object, got %s"
                         % type(obj).__name__)
@@ -599,8 +567,7 @@ def _read_tree(obj, owned: bool) -> TreeTopology:
     elif type(version) is int and version == TREE_FORMAT_VERSION:
         left = _node_list(obj, "left", n)
         right = _node_list(obj, "right", n)
-        if owned:
-            del obj["left"], obj["right"]
+        del obj["left"], obj["right"]
     else:
         raise TreeError("unsupported tree file version %r" % (version,))
     left = tuple(left)
@@ -614,4 +581,4 @@ def save_tree(tree: TreeTopology, path) -> None:
 
 
 def load_tree(path) -> TreeTopology:
-    return _read_tree(read_json(path), True)
+    return _read_tree(read_json(path))

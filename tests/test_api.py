@@ -1,8 +1,10 @@
-"""Public API surface: every exported name exists and is re-exported, and
-every name the benchmark harness in ``perfbench/`` uses is still there."""
+"""Public API surface: every exported name exists, is re-exported and has
+a user, and every name the benchmark harness in ``perfbench/`` uses is
+still there."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,8 @@ import treelayout
 from treelayout import aware, cost, oblivious, tree
 
 MODULES = (tree, aware, oblivious, cost)
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -19,6 +22,27 @@ def test_all_names_resolve_and_are_reexported(module):
     for name in module.__all__:
         obj = getattr(module, name)
         assert getattr(treelayout, name, None) is obj, name
+
+
+def _imported_names(path: Path) -> set:
+    return {a.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def test_every_exported_name_has_a_user():
+    # no exported API that nothing calls: another module of the package
+    # or the benchmark imports it, or README.md documents it
+    package = Path(treelayout.__file__).resolve().parent
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    unused = []
+    for module in MODULES:
+        own = Path(module.__file__).resolve()
+        used = set(readme)
+        for path in [*package.glob("*.py"), *PERFBENCH.glob("*.py")]:
+            if path.resolve() != own:
+                used |= _imported_names(path)
+        unused += [name for name in module.__all__ if name not in used]
+    assert unused == []
 
 
 def _function(path: Path, name: str) -> ast.FunctionDef:

@@ -311,6 +311,33 @@ def test_exclusion_bound_zero_violations():
             assert exclusion_violations(t, w, asg) == 0
 
 
+def test_exclusion_violations_counts_a_violation():
+    # on a path w(x) = 8 - x.  Node 1 starts a block at k = 1 below node
+    # 0, where the rule needs (1 + 1) * w(0) = 16 > 4 * w(1) = 28, which
+    # fails; node 5 starts one at k = 4 below node 1, where
+    # (4 + 1) * w(1) = 35 > 4 * w(5) = 12 holds
+    t = gen_path(8)
+    asg = aware.BlockAssignment(
+        B=4, blocks=[[0], [1, 2, 3, 4], [5, 6, 7]],
+        block_of=[0, 1, 1, 1, 1, 2, 2, 2], phase1_levels=0)
+    assert exclusion_violations(t, compute_weights(t), asg) == 1
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda t: phase2_layout(t, 0, 0), "B must be positive"),
+    (lambda t: layout_aware(t, 0), "B must be positive"),
+    (lambda t: exclusion_violations(
+        t, compute_weights(t),
+        layout_from_json(layout_to_json(layout_aware(t, 2)))),
+     "assignment lacks phase information"),
+    (lambda t: layout_from_json({"B": 2, "blocks": [[0, 1], [2]]}, n=4),
+     "layout does not cover node 3"),
+], ids=["phase2-B", "aware-B", "no-phase", "uncovered"])
+def test_aware_inputs_are_checked(call, message):
+    with pytest.raises(TreeError, match=message):
+        call(gen_perfect(2))
+
+
 # ------------------------------------------------------------ serialization
 
 def test_layout_json_roundtrip():

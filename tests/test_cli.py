@@ -154,22 +154,36 @@ def test_bad_tree_file_exits_3(case, tmp_path, caplog, capsys):
     assert errors[0] == errors[1]
 
 
-@pytest.mark.parametrize("nested", ["eval-tree", "eval-layout", "sweep"])
-def test_deeply_nested_json_exits_3(nested, tmp_path, caplog, capsys):
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 5000)
+def _argv_reading(target, bad, tmp_path):
+    """An ``eval`` or ``sweep`` command line that reads the file ``bad``
+    as its tree, its layout or its config; eval's other file is valid."""
     tree, lay = tmp_path / "t.json", tmp_path / "l.json"
     save_tree(gen_perfect(2), tree)
     assert run(["layout", "aware", "--tree", tree, "--B", 4,
                 "--out", lay]) == 0
-    argv = {"eval-tree": ["eval", "--tree", deep, "--layout", lay],
-            "eval-layout": ["eval", "--tree", tree, "--layout", deep],
-            "sweep": ["sweep", "--config", deep]}[nested]
-    assert run(argv) == 3
+    return {"eval-tree": ["eval", "--tree", bad, "--layout", lay],
+            "eval-layout": ["eval", "--tree", tree, "--layout", bad],
+            "sweep": ["sweep", "--config", bad]}[target]
+
+
+@pytest.mark.parametrize("nested", ["eval-tree", "eval-layout", "sweep"])
+def test_deeply_nested_json_exits_3(nested, tmp_path, caplog, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000)
+    assert run(_argv_reading(nested, deep, tmp_path)) == 3
     errors = [r.getMessage() for r in caplog.records
               if r.levelname == "ERROR"]
     assert len(errors) == 1 and "\n" not in errors[0], errors
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["eval-tree", "eval-layout", "sweep"])
+def test_file_that_is_not_utf8_exits_3(target, tmp_path, caplog, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert run(_argv_reading(target, bad, tmp_path)) == 3
+    assert _one_error_line(caplog, capsys).startswith(
+        f"{bad}: invalid json: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_good_tree_files_in_both_formats(tmp_path):
@@ -704,6 +718,25 @@ def test_sweep_lowerbound_reports_ratio(tmp_path):
     summary = json.loads((tmp_path / "s.json").read_text())
     assert summary["families"]["lowerbound"]["aware"]["max_ratio"] > 0
     assert summary["exclusion_violations"] == 0
+
+
+@pytest.mark.parametrize("command,message", [
+    ("eval", "--D 3 outside 0..2"),
+    ("sweep", "perfect family needs N = 2^h - 1, got 6"),
+], ids=["eval-D", "sweep-perfect"])
+def test_out_of_range_size_or_depth_exits_3(tmp_path, caplog, capsys,
+                                            command, message):
+    tree, lay = tmp_path / "t.json", tmp_path / "l.json"
+    save_tree(gen_perfect(2), tree)
+    assert run(["layout", "aware", "--tree", tree, "--B", 4,
+                "--out", lay]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"families": {"perfect": [6]}, "Bs": [2],
+                               "csv_out": str(tmp_path / "s.csv")}))
+    argv = {"eval": ["eval", "--tree", tree, "--layout", lay, "--D", 3],
+            "sweep": ["sweep", "--config", cfg]}[command]
+    assert run(argv) == 3
+    assert _one_error_line(caplog, capsys) == message
 
 
 def test_sweep_config_validation():

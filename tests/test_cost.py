@@ -406,6 +406,11 @@ def test_solve_p_clamps_to_1_over_N():
     assert p == Fraction(1, 4)
 
 
+@pytest.mark.parametrize("D,B", [(1, 1), (3, 64), (10**6, 10**6)])
+def test_solve_p_of_one_node_is_one(D, B):
+    assert solve_p(1, D, B) == 1
+
+
 def test_solve_p_residual_grid():
     for N in (2**8, 2**12, 2**16):
         for B in (2, 16, 256):
@@ -416,6 +421,20 @@ def test_solve_p_residual_grid():
                 if p in (Fraction(1), Fraction(1, N)):
                     continue  # clamped endpoints need not satisfy the equation
                 assert abs(u * math.log2(u) - R) <= 1e-6 * R
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: theoretical_bound(0, 1, 4), "need N >= 1, B >= 1, D >= 0"),
+    (lambda: theoretical_bound(16, -1, 4), "need N >= 1, B >= 1, D >= 0"),
+    (lambda: solve_p(16, 0, 4), "D must be >= 1"),
+    (lambda: solve_p(16, 1, 0), "need N >= 1, B >= 1"),
+    (lambda: budget_along_path(gen_path(2), [2, 1], 4, []),
+     "path must be nonempty"),
+], ids=["bound-N", "bound-D", "solve_p-D", "solve_p-B", "budget-path"])
+def test_bound_inputs_are_checked(call, message):
+    with pytest.raises(TreeError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # ------------------------------------------------------------ budgets

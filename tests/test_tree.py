@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from treelayout import (TreeError, TreeTopology, compute_weights,
                         gen_lower_bound, gen_path, gen_perfect, gen_random,
                         iter_shapes, load_tree, mirror_shape, save_tree,
-                        shape_of, shape_to_tree, tree_from_json, tree_to_json)
+                        shape_to_tree, tree_from_json, tree_to_json)
 from treelayout.tree import json_text
 
 
@@ -22,6 +22,13 @@ def test_single_node():
     t = TreeTopology([None], [None], 0)
     assert t.n == 1 and t.root == 0
     assert t.depth[0] == 0
+
+
+def test_topology_is_immutable():
+    t = TreeTopology([None], [None], 0)
+    with pytest.raises(AttributeError, match="TreeTopology is immutable"):
+        t.n = 2
+    assert t.n == 1
 
 
 def test_three_node_depths():
@@ -118,17 +125,18 @@ def test_gen_random_deterministic():
     a = gen_random(3, seed=123)
     b = gen_random(3, seed=123)
     assert a == b
-    assert shape_of(a) in set(iter_shapes(3))
+    # both number nodes in preorder, so equal trees have equal shapes
+    assert a in set(map(shape_to_tree, iter_shapes(3)))
 
 
 def test_gen_random_uniform_chi_square():
     """n=4 shape frequencies vs uniform at 1e5 draws; 5% tolerance."""
-    shapes = list(iter_shapes(4))
-    assert len(shapes) == 14
+    shapes = list(map(shape_to_tree, iter_shapes(4)))
+    assert len(set(shapes)) == 14
     counts = dict.fromkeys(shapes, 0)
     trials = 100_000
     for i in range(trials):
-        counts[shape_of(gen_random(4, seed=i))] += 1
+        counts[gen_random(4, seed=i)] += 1
     expect = trials / 14
     for s, c in counts.items():
         assert abs(c - expect) <= 0.05 * expect, (s, c)
@@ -277,6 +285,17 @@ def test_gen_lower_bound_errors():
         gen_lower_bound(16, 4, 10)  # smaller than one gadget
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: gen_perfect(-1), "height must be nonnegative"),
+    (lambda: gen_lower_bound(0, 2, 100), "B must be positive"),
+    (lambda: iter_shapes(-1), "n must be nonnegative"),
+    (lambda: shape_to_tree(None), "empty shape has no tree"),
+], ids=["perfect-height", "lowerbound-B", "shapes-n", "shape-empty"])
+def test_generators_name_a_bad_argument(build, message):
+    with pytest.raises(TreeError, match=message):
+        build()
+
+
 # ------------------------------------------------------------ shapes
 
 def test_shape_counts_are_catalan():
@@ -285,11 +304,16 @@ def test_shape_counts_are_catalan():
 
 
 def test_shape_roundtrip():
-    for n in range(6):
+    def shape(t, x):
+        if x is None:
+            return None
+        return (shape(t, t.left[x]), shape(t, t.right[x]))
+
+    for n in range(1, 6):
         for s in iter_shapes(n):
-            if n == 0:
-                continue
-            assert shape_of(shape_to_tree(s)) == s
+            t = shape_to_tree(s)
+            assert t.preorder() == tuple(range(n))
+            assert shape(t, t.root) == s
 
 
 def test_mirror_is_involution():
@@ -467,6 +491,9 @@ def test_topology_error_messages():
         (([1, None, 1], [2, None, None], 0), "duplicate child slot"),
         (([5, None], [None, None], 0), "out of range"),
         (([1, None], [None, None], 1), "not the parentless node"),
+        (([], [], 0), "at least one node"),
+        (([1, None], [None], 0), "differ in length"),
+        (([None], [None], 1), "root id out of range: 1"),
     ]
     for args, word in cases:
         with pytest.raises(TreeError, match=word):
@@ -633,11 +660,11 @@ def test_loaded_tree_memory_per_node(tmp_path, peak_bytes):
     assert len(set(map(id, tree.depth))) == tree.height + 1
 
 
-def test_gen_random_memory_per_node(peak_bytes):
-    # from 2^15 nodes the slot tables are arrays of C ints, 8 bytes an id
-    # for both, and they are gone before the topology is built; lists of
-    # ints took 219 bytes a node
-    n = 1 << 15
+@pytest.mark.parametrize("n", [1 << 12, 1 << 15])
+def test_gen_random_memory_per_node(peak_bytes, n):
+    # the slot tables are arrays of C ints, 8 bytes a node for both, and
+    # are gone before the topology is built.  List tables would peak at
+    # about 136 bytes a node at 2^12 and 219 at 2^15
     tree, peak, _ = peak_bytes(lambda: gen_random(n, 3))
     assert tree.n == n
     assert peak <= 120 * n
