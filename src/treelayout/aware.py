@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .tree import TreeError, TreeTopology, compute_weights
@@ -196,9 +197,8 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
     node at depth ``phase1_levels`` is a recursion root whose subtree
     :func:`_budget_partition` splits before the next node is visited, so
     block ids follow preorder of the block roots (root block first,
-    children left to right).  The walk over the top levels goes on into
-    each left child in place and stacks only right children, each with
-    its parent's block id.  Runs in O(N).
+    children left to right).  The walk runs down the tree's preorder and
+    skips each recursion root's subtree.  Runs in O(N).
     """
     if B < 1:
         raise TreeError("B must be positive")
@@ -211,29 +211,20 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
 
     blocks: list = []
     block_of = [-1] * tree.n
-    stack: list = []
-    x, b = tree.root, -1
-    while True:
+    walk = iter(tree.preorder())
+    for x in walk:
         d = depth[x]
-        if d < L1:
-            if d % stride == 0:
-                b = len(blocks)
-                blocks.append([x])
-            else:
-                blocks[b].append(x)
-            block_of[x] = b
-            c = right[x]
-            if c is not None:
-                stack.append((c, b))
-            c = left[x]
-            if c is not None:
-                x = c
-                continue
-        else:
+        if d >= L1:
             _budget_partition(left, right, parent, w, x, B, blocks, block_of)
-        if not stack:
-            break
-        x, b = stack.pop()
+            # skip the rest of x's subtree, its next w[x] - 1 entries
+            k = w[x] - 1
+            next(islice(walk, k, k), None)
+        elif d % stride == 0:
+            block_of[x] = len(blocks)
+            blocks.append([x])
+        else:
+            b = block_of[x] = block_of[parent[x]]
+            blocks[b].append(x)
     return BlockAssignment(B=B, blocks=blocks, block_of=block_of,
                            phase1_levels=L1)
 

@@ -7,8 +7,9 @@ more than seven nodes is split with the budget recursion alone, at a
 budget near the square root of its own size, into the pieces of the next
 level, and each of those is refined in turn before the next one starts,
 as in the recursive van Emde Boas layout.  Pieces are connected and kept
-in preorder, so a piece of at most seven nodes is final: it has at most
-two nodes or budget 2, under which a child's share
+in preorder, so a piece's subtree sizes follow from parent links alone,
+and a piece of at most seven nodes is final: it has at most two nodes or
+budget 2, under which a child's share
 ``(2 - 1) * w(child) / w(parent)`` is below 1 and every block is one
 node in preorder.  The final pieces, concatenated in the order the
 walk reaches them, are the order.  The walk's stack is as deep as the
@@ -30,7 +31,7 @@ measured ratio checks in the test suite.)  Runs in O(N lg lg N).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 from .aware import _budget_partition, layout_aware
 from .tree import TreeError, TreeTopology
@@ -107,9 +108,10 @@ def _refine(tree: TreeTopology, order: list, made=None) -> None:
 
     ``stack[k]`` iterates over the pieces of level k still to refine
     under one piece of level k - 1.  A final piece goes to ``order`` in
-    its parent's loop; a larger one is split, and its sub-pieces are
-    refined before its next sibling.  The loop makes no call per piece
-    and no closure, so it leaves nothing for the cyclic collector.
+    its parent's loop; a larger one is sized and split, and its
+    sub-pieces are refined before its next sibling.  The loop makes no
+    call per piece and no closure, so it leaves nothing for the cyclic
+    collector.
     """
     top = layout_aware(tree, _piece_budget(tree.n))
     block_of = top.block_of
@@ -123,20 +125,14 @@ def _refine(tree: TreeTopology, order: list, made=None) -> None:
             if len(P) <= _FINAL:
                 order += P
                 continue
-            # unassign the piece bottom-up, counting subtree sizes within
-            # it; every other node holds a block id, so a child is in the
-            # piece iff it is already unassigned.  Block ids are indices
-            # into the local list; only -1 is ever asked for.
-            for x in reversed(P):
-                s = 1
-                c = left[x]
-                if c is not None and block_of[c] == -1:
-                    s += w[c]
-                c = right[x]
-                if c is not None and block_of[c] == -1:
-                    s += w[c]
-                w[x] = s
+            # unassign the piece (blocks grow only into -1 nodes) and size
+            # it from parent links: it is connected and in preorder, so
+            # each node but its root adds into a parent met later in reverse
+            for x in P:
+                w[x] = 1
                 block_of[x] = -1
+            for x in islice(reversed(P), len(P) - 1):
+                w[parent[x]] += w[x]
             sub: list = []
             _budget_partition(left, right, parent, w, P[0],
                               _piece_budget(len(P)), sub, block_of)

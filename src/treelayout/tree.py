@@ -13,6 +13,7 @@ import random
 from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 __all__ = [
@@ -223,10 +224,9 @@ def compute_weights(tree: TreeTopology) -> list:
     """
     w = [1] * tree.n
     parent = tree.parent
-    for x in reversed(tree.preorder()):
-        p = parent[x]
-        if p is not None:
-            w[p] += w[x]
+    # every node but the root, children before parents
+    for x in islice(reversed(tree.preorder()), tree.n - 1):
+        w[parent[x]] += w[x]
     return w
 
 

@@ -182,7 +182,7 @@ def test_budget_partition_grows_only_into_unassigned_nodes(n, seed, B, data):
         stack += [c for c in (t.left[y], t.right[y])
                   if c is not None and before[c] == -1]
     w = [0] * n
-    for y in reversed(region):  # region is in preorder
+    for y in reversed(region):  # region lists parents before children
         w[y] = 1 + sum(w[c] for c in (t.left[y], t.right[y])
                        if c is not None and before[c] == -1)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,22 @@ def test_worst_by_offset_wide_cells():
         for off in range(B):
             want = cost_report(t, block_ids(order, B, off)).worst_exact
             assert cols[off].tolist() == want
+
+
+@pytest.mark.parametrize("B", [1, 2, 5, 16, 64])
+def test_worst_by_offset_big_endian_columns(B, monkeypatch):
+    # A big-endian host writes each row with its last field first, and
+    # the columns are read back from the other end.  Only one-byte cells
+    # read the same in either byte order, so the emulation needs costs
+    # below 128: two-byte cells (a 300-node path at B=2 costs up to 151)
+    # cannot be emulated on a little-endian host.
+    t = gen_random(300, seed=5)
+    order = layout_oblivious(t)
+    native = worst_by_offset(t, order, B)
+    assert native[0].format == "B"
+    monkeypatch.setattr(sys, "byteorder", "big")
+    big = worst_by_offset(t, order, B)
+    assert [c.tolist() for c in big] == [c.tolist() for c in native]
 
 
 def test_worst_by_offset_of_padded_aware_order_at_offset_0():

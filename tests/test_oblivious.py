@@ -157,6 +157,7 @@ def _reference_rounds(tree):
             if len(P) <= 2:
                 finer.append(P)
                 continue
+            # child checks on purpose: a reference for _refine's parent links
             for x in reversed(P):
                 s = 1
                 for c in (left[x], right[x]):
