@@ -23,7 +23,6 @@ bit-reproducible while staying O(1) per node in the common case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Optional
 
@@ -71,6 +70,9 @@ def k_set(tree: TreeTopology, x: int, A, weights) -> set:
     ``(A - 1) * w(child) / w(x)`` to each child; a missing child absorbs
     nothing.  Returns the empty set when ``A < 1``.
     """
+    # imported on use, as in cost.py: the layout commands make no Fraction
+    from fractions import Fraction
+
     a0 = Fraction(A)
     out = set()
     left, right = tree.left, tree.right

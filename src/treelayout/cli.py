@@ -29,15 +29,14 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
-from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .aware import (exclusion_violations, layout_aware, layout_from_json,
                     layout_to_json, padded_order)
-from .cost import (brute_force_optimal, cost_report, order_report,
-                   theoretical_bound, solve_p, worst_by_offset)
-from .oblivious import layout_oblivious, order_from_json, order_to_json
+from .cost import (_running_max, brute_force_optimal, cost_report,
+                   order_report, theoretical_bound, solve_p, worst_by_offset)
+from .oblivious import _read_order, layout_oblivious, order_to_json
 from .tree import (ResourceLimitError, TreeError, TreeTopology, compute_weights,
                    gen_lower_bound, gen_path, gen_perfect, gen_random,
                    json_text, load_tree, read_json, tree_to_json)
@@ -107,7 +106,7 @@ def _price_cell(tree_id: str, family: str, tree: TreeTopology, B: int,
     elif order is not None:
         for off, col in enumerate(worst_by_offset(tree, order, B)):
             we = col.tolist()
-            layouts.append(("oblivious", off, we, list(accumulate(we, max))))
+            layouts.append(("oblivious", off, we, _running_max(we)))
     return _Cell(tree_id, family, N, B, depths, bounds, layouts)
 
 
@@ -243,8 +242,9 @@ def cmd_eval(args) -> int:
     # blocks, before the tree is loaded, so its parsed lists and the tree
     # are never alive together.  An order file is parsed before the tree
     # is loaded and made a LinearOrder after it, whose positions reuse the
-    # parsed ints, so that adds only tuples of pointers.  Every check of
-    # --B comes before the tree is read
+    # parsed ints; its list goes once its tuple exists, so that adds only
+    # tuples of pointers.  Every check of --B comes before the tree is
+    # read
     layout = read_json(args.layout)
     kind = _layout_kind(layout, args.layout)
     Bs, name = args.B or [], "--B"
@@ -265,7 +265,7 @@ def cmd_eval(args) -> int:
         raise ValueError("B must be >= 1")
     tree = load_tree(args.tree)
     if kind == "order":
-        order = order_from_json(layout, tree.n)
+        order = _read_order(layout, tree.n)
         del layout
     elif len(block_of) != tree.n:
         raise TreeError("layout holds %d nodes, the tree %d"
@@ -319,6 +319,8 @@ class SweepConfig:
     def __post_init__(self):
         if not isinstance(self.families, dict):
             raise ValueError("families must map family names to size lists")
+        if not self.families:
+            raise ValueError("families must name at least one family")
         for fam, sizes in self.families.items():
             if fam not in FAMILIES:
                 raise ValueError(f"unknown family {fam!r}")

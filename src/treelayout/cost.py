@@ -25,11 +25,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate, islice
-from typing import Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Optional
 
 from .tree import TreeError, ResourceLimitError, TreeTopology, compute_weights
+
+# only solve_p and budget_along_path make a Fraction, and each imports
+# it, so a command that makes none never loads fractions, decimal or
+# numbers
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CostReport",
@@ -70,6 +75,13 @@ def path_cost(block_of, tree: TreeTopology, node: int) -> int:
     return len(seen)
 
 
+def _running_max(xs) -> list:
+    """``list(accumulate(xs, max))`` without a ``max`` call per item, which
+    takes about five times as long."""
+    top = -math.inf
+    return [(top := x) if x > top else top for x in xs]
+
+
 def _scan(tree: TreeTopology, slot, B: int, top: list) -> CostReport:
     """Worst path cost per depth when node x sits in block ``slot[x] // B``.
 
@@ -101,8 +113,7 @@ def _scan(tree: TreeTopology, slot, B: int, top: list) -> CostReport:
         cost[d] = c
         if c > worst[d]:
             worst[d] = c
-    return CostReport(worst_exact=worst,
-                      worst_cum=list(accumulate(worst, max)))
+    return CostReport(worst_exact=worst, worst_cum=_running_max(worst))
 
 
 def cost_report(tree: TreeTopology, block_of) -> CostReport:
@@ -299,6 +310,8 @@ def solve_p(N: int, D: int, B: int) -> Fraction:
     ``[1/N, 1]``.  The result is an exact dyadic rational, so callers get
     bit-identical values for identical inputs.
     """
+    from fractions import Fraction
+
     if D < 1:
         raise TreeError("D must be >= 1")
     if N < 1 or B < 1:
@@ -328,6 +341,8 @@ def budget_along_path(tree: TreeTopology, weights, B: int, path):
     two must be identical, which is exactly the algebra being tested.
     Budgets keep evolving past the point where they drop below 1.
     """
+    from fractions import Fraction
+
     if not path:
         raise TreeError("path must be nonempty")
     parent = tree.parent

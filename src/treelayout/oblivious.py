@@ -64,6 +64,7 @@ class LinearOrder:
     position: tuple = field(init=False)
 
     def __post_init__(self):
+        # a tuple is kept as it is, not copied
         order = self.order = tuple(self.order)
         # one pass in C: bools are not node ids
         if not set(map(type, order)) <= {int, type(None)}:
@@ -199,13 +200,23 @@ def order_to_json(order: LinearOrder) -> dict:
 
 def order_from_json(obj, n: int) -> LinearOrder:
     """Read ``{"order": [node | null, ...]}`` for a tree of ``n`` nodes:
-    each of ``0..n-1`` exactly once, padding allowed anywhere."""
+    each of ``0..n-1`` exactly once, padding allowed anywhere.  ``obj``
+    is left unchanged."""
+    return _read_order(dict(obj) if type(obj) is dict else obj, n)
+
+
+def _read_order(obj, n: int) -> LinearOrder:
+    """``order_from_json(obj, n)``, taking the order list out of ``obj``
+    so that the list goes as soon as its tuple exists, before
+    ``LinearOrder`` sizes its positions."""
     try:
         seq = obj["order"]
     except (TypeError, KeyError) as exc:
         raise TreeError("order json missing field: %s" % exc) from None
     if type(seq) is not list:
         raise TreeError("order must be a list of node ids and nulls")
+    del obj["order"]
+    seq = tuple(seq)    # drops the list: obj no longer holds it
     order = LinearOrder(seq)
     if order.n != n:
         raise TreeError("order holds %d nodes, the tree %d" % (order.n, n))

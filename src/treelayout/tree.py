@@ -12,7 +12,6 @@ import json
 import random
 from array import array
 from collections import Counter
-from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
@@ -351,6 +350,13 @@ def gen_random(n: int, seed: int) -> TreeTopology:
     return TreeTopology(out_left, out_right, 0)
 
 
+def _gadget_path_len(B: int, inv_p: int) -> int:
+    """``max(1, round(B / inv_p))``, with the exact quotient rounded half to
+    even in integers: a remainder of exactly half rounds up from odd q."""
+    q, r = divmod(B, inv_p)
+    return max(1, q + (2 * r + q % 2 > inv_p))
+
+
 def gen_lower_bound(B: int, inv_p: int, target_n: int) -> TreeTopology:
     """Adversarial tree: branching bursts separated by long paths.
 
@@ -376,7 +382,7 @@ def gen_lower_bound(B: int, inv_p: int, target_n: int) -> TreeTopology:
         raise TreeError("B must be positive")
     if inv_p < 2 or inv_p & (inv_p - 1):
         raise TreeError("inv_p must be a power of two >= 2, got %r" % (inv_p,))
-    L = max(1, round(Fraction(B, inv_p)))
+    L = _gadget_path_len(B, inv_p)
     S = 2 * inv_p - 1 + inv_p * L
     if target_n < S:
         raise TreeError("target_n=%d smaller than one gadget (%d nodes)"
@@ -471,9 +477,14 @@ def json_text(obj) -> str:
     """The one artifact encoding: compact, sorted keys, trailing newline.
 
     Without ``indent`` the ``json`` module encodes in C, several times
-    faster than its pure-Python indenting encoder.
+    faster than its pure-Python indenting encoder.  The artifacts are
+    lists, tuples and dicts of ints, floats, strings and None that the
+    package builds itself, and none contains itself, so the encoder skips
+    its circular-reference check, which records and clears every list it
+    enters.
     """
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True,
+                      check_circular=False) + "\n"
 
 
 def read_json(path):

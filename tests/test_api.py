@@ -1,10 +1,13 @@
 """Public API surface: every exported name exists, is re-exported and has
-a user, and every name the benchmark harness in ``perfbench/`` uses is
-still there."""
+a user, every name the benchmark harness in ``perfbench/`` uses is still
+there, and importing the CLI loads no module it does not need."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +111,14 @@ def test_every_name_the_benchmark_imports_is_exported(script):
     assert names
     exported = {n for m in MODULES for n in m.__all__}
     assert [n for n in names if n not in exported] == []
+
+
+def test_cli_import_leaves_fractions_unloaded():
+    # only the exact-arithmetic checks make a Fraction, and they import it
+    # themselves, so the commands never load fractions, decimal or numbers
+    code = ("import sys, treelayout.cli; print(' '.join(sorted("
+            "{'fractions', 'decimal', 'numbers'} & set(sys.modules))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.stdout.strip() == ""

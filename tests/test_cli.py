@@ -769,6 +769,7 @@ def test_sweep_config_validation():
     ({"families": {"path": [4]}, "Bs": [4, 2, 4]}, "Bs repeats 4"),
     ({"families": {"random": [64, 32, 64]}, "Bs": [4]},
      "family 'random' repeats 64"),
+    ({"families": {}, "Bs": [2]}, "families"),
 ])
 def test_sweep_config_keys(tmp_path, caplog, config, word):
     with pytest.raises(ValueError, match=word):

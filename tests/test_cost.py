@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,11 @@ from treelayout import cost
 
 
 # ------------------------------------------------------------ path_cost
+
+@given(st.lists(st.integers(-10**20, 10**20)))
+def test_running_max_is_accumulate_max(xs):
+    assert cost._running_max(xs) == list(accumulate(xs, max))
+
 
 def test_root_costs_one():
     t = gen_perfect(3)

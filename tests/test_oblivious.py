@@ -13,7 +13,7 @@ from treelayout import (LinearOrder, TreeError, TreeTopology, block_ids,
                         order_from_json, order_to_json, refinement_levels)
 from treelayout import aware
 from treelayout.aware import _budget_partition
-from treelayout.oblivious import _piece_budget
+from treelayout.oblivious import _piece_budget, _read_order
 
 
 def test_single_node():
@@ -318,6 +318,32 @@ def test_order_json_roundtrip():
     order = layout_oblivious(t)
     back = order_from_json(order_to_json(order), t.n)
     assert back.order == order.order
+
+
+def test_order_from_json_leaves_its_argument_unchanged():
+    obj = order_to_json(layout_oblivious(gen_random(50, seed=6)))
+    before = json.dumps(obj)
+    order = order_from_json(obj, 50)
+    assert json.dumps(obj) == before
+    assert order.order == tuple(obj["order"])
+
+
+def test_read_order_takes_the_list_out():
+    obj = {"order": [2, None, 0, 1], "note": 1}
+    order = _read_order(obj, 3)
+    assert obj == {"note": 1}
+    assert order.order == (2, None, 0, 1)
+
+
+def test_read_order_memory_per_node(peak_bytes):
+    # parsed under the trace: the parsed ints (28 bytes a node) and list
+    # (8), then the tuple and the two position lists (8 each); the list
+    # goes once its tuple exists, so the peak is about 52 bytes a node,
+    # and about 61 while the list was held beside them
+    text = json.dumps(order_to_json(layout_oblivious(gen_random(1 << 15, 3))))
+    order, peak, _ = peak_bytes(lambda: _read_order(json.loads(text), 1 << 15))
+    assert order.n == 1 << 15
+    assert peak <= 56 * order.n
 
 
 def test_order_json_rejects_non_permutation():

@@ -13,7 +13,7 @@ from treelayout import (TreeError, TreeTopology, compute_weights,
                         gen_lower_bound, gen_path, gen_perfect, gen_random,
                         iter_shapes, load_tree, mirror_shape, save_tree,
                         shape_to_tree, tree_from_json, tree_to_json)
-from treelayout.tree import json_text
+from treelayout.tree import _gadget_path_len, json_text
 
 
 # ------------------------------------------------------------ TreeTopology
@@ -274,6 +274,15 @@ def test_gen_lower_bound_ids_unchanged(B, inv_p):
         assert t.n == N
         h.update(json.dumps([t.left, t.right], separators=(",", ":")).encode())
     assert h.hexdigest()[:16] == LOWER_BOUND_DIGESTS[B, inv_p]
+
+
+def test_gadget_path_len_rounds_half_to_even():
+    # gen_lower_bound's path length, rounded in integers, is the exact
+    # quotient rounded half to even for every inv_p, not only powers of two
+    for inv_p in range(2, 1025):
+        for B in range(1, 513):
+            assert (_gadget_path_len(B, inv_p)
+                    == max(1, round(Fraction(B, inv_p)))), (B, inv_p)
 
 
 def test_gen_lower_bound_errors():
