@@ -2,9 +2,9 @@
 
 Two cooperating mechanisms produce blocks of at most B nodes:
 
-* the top ``ceil(lg N)`` levels of the tree are clustered level-by-level,
-  ``floor(lg(B+1))`` levels per block, so that shallow queries behave
-  like a B-tree search;
+* the top ``ceil(lg N)`` levels of the tree (capped at the height) are
+  clustered level-by-level, ``floor(lg(B+1))`` levels per block, so that
+  shallow queries behave like a B-tree search;
 * every remaining subtree is split by a budget recursion: its root block
   receives capacity ``A = B``, a node keeps ``A - 1`` for its children and
   hands each child a share proportional to the child's subtree weight,

@@ -531,32 +531,9 @@ def _node_list(obj: dict, key: str, n: int) -> list:
     return seq
 
 
-def _legacy_children(nodes: list, n: int):
-    """``left``/``right`` lists from one ``{"id", "left", "right"}`` record
-    per node (the version-1 layout, which carries no version field)."""
-    left: list = [None] * n
-    right: list = [None] * n
-    seen = [False] * n
-    for rec in nodes:
-        if type(rec) is not dict:
-            raise TreeError("node record must be an object, got %r" % (rec,))
-        x = rec.get("id")
-        if type(x) is not int or not 0 <= x < n:
-            raise TreeError("node id out of range: %r" % (x,))
-        if seen[x]:
-            raise TreeError("duplicate node id %d" % x)
-        seen[x] = True
-        left[x] = rec.get("left")
-        right[x] = rec.get("right")
-    return left, right
-
-
 def tree_from_json(obj) -> TreeTopology:
-    """Read a version-2 columnar tree, or a legacy one-record-per-node tree.
-
-    Both go through the same :class:`TreeTopology` validation.  ``obj``
-    is left unchanged.
-    """
+    """Read a version-2 columnar tree through :class:`TreeTopology`'s
+    validation.  ``obj`` is left unchanged."""
     return _read_tree(dict(obj) if type(obj) is dict else obj)
 
 
@@ -566,21 +543,18 @@ def _read_tree(obj) -> TreeTopology:
     if type(obj) is not dict:
         raise TreeError("tree json must be an object, got %s"
                         % type(obj).__name__)
+    version = _field(obj, "version")
+    if type(version) is not int or version != TREE_FORMAT_VERSION:
+        raise TreeError("unsupported tree file version %r" % (version,))
     n = _field(obj, "n")
     root = _field(obj, "root")
     if type(n) is not int or n < 1:
         raise TreeError("n must be a positive integer, got %r" % (n,))
     if type(root) is not int:
         raise TreeError("root must be an integer, got %r" % (root,))
-    version = obj.get("version")
-    if version is None:
-        left, right = _legacy_children(_node_list(obj, "nodes", n), n)
-    elif type(version) is int and version == TREE_FORMAT_VERSION:
-        left = _node_list(obj, "left", n)
-        right = _node_list(obj, "right", n)
-        del obj["left"], obj["right"]
-    else:
-        raise TreeError("unsupported tree file version %r" % (version,))
+    left = _node_list(obj, "left", n)
+    right = _node_list(obj, "right", n)
+    del obj["left"], obj["right"]
     left = tuple(left)
     right = tuple(right)
     return TreeTopology(left, right, root)

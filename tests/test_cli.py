@@ -74,6 +74,8 @@ def _columnar(**over):
 
 
 def _legacy(**over):
+    """A version-1 tree object: one record per node and no ``version``.
+    That format is no longer read, so every such file must exit 3."""
     obj = {"n": 3, "root": 0,
            "nodes": [{"id": 0, "left": 1, "right": 2},
                      {"id": 1, "left": None, "right": None},
@@ -133,6 +135,7 @@ BAD_TREE_FILES = {
                                        {"id": 1}, {"id": 2}]),
     "legacy-left-string": _record(left="2"),
     "legacy-no-nodes": {"n": 1, "root": 0},
+    "no-version": _legacy(),
 }
 
 
@@ -140,18 +143,21 @@ BAD_TREE_FILES = {
 def test_bad_tree_file_exits_3(case, tmp_path, caplog, capsys):
     # eval reads its block layout, sized by its own blocks, before the
     # tree: given a valid one, it names the tree's fault in the same words
-    # as layout, and a huge declared n allocates nothing before the child
-    # lists are checked against it
+    # as layout and oracle, and a huge declared n allocates nothing before
+    # the child lists are checked against it
     tree, lay = tmp_path / "t.json", tmp_path / "l.json"
     tree.write_text(json.dumps(BAD_TREE_FILES[case]))
     lay.write_text(json.dumps({"B": 1, "blocks": [[0]]}))
     errors = []
     for argv in (["layout", "aware", "--tree", tree, "--B", 2],
-                 ["eval", "--tree", tree, "--layout", lay]):
+                 ["eval", "--tree", tree, "--layout", lay],
+                 ["oracle", "--tree", tree, "--B", 2, "--D", 0]):
         caplog.clear()
         assert run(argv) == 3
         errors.append(_one_error_line(caplog, capsys))
-    assert errors[0] == errors[1]
+    assert errors[0] == errors[1] == errors[2]
+    if case.startswith("legacy-") or case == "no-version":
+        assert errors[0] == "tree json missing field: 'version'"
 
 
 def _argv_reading(target, bad, tmp_path):
@@ -186,13 +192,12 @@ def test_file_that_is_not_utf8_exits_3(target, tmp_path, caplog, capsys):
         f"{bad}: invalid json: 'utf-8' codec can't decode byte 0xff")
 
 
-def test_good_tree_files_in_both_formats(tmp_path):
-    for name, obj in (("v2", _columnar()), ("legacy", _legacy())):
-        tree = tmp_path / f"{name}.json"
-        tree.write_text(json.dumps(obj))
-        assert load_tree(tree) == gen_perfect(1)
-        assert run(["layout", "aware", "--tree", tree, "--B", 2,
-                    "--out", tmp_path / f"{name}.layout.json"]) == 0
+def test_good_tree_file_loads(tmp_path):
+    tree = tmp_path / "v2.json"
+    tree.write_text(json.dumps(_columnar()))
+    assert load_tree(tree) == gen_perfect(1)
+    assert run(["layout", "aware", "--tree", tree, "--B", 2,
+                "--out", tmp_path / "v2.layout.json"]) == 0
 
 
 # ------------------------------------------------------------ layout

@@ -20,8 +20,8 @@ from treelayout import (gen_random, layout_aware, layout_oblivious,
                         tree_to_json)
 from treelayout.cli import main
 
-KEYS = ("order", "blocks", "B", "c", "n", "root", "left", "right", "nodes",
-        "id", "version", "families", "Bs", "depths", "offsets", "seed",
+KEYS = ("order", "blocks", "B", "c", "n", "root", "left", "right",
+        "version", "families", "Bs", "depths", "offsets", "seed",
         "csv_out", "summary_out", "perfect", "path", "random", "lowerbound",
         "all", "log", "zero", "1/2")
 # no path separators or dots: a string used as an output path stays a
@@ -76,9 +76,7 @@ def fuzzed(draw, valid):
 
 TREE = gen_random(9, seed=4)
 ASG = layout_aware(TREE, 2)
-TREES = [tree_to_json(TREE),
-         {"n": 3, "root": 0, "nodes": [{"id": 0, "left": 1, "right": 2},
-                                       {"id": 1}, {"id": 2}]}]
+TREES = [tree_to_json(TREE)]
 LAYOUTS = [layout_to_json(ASG), order_to_json(layout_oblivious(TREE)),
            {"B": 2, "order": padded_order(ASG)}]
 CONFIGS = [{"families": {"random": [9, 20], "path": [5], "perfect": [7],

@@ -4,9 +4,10 @@ Each tree goes through a tree-file round trip first, then the digests
 cover what the engine produces from it (the aware block lists and the
 oblivious order), hashed from a canonical encoding that does not depend
 on the artifact file format.  The digests were recorded with the
-one-record-per-node tree format and indented artifacts; the columnar
-format and the compact encoding must leave every one unchanged.  A change
-to the engine that moves any block or position shows up cell by cell.
+one-record-per-node tree format, which is no longer read, and indented
+artifacts; the columnar format and the compact encoding left every one
+unchanged.  A change to the engine that moves any block or position shows
+up cell by cell.
 """
 
 import hashlib

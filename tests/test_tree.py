@@ -616,19 +616,11 @@ def test_topology_error_messages_match_reference(left, right, root):
 
 # ------------------------------------------------------------ serialization
 
-def _legacy_json(t):
-    """A tree in the version-1 layout: one record per node, no version."""
-    return {"n": t.n, "root": t.root,
-            "nodes": [{"id": x, "left": t.left[x], "right": t.right[x]}
-                      for x in reversed(range(t.n))]}
-
-
 @given(n=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_json_roundtrip(n, seed):
     t = gen_random(n, seed)
     assert tree_from_json(tree_to_json(t)) == t
-    assert tree_from_json(_legacy_json(t)) == t
 
 
 def test_json_v2_columns():
@@ -638,10 +630,9 @@ def test_json_v2_columns():
     assert tree_from_json(json.loads(json.dumps(obj))) == gen_perfect(1)
 
 
-@pytest.mark.parametrize("legacy", [False, True], ids=["columnar", "legacy"])
-def test_tree_from_json_leaves_its_argument_unchanged(legacy):
+def test_tree_from_json_leaves_its_argument_unchanged():
     t = gen_random(50, seed=6)
-    obj = _legacy_json(t) if legacy else tree_to_json(t)
+    obj = tree_to_json(t)
     before = json.dumps(obj)
     assert tree_from_json(obj) == t
     assert json.dumps(obj) == before
@@ -679,27 +670,11 @@ def test_gen_random_memory_per_node(peak_bytes, n):
     assert peak <= 120 * n
 
 
-def test_legacy_file_loads(tmp_path):
-    t = gen_random(200, seed=4)
-    p = tmp_path / "legacy.json"
-    p.write_text(json.dumps(_legacy_json(t), indent=2))
-    got = load_tree(p)
-    assert got == t
-    assert got.parent == t.parent and got.depth == t.depth
-    assert got.preorder() == t.preorder()
-
-
 def test_json_text_is_compact_and_sorted():
     assert json_text({"b": [1, None], "a": 2}) == '{"a":2,"b":[1,null]}\n'
 
 
 def test_json_rejects_bad_ids():
-    legacy = {"n": 3, "root": 0,
-              "nodes": [{"id": 0, "left": 1, "right": 2},
-                        {"id": 7, "left": None, "right": None},
-                        {"id": 2, "left": None, "right": None}]}
-    with pytest.raises(TreeError, match="out of range"):
-        tree_from_json(legacy)
     columnar = tree_to_json(gen_perfect(1))
     columnar["left"][0] = 7
     with pytest.raises(TreeError, match="out of range"):
@@ -714,11 +689,6 @@ def test_json_rejects_wrong_root():
 
 
 def test_json_rejects_cycle():
-    obj = {"n": 2, "root": 0,
-           "nodes": [{"id": 0, "left": 1, "right": None},
-                     {"id": 1, "left": 0, "right": None}]}
-    with pytest.raises(TreeError):
-        tree_from_json(obj)
     with pytest.raises(TreeError, match="cycle"):
         tree_from_json({"version": 2, "n": 2, "root": 0,
                         "left": [1, 0], "right": [None, None]})
@@ -734,5 +704,5 @@ def test_json_rejects_unknown_version():
 def test_json_rejects_garbage(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"nodes": []}))
-    with pytest.raises(TreeError):
+    with pytest.raises(TreeError, match="missing field: 'version'"):
         load_tree(p)
