@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .tree import TreeError, TreeTopology, compute_weights
+from .tree import TreeError, TreeTopology, _field, compute_weights
 
 __all__ = [
     "BlockAssignment",
@@ -282,11 +282,8 @@ def layout_from_json(obj, n: Optional[int] = None) -> BlockAssignment:
     """Read ``{"B": int, "blocks": [[node, ...], ...]}`` for a tree of
     ``n`` nodes, by default as many as the blocks hold; every node must
     sit in exactly one block of 1..B nodes.  Other keys are ignored."""
-    try:
-        B = obj["B"]
-        blocks = obj["blocks"]
-    except (TypeError, KeyError) as exc:
-        raise TreeError("layout json missing field: %s" % exc) from None
+    B = _field(obj, "B", "layout")
+    blocks = _field(obj, "blocks", "layout")
     if type(B) is not int or B < 1:
         raise TreeError("B must be a positive integer")
     if type(blocks) is not list or not set(map(type, blocks)) <= {list}:

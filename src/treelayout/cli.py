@@ -29,13 +29,14 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
+from operator import truediv
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .aware import (exclusion_violations, layout_aware, layout_from_json,
                     layout_to_json, padded_order)
-from .cost import (_running_max, brute_force_optimal, cost_report,
-                   order_report, theoretical_bound, solve_p, worst_by_offset)
+from .cost import (CostReport, brute_force_optimal, cost_report, order_report,
+                   theoretical_bound, solve_p, worst_by_offset)
 from .oblivious import _read_order, layout_oblivious, order_to_json
 from .tree import (ResourceLimitError, TreeError, TreeTopology, compute_weights,
                    gen_lower_bound, gen_path, gen_perfect, gen_random,
@@ -74,8 +75,10 @@ class _Cell(NamedTuple):
     ``depths`` lists the reported depths, a range when they are all of
     them, and ``bounds`` the bound at each: it is a function of (N, B, D)
     alone, so every layout of the cell shares it.  ``layouts`` holds one
-    ``(kind, offset, worst_exact, worst_cum)`` per priced layout, whose
-    two lists run over all depths 0..height, as in ``CostReport``.
+    ``(kind, offset, CostReport)`` per priced layout, over all depths
+    0..height.  An order priced at every offset keeps each
+    ``worst_by_offset`` column as its report's ``worst_exact``, a view of
+    the one compact table, so only ``worst_cum`` is a list per offset.
     """
 
     tree_id: str
@@ -98,15 +101,12 @@ def _price_cell(tree_id: str, family: str, tree: TreeTopology, B: int,
     bounds = array("d", [theoretical_bound(N, D, B) for D in depths])
     layouts = []
     if block_of is not None:
-        rep = cost_report(tree, block_of)
-        layouts.append(("aware", 0, rep.worst_exact, rep.worst_cum))
+        layouts.append(("aware", 0, cost_report(tree, block_of)))
     if order is not None and not all_offsets:
-        rep = order_report(tree, order, B)
-        layouts.append(("oblivious", 0, rep.worst_exact, rep.worst_cum))
+        layouts.append(("oblivious", 0, order_report(tree, order, B)))
     elif order is not None:
-        for off, col in enumerate(worst_by_offset(tree, order, B)):
-            we = col.tolist()
-            layouts.append(("oblivious", off, we, _running_max(we)))
+        layouts += [("oblivious", off, CostReport(col))
+                    for off, col in enumerate(worst_by_offset(tree, order, B))]
     return _Cell(tree_id, family, N, B, depths, bounds, layouts)
 
 
@@ -131,6 +131,15 @@ def _tails(depths, bounds):
         text, den = at[D]
         return f"{D},{e},{c},{text},{e / den:.9g}\n"
     return tail
+
+
+def _at(seq, depths):
+    """The items of ``seq`` at ``depths``: one slice when the depths are a
+    range, which reads a ``worst_by_offset`` column several times faster
+    than an index at a time."""
+    if type(depths) is range:
+        return seq[depths.start:depths.stop:depths.step]
+    return map(seq.__getitem__, depths)
 
 
 # rows per write, so that neither a layout's text nor the row formatter of
@@ -160,24 +169,25 @@ def _write_csv(cells: list, fh) -> None:
         shared = len(cell.layouts) > 1
         if shared:
             tail = lru_cache(maxsize=None)(_tails(Ds, bounds))
-        for kind, offset, we, wc in cell.layouts:
+        for kind, offset, rep in cell.layouts:
             buf.seek(0)
             buf.truncate()
             w.writerow((*cell[:4], kind, offset))
             head = buf.getvalue()[:-1] + ","
-            we, wc = we.__getitem__, wc.__getitem__
             for s in range(0, len(Ds), _CHUNK):
                 part = Ds[s:s + _CHUNK]
                 if not shared:
                     tail = _tails(part, bounds[s:s + _CHUNK])
-                fh.write(head + head.join(map(tail, part, map(we, part),
-                                              map(wc, part))))
+                fh.write(head + head.join(map(
+                    tail, part, _at(rep.worst_exact, part),
+                    _at(rep.worst_cum, part))))
 
 
 def _row_dicts(cells) -> list:
     return [dict(zip(CSV_COLUMNS, (*cell[:4], kind, offset, D, we[D], wc[D],
                                    bound, we[D] / max(1.0, bound))))
-            for cell in cells for kind, offset, we, wc in cell.layouts
+            for cell in cells for kind, offset, rep in cell.layouts
+            for we, wc in [(rep.worst_exact, rep.worst_cum)]
             for D, bound in zip(cell.depths, cell.bounds)]
 
 
@@ -359,15 +369,11 @@ class SweepConfig:
 
 def _depth_grid(height: int, policy: str):
     if policy == "all":
-        return list(range(height + 1))
-    ds = []
-    d = 1
-    while d <= height:
-        ds.append(d)
-        d *= 2
-    if height >= 1 and (not ds or ds[-1] != height):
-        ds.append(height)
-    return ds or [0]
+        return range(height + 1)
+    if height == 0:
+        return [0]
+    ds = [1 << k for k in range(height.bit_length())]
+    return ds if ds[-1] == height else ds + [height]
 
 
 def _gadget_inv_p(N: int, D: int, B: int) -> int:
@@ -435,8 +441,8 @@ def _summary(cells, excl: int) -> dict:
         rows += len(cell.depths) * len(cell.layouts)
         f = fams.setdefault(cell.family, {})
         key = str(cell.N)
-        for kind, _, we, _ in cell.layouts:
-            r = max(we[D] / den for D, den in zip(cell.depths, dens))
+        for kind, _, rep in cell.layouts:
+            r = max(map(truediv, _at(rep.worst_exact, cell.depths), dens))
             k = f.setdefault(kind, {"max_ratio": 0.0, "by_N": {}})
             k["max_ratio"] = max(k["max_ratio"], r)
             k["by_N"][key] = max(k["by_N"].get(key, 0.0), r)

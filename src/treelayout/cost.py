@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .tree import TreeError, ResourceLimitError, TreeTopology, compute_weights
 
@@ -53,13 +53,17 @@ __all__ = [
 class CostReport:
     """Worst-case transfer counts per depth for one (tree, layout) pair.
 
-    ``worst_exact[D]`` is the max cost over nodes at depth exactly D;
-    ``worst_cum[D]`` the max over depths <= D.  Lists run from depth 0 to
-    the tree height inclusive.
+    ``worst_exact[D]`` is the max cost over nodes at depth exactly D, any
+    sequence of ints from depth 0 to the tree height inclusive; the
+    report keeps it as given.  ``worst_cum[D]``, the max over depths
+    <= D, is derived from it as a list.
     """
 
-    worst_exact: list
-    worst_cum: list
+    worst_exact: Sequence[int]
+    worst_cum: list = field(init=False)
+
+    def __post_init__(self):
+        self.worst_cum = _running_max(self.worst_exact)
 
 
 def path_cost(block_of, tree: TreeTopology, node: int) -> int:
@@ -113,7 +117,7 @@ def _scan(tree: TreeTopology, slot, B: int, top: list) -> CostReport:
         cost[d] = c
         if c > worst[d]:
             worst[d] = c
-    return CostReport(worst_exact=worst, worst_cum=_running_max(worst))
+    return CostReport(worst)
 
 
 def cost_report(tree: TreeTopology, block_of) -> CostReport:

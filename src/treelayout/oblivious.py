@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from .aware import _budget_partition, layout_aware
-from .tree import TreeError, TreeTopology
+from .tree import TreeError, TreeTopology, _field
 
 __all__ = [
     "LinearOrder",
@@ -209,10 +209,7 @@ def _read_order(obj, n: int) -> LinearOrder:
     """``order_from_json(obj, n)``, taking the order list out of ``obj``
     so that the list goes as soon as its tuple exists, before
     ``LinearOrder`` sizes its positions."""
-    try:
-        seq = obj["order"]
-    except (TypeError, KeyError) as exc:
-        raise TreeError("order json missing field: %s" % exc) from None
+    seq = _field(obj, "order", "order")
     if type(seq) is not list:
         raise TreeError("order must be a list of node ids and nulls")
     del obj["order"]

@@ -513,11 +513,12 @@ def tree_to_json(tree: TreeTopology) -> dict:
     }
 
 
-def _field(obj: dict, key: str):
+def _field(obj, key: str, kind: str = "tree"):
+    """``obj[key]``, or a ``TreeError`` naming the key ``obj`` lacks."""
     try:
         return obj[key]
-    except KeyError:
-        raise TreeError("tree json missing field: %r" % key) from None
+    except (TypeError, KeyError):
+        raise TreeError("%s json missing field: %r" % (kind, key)) from None
 
 
 def _node_list(obj: dict, key: str, n: int) -> list:

@@ -274,29 +274,31 @@ def test_criterion_7_oblivious_factor(sweep, capsys):
 
 def test_criterion_8_construction_scaling(capsys):
     # Doubling N should roughly double wall-clock: consecutive-ratio
-    # caps 2.5 (aware) and 2.8 (oblivious).  Best of three runs each,
-    # garbage collector paused while timing.
+    # caps 2.5 (aware) and 2.8 (oblivious).  Best of six runs below 2^19
+    # and three above, garbage collector paused while timing.  The
+    # repetitions go round-robin across the sizes, and the larger sizes
+    # run every other round, so every size samples the whole test's time
+    # and a slow spell of the host cannot hold all the runs of one size.
     sizes = [1 << k for k in range(16, 21)]
-    t_aware = []
-    t_obl = []
-    for i, n in enumerate(sizes):
-        t = gen_random(n, seed=800 + i)
+    trees = [gen_random(n, seed=800 + i) for i, n in enumerate(sizes)]
+    for t in trees:
         layout_aware(t, 64)                 # warm caches off the clock
-        best_a = best_o = float("inf")
-        reps = 6 if n < 1 << 19 else 3      # short runs are noisier
-        gc.disable()
-        try:
-            for _ in range(reps):
+    t_aware = [float("inf")] * len(sizes)
+    t_obl = [float("inf")] * len(sizes)
+    gc.disable()
+    try:
+        for rep in range(6):
+            for i, t in enumerate(trees):
+                if rep % 2 and sizes[i] >= 1 << 19:
+                    continue                # short runs are noisier
                 t0 = time.perf_counter()
                 layout_aware(t, 64)
-                best_a = min(best_a, time.perf_counter() - t0)
+                t_aware[i] = min(t_aware[i], time.perf_counter() - t0)
                 t0 = time.perf_counter()
                 layout_oblivious(t)
-                best_o = min(best_o, time.perf_counter() - t0)
-        finally:
-            gc.enable()
-        t_aware.append(best_a)
-        t_obl.append(best_o)
+                t_obl[i] = min(t_obl[i], time.perf_counter() - t0)
+    finally:
+        gc.enable()
     ra = [b / a for a, b in zip(t_aware, t_aware[1:])]
     ro = [b / a for a, b in zip(t_obl, t_obl[1:])]
     ok = max(ra) <= 2.5 and max(ro) <= 2.8

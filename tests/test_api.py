@@ -113,6 +113,22 @@ def test_every_name_the_benchmark_imports_is_exported(script):
     assert [n for n in names if n not in exported] == []
 
 
+def test_cost_report_alone_takes_the_running_max():
+    # worst_cum is derived in one place: no other module names the
+    # helper, and the CLI imports nothing private from cost
+    package = Path(treelayout.__file__).resolve().parent
+    naming = [path.name for path in sorted(package.glob("*.py"))
+              if path.name != "cost.py"
+              and re.search(r"\b_running_max\b", path.read_text())]
+    assert naming == []
+    cli = ast.parse((package / "cli.py").read_text())
+    private = [a.name for node in ast.walk(cli)
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("cost", "treelayout.cost")
+               for a in node.names if a.name.startswith("_")]
+    assert private == []
+
+
 def test_cli_import_leaves_fractions_unloaded():
     # only the exact-arithmetic checks make a Fraction, and they import it
     # themselves, so the commands never load fractions, decimal or numbers

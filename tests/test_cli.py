@@ -609,6 +609,21 @@ def test_eval_of_a_path_memory_per_node(tmp_path, peak_bytes, kind):
     assert peak <= 250 * n
 
 
+def test_priced_offsets_hold_the_table_and_one_list_each(peak_bytes):
+    # a cell priced at every offset keeps each worst_by_offset column as
+    # it is, one byte a cell here, beside one worst_cum list per offset:
+    # about 9.3 bytes per (offset, depth) cell.  A copy of each column as
+    # a list besides held about 16.2
+    tree = gen_path(4096)
+    order = layout_oblivious(tree)
+    B = 64
+    depths = range(tree.height + 1)
+    cell, _, held = peak_bytes(lambda: cli._price_cell(
+        "p", "path", tree, B, depths, None, order, True))
+    assert len(cell.layouts) == B
+    assert held <= 12 * B * len(depths)
+
+
 def test_eval_streams_the_same_csv_to_stdout(tmp_path, capsys):
     tree, order = tmp_path / "t.json", tmp_path / "o.json"
     run(["gen", "random", "--n", 60, "--seed", 4, "--out", tree])
@@ -753,6 +768,19 @@ def test_sweep_config_validation():
         SweepConfig(families={"nope": [4]}, Bs=[2])
     with pytest.raises(ValueError):
         SweepConfig(families={"path": [4]}, Bs=[2], depths="some")
+
+
+@pytest.mark.parametrize("height,grid", [
+    (0, [0]), (1, [1]), (5, [1, 2, 4, 5]), (8, [1, 2, 4, 8])])
+def test_log_depth_grid(height, grid):
+    assert cli._depth_grid(height, "log") == grid
+
+
+def test_log_depth_grid_is_powers_of_two_then_the_height():
+    for height in range(1, 301):
+        grid = cli._depth_grid(height, "log")
+        assert grid == sorted(set(grid)) and grid[-1] == height
+        assert all(d > 0 and d & (d - 1) == 0 for d in grid[:-1])
 
 
 @pytest.mark.parametrize("config,word", [

@@ -9,12 +9,13 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treelayout import (LinearOrder, ResourceLimitError, TreeError,
-                        TreeTopology, block_ids, brute_force_optimal,
-                        budget_along_path, compute_weights, cost_report,
-                        gen_lower_bound, gen_path, gen_perfect, gen_random,
-                        iter_shapes, layout_aware, layout_oblivious,
-                        order_report, padded_order, path_cost, phase2_layout,
+from treelayout import (CostReport, LinearOrder, ResourceLimitError,
+                        TreeError, TreeTopology, block_ids,
+                        brute_force_optimal, budget_along_path,
+                        compute_weights, cost_report, gen_lower_bound,
+                        gen_path, gen_perfect, gen_random, iter_shapes,
+                        layout_aware, layout_oblivious, order_report,
+                        padded_order, path_cost, phase2_layout,
                         shape_to_tree, solve_p, theoretical_bound,
                         worst_by_offset)
 from treelayout import cost
@@ -22,9 +23,17 @@ from treelayout import cost
 
 # ------------------------------------------------------------ path_cost
 
-@given(st.lists(st.integers(-10**20, 10**20)))
-def test_running_max_is_accumulate_max(xs):
-    assert cost._running_max(xs) == list(accumulate(xs, max))
+@given(xs=st.lists(st.integers(-10**20, 10**20)), n=st.integers(1, 120),
+       seed=st.integers(0, 2**32 - 1), B=st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_cost_report_worst_cum_is_accumulate_max(xs, n, seed, B):
+    # a report keeps any worst_exact it is given, a list or a compact
+    # worst_by_offset column, and derives worst_cum from it
+    t = gen_random(n, seed)
+    for we in [xs, *worst_by_offset(t, layout_oblivious(t), B)]:
+        rep = CostReport(we)
+        assert rep.worst_exact is we
+        assert rep.worst_cum == list(accumulate(we, max))
 
 
 def test_root_costs_one():

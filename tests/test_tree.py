@@ -13,6 +13,8 @@ from treelayout import (TreeError, TreeTopology, compute_weights,
                         gen_lower_bound, gen_path, gen_perfect, gen_random,
                         iter_shapes, load_tree, mirror_shape, save_tree,
                         shape_to_tree, tree_from_json, tree_to_json)
+from treelayout.aware import layout_from_json
+from treelayout.oblivious import _read_order
 from treelayout.tree import _gadget_path_len, json_text
 
 
@@ -699,6 +701,32 @@ def test_json_rejects_unknown_version():
     obj["version"] = 3
     with pytest.raises(TreeError, match="version"):
         tree_from_json(obj)
+
+
+_READERS = {
+    "tree": (tree_from_json, {"version": 2, "n": 1, "root": 0,
+                              "left": [None], "right": [None]}),
+    "layout": (layout_from_json, {"B": 1, "blocks": [[0]]}),
+    "order": (lambda obj: _read_order(obj, 1), {"order": [0]}),
+}
+
+
+@pytest.mark.parametrize("kind,key", [
+    *(("tree", key) for key in ("version", "n", "root", "left", "right")),
+    ("layout", "B"), ("layout", "blocks"), ("order", "order")])
+def test_readers_name_a_missing_field(kind, key):
+    read, full = _READERS[kind]
+    assert read(dict(full)) is not None
+    obj = {k: v for k, v in full.items() if k != key}
+    with pytest.raises(TreeError) as exc:
+        read(obj)
+    assert str(exc.value) == f"{kind} json missing field: '{key}'"
+    if kind != "tree":          # the tree reader asks for an object first
+        # a non-object misses the first field read
+        with pytest.raises(TreeError) as exc:
+            read(list(obj.values()))
+        first = next(iter(full))
+        assert str(exc.value) == f"{kind} json missing field: '{first}'"
 
 
 def test_json_rejects_garbage(tmp_path):
