@@ -22,11 +22,12 @@ bit-reproducible while staying O(1) per node in the common case.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import islice
 from typing import Optional
 
-from .tree import TreeError, TreeTopology, _field, compute_weights
+from .tree import (MAX_NODES, ResourceLimitError, TreeError, TreeTopology,
+                   _field, compute_weights)
 
 __all__ = [
     "BlockAssignment",
@@ -51,15 +52,42 @@ class BlockAssignment:
     ``blocks[i]`` lists the members of block ``i`` with the block's
     topmost node first; block ids follow preorder of the block roots.
     ``block_of`` maps node id -> block id, -1 for nodes outside the
-    covered region.  Nodes strictly shallower than ``phase1_levels`` were
-    clustered level-by-level, the rest split by the budget recursion
-    (None for layouts read from disk).
+    covered region.  Unless given, it is derived from ``blocks`` on first
+    read, as long as one past the largest node id, and kept.  Nodes
+    strictly shallower than ``phase1_levels`` were clustered
+    level-by-level, the rest split by the budget recursion (None for
+    layouts read from disk).
     """
 
     B: int
     blocks: list
-    block_of: list
-    phase1_levels: Optional[int]
+    block_of: InitVar[Optional[list]] = None
+    phase1_levels: Optional[int] = None
+
+    def __post_init__(self, block_of):
+        self._block_of = block_of
+
+
+def _block_index(blocks: list, n: int) -> list:
+    """Block id of every node ``0..n-1`` of ``blocks``, -1 for the rest."""
+    block_of = [-1] * n
+    for i, mem in enumerate(blocks):
+        for v in mem:
+            block_of[v] = i
+    return block_of
+
+
+def _block_of(asg: BlockAssignment) -> list:
+    if asg._block_of is None:
+        asg._block_of = _block_index(
+            asg.blocks, 1 + max(map(max, asg.blocks), default=-1))
+    return asg._block_of
+
+
+# set after the class is made, so that the dataclass takes the InitVar's
+# default None and not the property: dataclasses.replace reads the
+# property and hands its list on to the copy
+BlockAssignment.block_of = property(_block_of)
 
 
 def k_set(tree: TreeTopology, x: int, A, weights) -> set:
@@ -102,48 +130,50 @@ def _exact_reciprocal_le(ws, B: int, wr: int) -> bool:
 
 
 def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
-                      block_of: list) -> None:
+                      free: bytearray) -> None:
     """Split the piece rooted at ``root`` into budget-rule blocks.
 
     The piece is ``root`` plus every node reachable from it through
-    children whose ``block_of`` is -1: blocks grow only into unassigned
-    nodes.  Appends member lists (preorder within the piece, root first)
-    to ``blocks`` and records each node's global block index in
-    ``block_of``.  ``w`` must hold subtree sizes *within the piece*.  The
-    whole piece is finished before returning, so block ids follow
-    preorder of the block roots.
+    children whose ``free`` entry is 1: blocks grow only into nodes still
+    to place.  Appends member lists (preorder within the piece, root
+    first) to ``blocks`` and clears the ``free`` entry of every node it
+    places.  ``w`` must hold subtree sizes *within the piece*.  The whole
+    piece is finished before returning, so block ids follow preorder of
+    the block roots.
 
     The walk goes on into a placed node's left child with its state in
     local variables and stacks only the right child, as ``(node, block,
-    S)``: the placed parent's block id and the reciprocal sum ``S`` from
-    that block's root r down to the parent.  Those m nodes are members,
-    so ``m / w(r) <= S <= B / w(r)`` exactly and ``m <= min(B, w[root])``:
-    the one tolerance ``k * (s2 + tgt)`` covers the rounding of an m-term
-    ``S``, of the new term, of the target and of the margin.
+    S)``: the placed parent's member list and the reciprocal sum ``S``
+    from that block's root r down to the parent.  Those m nodes are
+    members, so ``m / w(r) <= S <= B / w(r)`` exactly and
+    ``m <= min(B, w[root])``: the one tolerance ``k * (s2 + tgt)`` covers
+    the rounding of an m-term ``S``, of the new term, of the target and of
+    the margin.
     """
-    b = len(blocks)
-    blocks.append([root])
-    block_of[root] = b
+    mem = [root]
+    blocks.append(mem)
+    free[root] = 0
     k = (min(B, w[root]) + 2) * _U
     stack: list = []
     push = stack.append
     pop = stack.pop
-    # x is placed in block b; s2 sums 1/w from the block's root down to x
+    # x is placed in block mem; s2 sums 1/w from the block's root down to x
     x = root
     s2 = 1.0 / w[root]
     tgt = B / w[root]
     while True:
         c = right[x]
-        if c is not None and block_of[c] == -1:
-            push((c, b, s2))
+        if c is not None and free[c]:
+            push((c, mem, s2))
         c = left[x]
-        if c is not None and block_of[c] == -1:
+        if c is not None and free[c]:
             x, S = c, s2
         elif stack:
-            x, b, S = pop()
-            tgt = B / w[blocks[b][0]]
+            x, mem, S = pop()
+            tgt = B / w[mem[0]]
         else:
             return
+        free[x] = 0
         wx = w[x]
         t = 1.0 / wx
         s2 = S + t
@@ -154,7 +184,7 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
         elif margin < -tol:
             include = False
         else:
-            r = blocks[b][0]
+            r = mem[0]
             ws = [wx]
             y = x
             while y != r:
@@ -162,12 +192,10 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
                 ws.append(w[y])
             include = _exact_reciprocal_le(ws, B, w[r])
         if include:
-            blocks[b].append(x)
-            block_of[x] = b
+            mem.append(x)
         else:
-            b = len(blocks)
-            blocks.append([x])
-            block_of[x] = b
+            mem = [x]
+            blocks.append(mem)
             s2 = t
             tgt = B / wx
 
@@ -177,15 +205,16 @@ def phase2_layout(tree: TreeTopology, root: int, B: int) -> BlockAssignment:
 
     Block 0 is the node set of :func:`k_set` at ``(root, B)``; each child
     of an included node that fell outside restarts with full capacity B.
+    ``block_of`` has an entry for every node of the tree.
     """
     if B < 1:
         raise TreeError("B must be positive")
     blocks: list = []
-    block_of = [-1] * tree.n
     _budget_partition(tree.left, tree.right, tree.parent,
-                      compute_weights(tree), root, B, blocks, block_of)
-    return BlockAssignment(B=B, blocks=blocks, block_of=block_of,
-                           phase1_levels=tree.depth[root])
+                      compute_weights(tree), root, B, blocks,
+                      bytearray(b"\1") * tree.n)
+    return BlockAssignment(B, blocks, _block_index(blocks, tree.n),
+                           tree.depth[root])
 
 
 def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
@@ -200,7 +229,10 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
     :func:`_budget_partition` splits before the next node is visited, so
     block ids follow preorder of the block roots (root block first,
     children left to right).  The walk runs down the tree's preorder and
-    skips each recursion root's subtree.  Runs in O(N).
+    skips each recursion root's subtree.  A node above the recursion roots
+    that is not a stratum root joins its parent's block, which is the
+    last block met at the depth above: ``on_path[d]`` is the block of the
+    preorder path's node at depth d.  Runs in O(N).
     """
     if B < 1:
         raise TreeError("B must be positive")
@@ -212,23 +244,24 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
     left, right, parent, depth = tree.left, tree.right, tree.parent, tree.depth
 
     blocks: list = []
-    block_of = [-1] * tree.n
+    # every node below the recursion roots is still to place
+    free = bytearray(b"\1") * tree.n
+    on_path: list = [None] * L1
     walk = iter(tree.preorder())
     for x in walk:
         d = depth[x]
         if d >= L1:
-            _budget_partition(left, right, parent, w, x, B, blocks, block_of)
+            _budget_partition(left, right, parent, w, x, B, blocks, free)
             # skip the rest of x's subtree, its next w[x] - 1 entries
             k = w[x] - 1
             next(islice(walk, k, k), None)
         elif d % stride == 0:
-            block_of[x] = len(blocks)
-            blocks.append([x])
+            mem = on_path[d] = [x]
+            blocks.append(mem)
         else:
-            b = block_of[x] = block_of[parent[x]]
-            blocks[b].append(x)
-    return BlockAssignment(B=B, blocks=blocks, block_of=block_of,
-                           phase1_levels=L1)
+            mem = on_path[d] = on_path[d - 1]
+            mem.append(x)
+    return BlockAssignment(B, blocks, phase1_levels=L1)
 
 
 def exclusion_violations(tree: TreeTopology, weights,
@@ -245,12 +278,13 @@ def exclusion_violations(tree: TreeTopology, weights,
     L1 = asg.phase1_levels
     depth, parent = tree.depth, tree.parent
     B = asg.B
+    blocks, block_of = asg.blocks, asg.block_of
     bad = 0
-    for mem in asg.blocks:
+    for mem in blocks:
         y = mem[0]
         if depth[y] <= L1:
             continue
-        r = asg.blocks[asg.block_of[parent[y]]][0]
+        r = blocks[block_of[parent[y]]][0]
         k = depth[y] - depth[r]
         if not (k + 1) * weights[r] > B * weights[y]:
             bad += 1
@@ -263,10 +297,16 @@ def padded_order(asg: BlockAssignment) -> list:
     Block i occupies slots ``[i*B, (i+1)*B)``; unused slots are None.
     Mapping a slot index s to block ``s // B`` reproduces ``block_of``
     exactly, which lets the block-assignment and linear-order cost paths
-    cross-check each other.
+    cross-check each other.  An order of more than ``MAX_NODES`` slots
+    raises ``ResourceLimitError`` before any of it is allocated.
     """
     B = asg.B
-    out: list = [None] * (len(asg.blocks) * B)
+    size = len(asg.blocks) * B
+    if size > MAX_NODES:
+        raise ResourceLimitError(
+            "a padded order of %d blocks at B=%d needs %d slots, over "
+            "the limit of %d" % (len(asg.blocks), B, size, MAX_NODES))
+    out: list = [None] * size
     for i, mem in enumerate(asg.blocks):
         base = i * B
         for j, v in enumerate(mem):
@@ -305,6 +345,6 @@ def layout_from_json(obj, n: Optional[int] = None) -> BlockAssignment:
     if -1 in block_of:
         raise TreeError("layout does not cover node %d" % block_of.index(-1))
     # the parsed lists become the blocks as they are; copying them would
-    # hold two copies while the parsed object is still alive
-    return BlockAssignment(B=B, blocks=blocks, block_of=block_of,
-                           phase1_levels=None)
+    # hold two copies while the parsed object is still alive.  The index
+    # the checks built is kept as block_of
+    return BlockAssignment(B, blocks, block_of)

@@ -38,7 +38,11 @@ from .aware import (exclusion_violations, layout_aware, layout_from_json,
 from .cost import (CostReport, brute_force_optimal, cost_report, order_report,
                    theoretical_bound, solve_p, worst_by_offset)
 from .oblivious import _read_order, layout_oblivious, order_to_json
-from .tree import (ResourceLimitError, TreeError, TreeTopology, compute_weights,
+# gen writes a builder's lists and calls no tree_to_json; it stays
+# importable here because perfbench/tracer.py wraps it at this name
+from .tree import (ResourceLimitError, TreeError, TreeTopology,
+                   _build_lower_bound, _build_path, _build_perfect,
+                   _build_random, _tree_json, compute_weights,
                    gen_lower_bound, gen_path, gen_perfect, gen_random,
                    json_text, load_tree, read_json, tree_to_json)
 
@@ -194,9 +198,11 @@ def _row_dicts(cells) -> list:
 # ---------------------------------------------------------------- gen
 
 def cmd_gen(args) -> int:
-    tree = args.make(args)
-    _write_json(tree_to_json(tree), args.out)
-    log.info("gen %s: %d nodes", args.family, tree.n)
+    # the family's builder lists, written as they are: no TreeTopology is
+    # built, since every command that reads the file validates it
+    left, right = args.make(args)
+    _write_json(_tree_json(left, right), args.out)
+    log.info("gen %s: %d nodes", args.family, len(left))
     return 0
 
 
@@ -214,7 +220,12 @@ def cmd_layout(args) -> int:
         with _B_too_large("--B"):
             asg = layout_aware(tree, B)
         obj = layout_to_json(asg)
-        slots = None if args.padded_out is None else padded_order(asg)
+        slots = None
+        if args.padded_out is not None:
+            try:
+                slots = padded_order(asg)
+            except ResourceLimitError as exc:
+                raise ResourceLimitError(f"--padded-out: {exc}") from None
         del tree, asg
         _write_json(obj, args.out)
         if slots is not None:
@@ -540,19 +551,19 @@ def build_parser() -> argparse.ArgumentParser:
     fam = g.add_subparsers(dest="family", required=True)
     f = fam.add_parser("perfect", parents=[out], help="leaves at --height")
     f.add_argument("--height", type=int, required=True)
-    f.set_defaults(make=lambda a: gen_perfect(a.height))
+    f.set_defaults(make=lambda a: _build_perfect(a.height))
     f = fam.add_parser("path", parents=[out], help="left-spine path")
     f.add_argument("--n", type=int, required=True)
-    f.set_defaults(make=lambda a: gen_path(a.n))
+    f.set_defaults(make=lambda a: _build_path(a.n))
     f = fam.add_parser("random", parents=[out], help="uniform random shape")
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--seed", type=int, default=0, help="default 0")
-    f.set_defaults(make=lambda a: gen_random(a.n, seed=a.seed))
+    f.set_defaults(make=lambda a: _build_random(a.n, a.seed))
     f = fam.add_parser("lowerbound", parents=[out], help="gadget for --B")
     f.add_argument("--B", type=int, action=_Once, required=True)
     f.add_argument("--inv-p", type=int, dest="inv_p", required=True)
     f.add_argument("--n", type=int, required=True)
-    f.set_defaults(make=lambda a: gen_lower_bound(a.B, a.inv_p, a.n))
+    f.set_defaults(make=lambda a: _build_lower_bound(a.B, a.inv_p, a.n))
 
     l = sub.add_parser("layout", help="lay a tree out")
     l.set_defaults(func=cmd_layout)

@@ -115,7 +115,8 @@ def _refine(tree: TreeTopology, order: list, made=None) -> None:
     collector.
     """
     top = layout_aware(tree, _piece_budget(tree.n))
-    block_of = top.block_of
+    # 1 marks a node of the piece being split: blocks grow only into those
+    free = bytearray(tree.n)
     left, right, parent = tree.left, tree.right, tree.parent
     w = [0] * tree.n
     stack = [iter(top.blocks)]
@@ -126,17 +127,17 @@ def _refine(tree: TreeTopology, order: list, made=None) -> None:
             if len(P) <= _FINAL:
                 order += P
                 continue
-            # unassign the piece (blocks grow only into -1 nodes) and size
-            # it from parent links: it is connected and in preorder, so
-            # each node but its root adds into a parent met later in reverse
+            # free the piece, which the split places again, and size it
+            # from parent links: it is connected and in preorder, so each
+            # node but its root adds into a parent met later in reverse
             for x in P:
                 w[x] = 1
-                block_of[x] = -1
+                free[x] = 1
             for x in islice(reversed(P), len(P) - 1):
                 w[parent[x]] += w[x]
             sub: list = []
             _budget_partition(left, right, parent, w, P[0],
-                              _piece_budget(len(P)), sub, block_of)
+                              _piece_budget(len(P)), sub, free)
             stack.append(iter(sub))
             break
         else:

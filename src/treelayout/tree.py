@@ -230,6 +230,11 @@ def compute_weights(tree: TreeTopology) -> list:
 
 
 # -- generators ---------------------------------------------------------
+#
+# Each generator's child lists come from a private builder that returns
+# ``(left, right)`` with root 0.  The public ``gen_*`` functions pass them
+# through ``TreeTopology``'s validation; the CLI's ``gen`` writes them to
+# a tree file as they are, with ``_tree_json``.
 
 
 def _check_node_count(n: int) -> None:
@@ -242,6 +247,11 @@ def _check_node_count(n: int) -> None:
 
 def gen_perfect(height: int) -> TreeTopology:
     """Perfect binary tree with all ``2**height`` leaves at depth ``height``."""
+    return TreeTopology(*_build_perfect(height), 0)
+
+
+def _build_perfect(height: int) -> tuple:
+    """The child lists of ``gen_perfect(height)``, root 0."""
     if height < 0:
         raise TreeError("height must be nonnegative")
     # 2**(height + 1) - 1 nodes: the limit on them caps the height at 29
@@ -253,18 +263,20 @@ def gen_perfect(height: int) -> TreeTopology:
     n = (1 << (height + 1)) - 1
     # node x < n // 2 has children 2x + 1 and 2x + 2; the rest are leaves
     leaves = [None] * (n - n // 2)
-    return TreeTopology([*range(1, n, 2), *leaves],
-                        [*range(2, n + 1, 2), *leaves], 0)
+    return [*range(1, n, 2), *leaves], [*range(2, n + 1, 2), *leaves]
 
 
 def gen_path(n: int) -> TreeTopology:
     """Left-spine path: node ``i`` has single left child ``i+1``."""
+    return TreeTopology(*_build_path(n), 0)
+
+
+def _build_path(n: int) -> tuple:
+    """The child lists of ``gen_path(n)``, root 0."""
     if n < 1:
         raise TreeError("n must be positive")
     _check_node_count(n)
-    left: list = [i + 1 for i in range(n - 1)] + [None]
-    right: list = [None] * n
-    return TreeTopology(left, right, 0)
+    return [*range(1, n), None], [None] * n
 
 
 def gen_random(n: int, seed: int) -> TreeTopology:
@@ -273,11 +285,20 @@ def gen_random(n: int, seed: int) -> TreeTopology:
     Grows a random full binary tree one leaf at a time by Remy's
     algorithm (each of the ``4k+2`` insertion positions equally likely,
     which makes all shapes equally likely), then strips the leaves so the
-    internal nodes form the returned n-node tree.  Each position is drawn
-    by the rejection loop of ``random.Random.randrange`` inlined, so the
-    draws are the ones ``randrange(4k+2)`` makes, without its per-call
-    argument checks; ``k`` runs over one power-of-two range at a time,
-    in which ``(4k+2).bit_length()`` is fixed.
+    internal nodes form the returned n-node tree.  Node ids are in
+    preorder.  Deterministic for a fixed ``(n, seed)``.
+    """
+    return TreeTopology(*_build_random(n, seed), 0)
+
+
+def _build_random(n: int, seed: int) -> tuple:
+    """The child lists of ``gen_random(n, seed)``, root 0.
+
+    Each of Remy's insertion positions is drawn by the rejection loop of
+    ``random.Random.randrange`` inlined, so the draws are the ones
+    ``randrange(4k+2)`` makes, without its per-call argument checks;
+    ``k`` runs over one power-of-two range at a time, in which
+    ``(4k+2).bit_length()`` is fixed.
 
     The full tree's ``2n + 1`` ids are its leaves (even) and internal
     nodes (odd).  It is held in two tables: internal node ``m`` has its
@@ -292,7 +313,7 @@ def gen_random(n: int, seed: int) -> TreeTopology:
 
     Node ids are assigned in preorder by a walk that goes on into each
     left child in place and stacks only right children, each with its
-    parent's new id.  Deterministic for a fixed ``(n, seed)``.
+    parent's new id.
     """
     if n < 1:
         raise TreeError("n must be positive")
@@ -347,7 +368,7 @@ def gen_random(n: int, seed: int) -> TreeTopology:
             x, p = stack.pop()
             out_right[p] = i + 1
     del kids
-    return TreeTopology(out_left, out_right, 0)
+    return out_left, out_right
 
 
 def _gadget_path_len(B: int, inv_p: int) -> int:
@@ -367,6 +388,12 @@ def gen_lower_bound(B: int, inv_p: int, target_n: int) -> TreeTopology:
     one extra transfer per gadget level.  Complete gadgets are attached
     breadth-first left-to-right; a final partial gadget (a breadth-first
     prefix) lands the total node count on ``target_n`` exactly.
+    """
+    return TreeTopology(*_build_lower_bound(B, inv_p, target_n), 0)
+
+
+def _build_lower_bound(B: int, inv_p: int, target_n: int) -> tuple:
+    """The child lists of ``gen_lower_bound(B, inv_p, target_n)``, root 0.
 
     Ids are plain arithmetic.  Gadget g holds ids ``[g*S, (g+1)*S)``, cut
     at ``target_n``; with ``base = g*S``:
@@ -403,7 +430,7 @@ def gen_lower_bound(B: int, inv_p: int, target_n: int) -> TreeTopology:
             (left if k & 1 else right)[base + (k - 1) // 2] = x
         for x in range(base + top, end):
             left[x - inv_p] = x
-    return TreeTopology(left, right, 0)
+    return left, right
 
 
 # -- shape enumeration --------------------------------------------------
@@ -502,15 +529,22 @@ def read_json(path):
             raise TreeError("%s: json nested too deeply" % (path,)) from None
 
 
-def tree_to_json(tree: TreeTopology) -> dict:
-    """Columnar tree file: child id lists, ``None`` for an absent child."""
+def _tree_json(left: list, right: list, root: int = 0) -> dict:
+    """The columnar tree file of child lists ``left`` and ``right``, held
+    as they are: ``None`` for an absent child.  The lists are not
+    validated; :func:`tree_from_json` checks them on reading."""
     return {
         "version": TREE_FORMAT_VERSION,
-        "n": tree.n,
-        "root": tree.root,
-        "left": list(tree.left),
-        "right": list(tree.right),
+        "n": len(left),
+        "root": root,
+        "left": left,
+        "right": right,
     }
+
+
+def tree_to_json(tree: TreeTopology) -> dict:
+    """Columnar tree file: child id lists, ``None`` for an absent child."""
+    return _tree_json(list(tree.left), list(tree.right), tree.root)
 
 
 def _field(obj, key: str, kind: str = "tree"):

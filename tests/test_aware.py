@@ -1,5 +1,6 @@
 """Two-phase block layout for a known block size: K-recursion, strata, blocks."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -158,43 +159,42 @@ def test_phase2_fresh_budget_at_every_block_root():
        B=st.sampled_from([1, 2, 3, 4, 8, 64]), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_budget_partition_grows_only_into_unassigned_nodes(n, seed, B, data):
-    # pre-assign a few nodes, some with their whole subtree; the engine
-    # must cover exactly the -1 nodes reachable from the root without
-    # crossing an assigned node, and write nothing else
+    # pre-place a few nodes, some with their whole subtree; the engine
+    # must cover exactly the free nodes reachable from the root without
+    # crossing a placed node, and clear only their free entries
     t = gen_random(n, seed)
-    block_of = [-1] * n
+    free = bytearray(b"\1") * n
     marks = data.draw(st.lists(st.tuples(st.integers(1, max(1, n - 1)),
-                                         st.integers(0, 5), st.booleans()),
+                                         st.booleans()),
                                max_size=4 if n > 1 else 0))
-    for x, bid, whole in marks:
+    for x, whole in marks:
         stack = [x]
         while stack:
             y = stack.pop()
-            block_of[y] = bid
+            free[y] = 0
             if whole:
                 stack += [c for c in (t.left[y], t.right[y]) if c is not None]
-    before = list(block_of)
+    before = bytes(free)
     region = []
     stack = [t.root]
     while stack:
         y = stack.pop()
         region.append(y)
         stack += [c for c in (t.left[y], t.right[y])
-                  if c is not None and before[c] == -1]
+                  if c is not None and before[c]]
     w = [0] * n
     for y in reversed(region):  # region lists parents before children
         w[y] = 1 + sum(w[c] for c in (t.left[y], t.right[y])
-                       if c is not None and before[c] == -1)
+                       if c is not None and before[c])
 
-    blocks = [[]]  # a placeholder: new block ids must start at len(blocks)
-    _budget_partition(t.left, t.right, t.parent, w, t.root, B, blocks,
-                      block_of)
+    blocks = [[]]  # a placeholder: new blocks go after it
+    _budget_partition(t.left, t.right, t.parent, w, t.root, B, blocks, free)
     assert sorted(x for P in blocks[1:] for x in P) == sorted(region)
-    for bid, P in enumerate(blocks[1:], 1):
+    for P in blocks[1:]:
         assert 0 < len(P) <= B
-        assert all(block_of[x] == bid for x in P)
+        assert not any(free[x] for x in P)
     inside = set(region)
-    assert all(block_of[x] == before[x] for x in range(n) if x not in inside)
+    assert all(free[x] == before[x] for x in range(n) if x not in inside)
 
 
 # ------------------------------------------------------------ full layout
@@ -270,14 +270,57 @@ def test_aware_deterministic():
                                   lambda: gen_perfect(14)],
                          ids=["random", "path", "perfect"])
 def test_aware_layout_memory_per_node(make, peak_bytes):
-    # a block id made per node (piece offset plus local id) and per-block
-    # side lists of roots and targets peak at about 74-78 bytes a node on
-    # random and path trees; one shared id object per block and no side
-    # lists peak at about 46-57
+    # a block_of list built during the layout, with one id object per
+    # block, peaks at 45.9 (random), 57.2 (path) and 28.6 (perfect) bytes
+    # a node; a one-byte free mask and no block_of peak at 34.3, 50.0 and
+    # 18.3.  The bound leaves the path, the largest, 4 bytes a node (8%)
     tree = make()
     asg, peak, _ = peak_bytes(lambda: layout_aware(tree, 64))
     assert len(asg.block_of) == tree.n
-    assert peak <= 64 * tree.n
+    assert peak <= 54 * tree.n
+
+
+def _block_index(blocks, n):
+    """Block id of every node ``0..n-1``, -1 for nodes in no block."""
+    out = [-1] * n
+    for i, mem in enumerate(blocks):
+        for x in mem:
+            out[x] = i
+    return out
+
+
+@pytest.mark.parametrize("make", [lambda: gen_random(500, 4),
+                                  lambda: gen_path(70),
+                                  lambda: gen_perfect(7)],
+                         ids=["random", "path", "perfect"])
+@pytest.mark.parametrize("B", [1, 3, 64])
+def test_block_of_is_derived_from_blocks_on_first_read(make, B):
+    t = make()
+    asg = layout_aware(t, B)
+    assert asg.block_of == _block_index(asg.blocks, t.n)
+    assert asg.block_of is asg.block_of  # kept after the first read
+    # a region's layout: -1 outside it, and an entry for every node
+    for root in sorted({0, t.n // 2, t.n - 1}):
+        part = phase2_layout(t, root, B)
+        assert part.block_of == _block_index(part.blocks, t.n)
+
+
+def test_replace_keeps_block_of_and_the_exclusion_rule():
+    # the benchmark's checks give a layout read from disk its phase-1
+    # depth with dataclasses.replace; a fresh layout is replaced before
+    # its block_of is first read
+    for seed in (0, 1):
+        t = gen_random(3000, seed=seed)
+        w = compute_weights(t)
+        for B in (2, 8, 64):
+            asg = layout_aware(t, B)
+            want = _block_index(asg.blocks, t.n)
+            for src in (asg, layout_from_json(layout_to_json(asg), n=t.n)):
+                got = dataclasses.replace(src,
+                                          phase1_levels=asg.phase1_levels)
+                assert got.blocks == asg.blocks
+                assert got.block_of == want
+                assert exclusion_violations(t, w, got) == 0
 
 
 @pytest.mark.parametrize("make,calls", [

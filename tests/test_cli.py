@@ -7,10 +7,11 @@ import json
 
 import pytest
 
-from treelayout import (brute_force_optimal, gen_path, gen_perfect,
-                        gen_random, json_text, layout_aware, layout_oblivious,
-                        load_tree, phase2_layout, layout_to_json,
-                        order_to_json, refinement_levels, save_tree)
+from treelayout import (brute_force_optimal, gen_lower_bound, gen_path,
+                        gen_perfect, gen_random, json_text, layout_aware,
+                        layout_oblivious, load_tree, phase2_layout,
+                        layout_to_json, order_to_json, refinement_levels,
+                        save_tree, tree_to_json)
 import treelayout.cli as cli
 from treelayout.cli import SweepConfig, main, run_sweep
 
@@ -62,6 +63,28 @@ def test_gen_and_save_tree_write_same_bytes(tmp_path):
     save_tree(gen_random(50, seed=9), b)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().count("\n") == 1  # compact: one line
+
+
+GEN_CASES = (
+    [(["perfect", "--height", h], lambda h=h: gen_perfect(h))
+     for h in range(7)]
+    + [(["path", "--n", n], lambda n=n: gen_path(n)) for n in (1, 2, 50)]
+    + [(["random", "--n", n, "--seed", seed],
+        lambda n=n, seed=seed: gen_random(n, seed))
+       for n, seed in ((1, 0), (1, 7), (2, 3), (50, 9), (300, 12345))]
+    + [(["lowerbound", "--B", B, "--inv-p", inv_p, "--n", n],
+        lambda B=B, inv_p=inv_p, n=n: gen_lower_bound(B, inv_p, n))
+       for B, inv_p, n in ((16, 4, 23), (16, 4, 200), (1, 2, 5), (5, 2, 23))])
+
+
+@pytest.mark.parametrize("argv,make", GEN_CASES,
+                         ids=[" ".join(map(str, a)) for a, _ in GEN_CASES])
+def test_gen_writes_the_bytes_of_the_generator_tree(tmp_path, argv, make):
+    # gen writes its builder's lists without building a TreeTopology; the
+    # file must be the one the validated tree saves
+    out = tmp_path / "t.json"
+    assert run(["gen", *argv, "--out", out]) == 0
+    assert out.read_bytes() == json_text(tree_to_json(make())).encode()
 
 
 # ------------------------------------------------------------ tree files
@@ -908,6 +931,21 @@ def test_oversized_n_exits_4(caplog, capsys):
     assert _one_error_line(caplog, capsys)
 
 
+@pytest.mark.parametrize("B", [10**30, 10**11])
+def test_padded_out_past_the_slot_limit_exits_4(tmp_path, caplog, capsys, B):
+    # blocks x B slots are sized before the padded order is allocated, and
+    # refused before either file is written
+    tree, out, pad = (tmp_path / name for name in ("t.json", "a.json",
+                                                    "p.json"))
+    assert run(["gen", "perfect", "--height", 3, "--out", tree]) == 0
+    caplog.clear()
+    assert run(["layout", "aware", "--tree", tree, "--B", B, "--out", out,
+                "--padded-out", pad]) == 4
+    message = _one_error_line(caplog, capsys)
+    assert "--padded-out" in message and f"B={B}" in message
+    assert not out.exists() and not pad.exists()
+
+
 def _order_files(tmp_path, n):
     tree, order = tmp_path / "t.json", tmp_path / "o.json"
     assert run(["gen", "random", "--n", n, "--seed", 1, "--out", tree]) == 0
@@ -989,10 +1027,10 @@ def test_more_nodes_than_the_limit_exits_4(argv, caplog, capsys):
 
 
 def test_out_of_memory_exits_4(monkeypatch, caplog, capsys):
-    def gen_path(n):
+    def build_path(n):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "gen_path", gen_path)
+    monkeypatch.setattr(cli, "_build_path", build_path)
     assert run(["gen", "path", "--n", 3]) == 4
     assert _one_error_line(caplog, capsys) == "MemoryError"
 

@@ -99,15 +99,15 @@ def test_refinement_pieces_are_connected():
             assert len(tops) == 1
 
 
-def _region(t, root, block_of):
+def _region(t, root, free):
     """``root`` plus every node reachable through children whose
-    ``block_of`` is -1, in preorder, and subtree sizes within it."""
+    ``free`` entry is 1, in preorder, and subtree sizes within it."""
     region, stack = [], [root]
     while stack:
         x = stack.pop()
         region.append(x)
         for c in (t.right[x], t.left[x]):
-            if c is not None and block_of[c] == -1:
+            if c is not None and free[c]:
                 stack.append(c)
     w = [0] * t.n
     inside = set(region)
@@ -130,16 +130,15 @@ def test_budget_two_splits_into_single_nodes_in_preorder(t, cut, density):
     # the engine; density > 0 cuts the region off at pre-assigned nodes
     rng = random.Random(cut)
     root = rng.randrange(t.n) if density else t.root
-    block_of = [-1] * t.n
+    free = bytearray(b"\1") * t.n
     for x in range(t.n):
         if x != root and rng.random() < density:
-            block_of[x] = 0
-    region, w = _region(t, root, block_of)
+            free[x] = 0
+    region, w = _region(t, root, free)
     if not density:
         assert region == list(t.preorder())
     blocks = []
-    _budget_partition(t.left, t.right, t.parent, w, root, 2, blocks,
-                      block_of)
+    _budget_partition(t.left, t.right, t.parent, w, root, 2, blocks, free)
     assert blocks == [[x] for x in region]
 
 
@@ -147,7 +146,7 @@ def _reference_rounds(tree):
     """Every refinement round with each piece of more than two nodes split
     by ``_budget_partition``, budget 2 included."""
     top = layout_aware(tree, _piece_budget(tree.n))
-    pieces, block_of = top.blocks, top.block_of
+    pieces, free = top.blocks, bytearray(tree.n)
     left, right, parent = tree.left, tree.right, tree.parent
     w = [0] * tree.n
     out = [pieces]
@@ -161,12 +160,12 @@ def _reference_rounds(tree):
             for x in reversed(P):
                 s = 1
                 for c in (left[x], right[x]):
-                    if c is not None and block_of[c] == -1:
+                    if c is not None and free[c]:
                         s += w[c]
                 w[x] = s
-                block_of[x] = -1
+                free[x] = 1
             _budget_partition(left, right, parent, w, P[0],
-                              _piece_budget(len(P)), finer, block_of)
+                              _piece_budget(len(P)), finer, free)
         pieces = finer
         out.append(pieces)
     return out

@@ -15,7 +15,8 @@ from treelayout import (TreeError, TreeTopology, compute_weights,
                         shape_to_tree, tree_from_json, tree_to_json)
 from treelayout.aware import layout_from_json
 from treelayout.oblivious import _read_order
-from treelayout.tree import _gadget_path_len, json_text
+from treelayout.tree import (_build_lower_bound, _build_path, _build_perfect,
+                             _build_random, _gadget_path_len, json_text)
 
 
 # ------------------------------------------------------------ TreeTopology
@@ -305,6 +306,32 @@ def test_gen_lower_bound_errors():
 def test_generators_name_a_bad_argument(build, message):
     with pytest.raises(TreeError, match=message):
         build()
+
+
+# each family's builder, the generator that validates its lists, and
+# arguments: the smallest trees, and lower-bound trees of one whole gadget
+# (23 nodes at B=16, inv_p=4) and with the last gadget cut short
+GENERATOR_CASES = (
+    [(_build_perfect, gen_perfect, (h,)) for h in range(7)]
+    + [(_build_path, gen_path, (n,)) for n in (1, 2, 50)]
+    + [(_build_random, gen_random, case)
+       for case in ((1, 0), (1, 7), (2, 3), (50, 9), (300, 12345))]
+    + [(_build_lower_bound, gen_lower_bound, case)
+       for case in ((16, 4, 23), (16, 4, 200), (1, 2, 5), (5, 2, 23))])
+
+
+@pytest.mark.parametrize(
+    "build,gen,args", GENERATOR_CASES,
+    ids=["%s%s" % (gen.__name__, args) for _, gen, args in GENERATOR_CASES])
+def test_builder_lists_make_the_generator_tree(build, gen, args):
+    # the CLI writes a builder's lists without validating them, so they
+    # must be exactly the tree the public generator returns
+    left, right = build(*args)
+    assert type(left) is list and type(right) is list
+    got, want = TreeTopology(left, right, 0), gen(*args)
+    for name in ("n", "root", "left", "right", "parent", "depth", "height"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.preorder() == want.preorder()
 
 
 # ------------------------------------------------------------ shapes
