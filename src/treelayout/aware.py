@@ -3,8 +3,10 @@
 Two cooperating mechanisms produce blocks of at most B nodes:
 
 * the top ``ceil(lg N)`` levels of the tree (capped at the height) are
-  clustered level-by-level, ``floor(lg(B+1))`` levels per block, so that
-  shallow queries behave like a B-tree search;
+  packed by whole levels: a block takes as many complete levels of its
+  root's subtree as fit in B, never fewer than ``floor(lg(B+1))``, so that
+  shallow queries behave like a B-tree search and narrow levels share a
+  block;
 * every remaining subtree is split by a budget recursion: its root block
   receives capacity ``A = B``, a node keeps ``A - 1`` for its children and
   hands each child a share proportional to the child's subtree weight,
@@ -218,21 +220,30 @@ def phase2_layout(tree: TreeTopology, root: int, B: int) -> BlockAssignment:
 
 
 def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
-    """Full layout for a known block size: level clustering on the top
+    """Full layout for a known block size: whole-level packing on the top
     ``ceil(lg2 N)`` levels (capped at the height), budget recursion below.
 
-    The top levels are cut into strata of ``floor(lg(B+1))`` levels; every
-    stratum root starts a block holding its descendants within the
-    stratum, so such a block never exceeds ``2**floor(lg(B+1)) - 1 <= B``
-    nodes, and the last stratum is truncated at the level boundary.  Each
-    node at depth ``phase1_levels`` is a recursion root whose subtree
+    A node above depth ``phase1_levels`` that does not fit in its parent's
+    block starts a new one, which takes whole levels of the node's
+    subtree, top down, while their total stays <= B, and stops at depth
+    ``phase1_levels`` at the latest.  The first k levels of a binary
+    subtree hold at most ``2**k - 1`` nodes, so every block spans at least
+    ``floor(lg(B+1))`` levels, or reaches the subtree's last level or depth
+    ``phase1_levels``: no root path meets more of these blocks than fixed
+    strata of that height would give it.  On a perfect tree every level
+    is complete, ``floor(lg(B+1))`` levels hold at most B nodes and one
+    more level holds more, so the blocks are exactly those strata and the
+    levels are not counted.  Elsewhere the counting visits a region node
+    at most twice: once for its own block and once as the level that
+    overflowed the block above.
+
+    Each node at depth ``phase1_levels`` is a recursion root whose subtree
     :func:`_budget_partition` splits before the next node is visited, so
     block ids follow preorder of the block roots (root block first,
     children left to right).  The walk runs down the tree's preorder and
-    skips each recursion root's subtree.  A node above the recursion roots
-    that is not a stratum root joins its parent's block, which is the
-    last block met at the depth above: ``on_path[d]`` is the block of the
-    preorder path's node at depth d.  Runs in O(N).
+    skips each recursion root's subtree.  A node that joins its parent's
+    block joins the last block met at the depth above: ``on_path[d]`` is
+    the block of the preorder path's node at depth d.  Runs in O(N).
     """
     if B < 1:
         raise TreeError("B must be positive")
@@ -240,13 +251,26 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
     L1 = min((tree.n - 1).bit_length(), tree.height + 1)
     # only phase 2, below depth L1, reads subtree sizes
     w = compute_weights(tree) if L1 <= tree.height else None
-    stride = (B + 1).bit_length() - 1
     left, right, parent, depth = tree.left, tree.right, tree.parent, tree.depth
 
     blocks: list = []
     # every node below the recursion roots is still to place
     free = bytearray(b"\1") * tree.n
     on_path: list = [None] * L1
+    # ends[d] is the depth where the block of the path's node at depth
+    # d - 1 stops: a node at depth d < ends[d] joins it, on_path[d - 1].  A
+    # block from depth d to e writes ends[d + 1..e]; until the walk leaves
+    # it, every node that reaches those depths is its member, so no other
+    # block overwrites them
+    perfect = tree.n == (2 << tree.height) - 1
+    if perfect:
+        # every level is complete, so whole levels are fixed strata of
+        # floor(lg(B+1)) levels, and no level needs counting
+        stride = (B + 1).bit_length() - 1
+        ends = [min((d - 1) // stride * stride + stride, L1)
+                for d in range(L1 + 1)]
+    else:
+        ends = [0] * (L1 + 1)
     walk = iter(tree.preorder())
     for x in walk:
         d = depth[x]
@@ -255,12 +279,27 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
             # skip the rest of x's subtree, its next w[x] - 1 entries
             k = w[x] - 1
             next(islice(walk, k, k), None)
-        elif d % stride == 0:
-            mem = on_path[d] = [x]
-            blocks.append(mem)
-        else:
+        elif d < ends[d]:
             mem = on_path[d] = on_path[d - 1]
             mem.append(x)
+        else:
+            mem = on_path[d] = [x]
+            blocks.append(mem)
+            if perfect:
+                continue
+            # take x's subtree level by level while the block stays
+            # within B, up to depth L1
+            e = d + 1
+            level = [x]
+            size = 1
+            while e < L1:
+                level = [c for y in level for c in (left[y], right[y])
+                         if c is not None]
+                size += len(level)
+                if not level or size > B:
+                    break
+                e += 1
+            ends[d + 1:e + 1] = [e] * (e - d)
     return BlockAssignment(B, blocks, phase1_levels=L1)
 
 

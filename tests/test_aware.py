@@ -1,4 +1,5 @@
-"""Two-phase block layout for a known block size: K-recursion, strata, blocks."""
+"""Two-phase block layout for a known block size: K-recursion, whole-level
+packing, blocks."""
 
 import dataclasses
 import random
@@ -7,10 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treelayout import (TreeError, compute_weights, exclusion_violations,
-                        gen_path, gen_perfect, gen_random, k_set,
+from treelayout import (TreeError, compute_weights, cost_report,
+                        exclusion_violations, gen_lower_bound, gen_path,
+                        gen_perfect, gen_random, iter_shapes, k_set,
                         layout_aware, layout_from_json, layout_to_json,
-                        padded_order, phase2_layout)
+                        padded_order, phase2_layout, shape_to_tree)
 from treelayout import aware
 from treelayout.aware import _budget_partition
 
@@ -94,8 +96,8 @@ def test_phase1_perfect7_b3():
 def test_phase1_path1024_b15():
     t = gen_path(1024)
     asg = layout_aware(t, 15)
-    # 10 levels in strata of floor(lg 16) = 4: blocks of 4, 4, 2 nodes
-    assert [len(b) for b in phase1_blocks(t, asg)] == [4, 4, 2]
+    # the 10 phase-1 levels of a path hold 10 <= 15 nodes: one block
+    assert [len(b) for b in phase1_blocks(t, asg)] == [10]
     assert [x for x in range(t.n) if t.depth[x] == asg.phase1_levels] == [10]
 
 
@@ -105,6 +107,102 @@ def test_phase1_b1_singletons():
     assert all(len(b) == 1 for b in phase1_blocks(t, asg))
     assert len(asg.blocks) == 7
     assert asg.phase1_levels == t.height + 1
+
+
+def fixed_stride_layout(tree, B):
+    """The aware layout with phase 1 cut into fixed strata of
+    ``floor(lg(B+1))`` levels, whatever their width: a stratum root starts
+    a block, and every other phase-1 node joins its parent's."""
+    L1 = min((tree.n - 1).bit_length(), tree.height + 1)
+    stride = (B + 1).bit_length() - 1
+    w = compute_weights(tree)
+    blocks = []
+    free = bytearray(b"\1") * tree.n
+    on_path = [None] * L1
+    for x in tree.preorder():
+        d = tree.depth[x]
+        if d >= L1:
+            if free[x]:
+                _budget_partition(tree.left, tree.right, tree.parent, w, x,
+                                  B, blocks, free)
+        elif d % stride == 0:
+            on_path[d] = [x]
+            blocks.append(on_path[d])
+        else:
+            on_path[d] = on_path[d - 1]
+            on_path[d].append(x)
+    return aware.BlockAssignment(B, blocks, phase1_levels=L1)
+
+
+def levels_below(tree, r):
+    """The nonempty levels of ``r``'s subtree, top down, as node lists."""
+    out = []
+    level = [r]
+    while level:
+        out.append(level)
+        level = [c for y in level for c in (tree.left[y], tree.right[y])
+                 if c is not None]
+    return out
+
+
+def test_whole_levels_never_cost_more_than_strata():
+    # every shape of up to 10 nodes: no depth of any layout is worse than
+    # with fixed strata, and some are better
+    better = 0
+    for n in range(1, 11):
+        for shape in iter_shapes(n):
+            t = shape_to_tree(shape)
+            for B in (1, 2, 3, 4, 5, 7, 8, 16):
+                new = layout_aware(t, B)
+                strata = fixed_stride_layout(t, B)
+                if new.blocks == strata.blocks:
+                    continue
+                got = cost_report(t, new.block_of).worst_exact
+                old = cost_report(t, strata.block_of).worst_exact
+                assert all(a <= b for a, b in zip(got, old)), (shape, B)
+                better += got != old
+    assert better > 0
+
+
+@given(family=st.sampled_from(["random", "path", "lowerbound"]),
+       n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1),
+       B=st.sampled_from([1, 2, 3, 4, 5, 8, 16, 64, 256]))
+@settings(max_examples=120, deadline=None)
+def test_phase1_blocks_are_maximal_runs_of_whole_levels(family, n, seed, B):
+    if family == "random":
+        t = gen_random(n, seed)
+    elif family == "path":
+        t = gen_path(n)
+    else:
+        # n nodes past one gadget of 7 + 4 * max(1, round(B / 4)) nodes
+        t = gen_lower_bound(B, 4, n + 7 + 4 * max(1, round(B / 4)))
+    asg = layout_aware(t, B)
+    assert_valid_assignment(t, asg)
+    L1 = asg.phase1_levels
+    for mem in phase1_blocks(t, asg):
+        r = mem[0]
+        levels = levels_below(t, r)
+        k = 0
+        while k < len(levels) and sum(map(len, levels[:k + 1])) <= len(mem):
+            k += 1
+        # whole levels of r's subtree, top down, and nothing else
+        assert sorted(mem) == sorted(x for lv in levels[:k] for x in lv)
+        assert len(mem) <= B
+        assert t.depth[r] + k <= L1
+        # the next level is empty, lies at depth L1 or overflows B
+        assert (k == len(levels) or t.depth[r] + k == L1
+                or len(mem) + len(levels[k]) > B)
+
+
+@pytest.mark.parametrize("h", range(15))
+def test_phase1_on_perfect_trees_is_fixed_strata(h):
+    # complete levels: the first floor(lg(B+1)) of them hold at most B
+    # nodes and one more holds more, so whole levels are the strata
+    t = gen_perfect(h)
+    Bs = range(1, 1025) if h <= 10 else sorted(
+        {B for k in range(1, 11) for B in (2**k - 1, 2**k, 2**(k + 1) - 2)})
+    for B in Bs:
+        assert layout_aware(t, B).blocks == fixed_stride_layout(t, B).blocks
 
 
 # ------------------------------------------------------------ phase 2
@@ -217,7 +315,8 @@ def test_aware_path1024_b15():
     t = gen_path(1024)
     asg = layout_aware(t, 15)
     sizes = [len(b) for b in asg.blocks]
-    assert sizes[:3] == [4, 4, 2]
+    # the 10 phase-1 levels in one block, then the budget recursion
+    assert sizes[:3] == [10, 14, 14]
     # near-1 densities deliver ~B - k nodes per block; only the last few
     # blocks underfill further as the leftover path gets short
     assert all(s == 14 for s in sizes[3:-8])

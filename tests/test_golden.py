@@ -7,7 +7,9 @@ on the artifact file format.  The digests were recorded with the
 one-record-per-node tree format, which is no longer read, and indented
 artifacts; the columnar format and the compact encoding left every one
 unchanged.  A change to the engine that moves any block or position shows
-up cell by cell.
+up cell by cell.  The random, path and lowerbound cells were re-recorded
+when phase 1 went from fixed strata to whole-level packing; the perfect
+cells, whose levels are complete, kept their digests.
 """
 
 import hashlib
@@ -63,26 +65,26 @@ def grid_digests() -> dict:
 
 
 GOLDEN = {
-    "lowerbound-1024-B16": "3f75bdf4d72e332c",
-    "lowerbound-1024-B2": "37d6ddee15e8cbdb",
-    "lowerbound-1024-B256": "5b7d2074f8690d8a",
-    "lowerbound-1024-B4": "1cd1a23762887e0f",
-    "lowerbound-1024-B64": "5b0b3f71f5465ff4",
-    "lowerbound-16384-B16": "2ed63211dbab6314",
-    "lowerbound-16384-B2": "e3de4ac82a120ac0",
-    "lowerbound-16384-B256": "8ea20d4145f6cf9f",
-    "lowerbound-16384-B4": "4bab9f827ebdf356",
-    "lowerbound-16384-B64": "a6b1a61d0db7b470",
-    "path-1024-B16": "8b7b0dae027963da",
-    "path-1024-B2": "32f70ed6789abc55",
-    "path-1024-B256": "d9eedf3a6c3f8056",
-    "path-1024-B4": "e93d58689045f608",
-    "path-1024-B64": "14757787f7318806",
-    "path-16384-B16": "ace8cc8627afc965",
-    "path-16384-B2": "bb441a2749a67c9f",
-    "path-16384-B256": "e864f9387f8ab453",
-    "path-16384-B4": "cf0b4196d0ae9c4e",
-    "path-16384-B64": "5e2f39e2d6de4ec1",
+    "lowerbound-1024-B16": "007cadc017e6ae16",
+    "lowerbound-1024-B2": "4e4906656e6a0fc0",
+    "lowerbound-1024-B256": "cef9692ba27c7684",
+    "lowerbound-1024-B4": "d39fcd7c2a79a26e",
+    "lowerbound-1024-B64": "11832c75833b4ad0",
+    "lowerbound-16384-B16": "efd5e5eb13e5d84f",
+    "lowerbound-16384-B2": "d23fc51ac18000a2",
+    "lowerbound-16384-B256": "1268fcc6a0ac246e",
+    "lowerbound-16384-B4": "ad592f404012e2d3",
+    "lowerbound-16384-B64": "720641e1724e9e69",
+    "path-1024-B16": "041551d4df7b4504",
+    "path-1024-B2": "66b4717107efe767",
+    "path-1024-B256": "18045444e4d650ab",
+    "path-1024-B4": "781d2c40fcf080b1",
+    "path-1024-B64": "1fa728a2389e613b",
+    "path-16384-B16": "14af13ddf9694945",
+    "path-16384-B2": "dfca43a389df00ba",
+    "path-16384-B256": "df9c9fc79da68353",
+    "path-16384-B4": "8660b47a9f048a24",
+    "path-16384-B64": "f25f0b04bc435040",
     "perfect-1024-B16": "39d66d6ed92b812a",
     "perfect-1024-B2": "eb1e5afbae0fe69e",
     "perfect-1024-B256": "503fa91bb0858818",
@@ -93,16 +95,16 @@ GOLDEN = {
     "perfect-16384-B256": "cd4eef6c8c28b61d",
     "perfect-16384-B4": "94c6d6ec538fca5f",
     "perfect-16384-B64": "03bfd1a229d98aae",
-    "random-1024-B16": "bfb653dce099c411",
-    "random-1024-B2": "61b6708a88443fbf",
-    "random-1024-B256": "5be51d234c7d50e2",
-    "random-1024-B4": "5d13c5dfeaa2796e",
-    "random-1024-B64": "e789f3a8c544e179",
-    "random-16384-B16": "5cc13453a20c5168",
-    "random-16384-B2": "38335a790d6bfa96",
-    "random-16384-B256": "e83bd01cc0321e14",
-    "random-16384-B4": "373b4a7d5e1f7859",
-    "random-16384-B64": "f31ab73cd2585c20",
+    "random-1024-B16": "5c879d806079d6d6",
+    "random-1024-B2": "71967c7236e15baf",
+    "random-1024-B256": "c371dde0dd168f83",
+    "random-1024-B4": "42a1e6d83d8782f2",
+    "random-1024-B64": "fe500638c0f0216e",
+    "random-16384-B16": "94441770156fe32a",
+    "random-16384-B2": "c877e6039d4c357e",
+    "random-16384-B256": "aa4fc6371e8da64e",
+    "random-16384-B4": "de9fd366f08fcf18",
+    "random-16384-B64": "2d786300b75cbd87",
 }
 
 
@@ -110,7 +112,8 @@ GOLDEN = {
 # unbalanced families: the mirrored path is a right spine, and the
 # mirrored lower-bound tree hangs its paths and gadgets on the right.
 # The digests were recorded before the layout traversals began to walk
-# left children in place and stack right ones.
+# left children in place and stack right ones, and all but the path at
+# B=1 re-recorded with whole-level packing in phase 1.
 MIRRORED_N = 4096
 MIRRORED_BS = (1, 4, 64)
 
@@ -133,15 +136,15 @@ def mirrored_digests() -> dict:
 
 
 MIRRORED = {
-    "mirror-lowerbound-B1": "814feb8f84e18851",
-    "mirror-lowerbound-B4": "1f510f4ee3ac3f0d",
-    "mirror-lowerbound-B64": "b1ba1699f337e1e7",
+    "mirror-lowerbound-B1": "6c8c6386991d8b14",
+    "mirror-lowerbound-B4": "de49ada2f56ec54a",
+    "mirror-lowerbound-B64": "9bc2e7c0fd00f43c",
     "mirror-path-B1": "e7b5b4428428e105",
-    "mirror-path-B4": "b9f3eb8a84393390",
-    "mirror-path-B64": "8897e8d969b0a8b7",
-    "mirror-random-B1": "9b92d9a563bf82f5",
-    "mirror-random-B4": "8778c5d4a00e8e18",
-    "mirror-random-B64": "28b4092016ea80c6",
+    "mirror-path-B4": "f1b6a1c85dfa8b15",
+    "mirror-path-B64": "d12e52a4abbc3b32",
+    "mirror-random-B1": "bd308cae3d827510",
+    "mirror-random-B4": "31c7b616e3c9208c",
+    "mirror-random-B64": "af8b48571e0186b0",
 }
 
 

@@ -7,7 +7,10 @@ all-offset digests of a padded order, of an order that ends with the
 root, and of ``--format json`` were recorded while every offset was still
 priced by its own ``block_ids`` + ``cost_report`` pass.  The offset-0
 digests of ``sweep-zero``, ``eval-padded`` and ``eval-unrooted`` were
-recorded while offset 0 of an order was priced the same way.
+recorded while offset 0 of an order was priced the same way.  All thirteen
+were re-recorded when phase 1 of the aware layout went from fixed strata
+to whole-level packing, which moves blocks of the random, path and
+lowerbound trees and, through the order's level 0, their orders.
 """
 
 import hashlib
@@ -19,31 +22,31 @@ from treelayout.cli import main
 
 DIGESTS = {
     "sweep.csv":
-        "b4b6cf02febc1aefd83ab4ec4af7c3d052a80583a8984bd3f04bc795367ecfc1",
+        "e953b9c9de0ba577ef0ad918256818d52c125191044558596574e3c90cbd5cc9",
     "sweep-summary.json":
-        "80e8a38eb9bdd49b6b15130003535b1bada9cceb150b08844d23d164d8ac3d9b",
+        "b2a65c21fa40d714f2afea7b2ac6ae39b58705eb533e9fe315d64d216f61fa51",
     "eval-offsets.csv":
-        "904cc80deb8f678e009d6193072f331919f5560b4c033fb4afbed690fb1a496c",
+        "5900a02d373d2a18779b564002224ce3459d12f5fd97e914f0ebc3a626ea0b88",
     "eval-aware.json":
-        "4539b29d71b915a078c948eb1e168d4bab8d3d9e27797e8cc2d5d7df68bd44ac",
+        "97b141ab4f1f9f00633e0039733b2f1053f4c2753a5fad5be15a79dd3be6ce86",
     "eval-order.json":
-        "84f8b09418bd5be229f54f3fcc47da7f8475a2de72d80c7618365cf180cc7759",
+        "4b89bdb1994512d14b7040f36e2ddd663a1e85f1b1ea56db43a95426198ef434",
     "weird.csv":
-        "9a7b9e2f69683492c01f7afc8ad791ca80520d73fda2480f87bb09928b240d95",
+        "390c86d8c6ac78ce5b473b9bf186f9b865a4e60b5ae175c742d3a92b92d9905e",
     "eval-padded-offsets.csv":
-        "05d6d5209084c85564adaa71d2b6630861f74148604e8ac16d806179a5a39b51",
+        "f0222e5f83dd290d5ded6b7d07a75187af510b6e642ecd5083ac17be21c3d7e2",
     "eval-unrooted-offsets.csv":
-        "8212a2b85cd0541cfd12aac6c3be2357ae1522501e41d14a3380dfd5e8bdee95",
+        "f31e4f06d92831618061769743745228063184285f52985b3bc37a5d8b1dae46",
     "eval-offsets.json":
-        "72cd447b288c819af30adc84c685e04111a9748d8393d4a239d92e9c0a001f43",
+        "b06fe6e4cd63aeb521013b21f4c23afbc86779f1375de1434248792e3f09ac03",
     "sweep-zero.csv":
-        "f399398f689533aed551372a36ed6773288e4cf966aa84e6bdda53f8a5933cfe",
+        "a230c49b13438f8cc2ef4f482eb2a6a64d059e781c087761140d043faac4dd36",
     "sweep-zero-summary.json":
-        "5c54a149af419258ec1fef708bed2fdbef08c35239c73dfa3f25eda72d5f3284",
+        "964684df4ed7730b4bffc7bc391758def30733a77743324c88bbaaceb6db5e2e",
     "eval-padded.csv":
-        "3a3c94d152bf4984622fa9296687fa845d32be7a00e094d8d9db78a9cc797b1e",
+        "3c76118cfbfa167104db3457f639a6947f8c160e287c285d0d5b4ee0e986ec42",
     "eval-unrooted.csv":
-        "fbc271c2cdec8e1328987eda821b470dd8f54a9ca646884c564e254f614f8659",
+        "e49e25428f7f939df02ec0a7398fcf613d465b2bda17cb62b8c35c67e96aefd5",
 }
 
 
