@@ -24,7 +24,8 @@ bit-reproducible while staying O(1) per node in the common case.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Optional
 
@@ -53,9 +54,11 @@ class BlockAssignment:
 
     ``blocks[i]`` lists the members of block ``i`` with the block's
     topmost node first; block ids follow preorder of the block roots.
-    ``block_of`` maps node id -> block id, -1 for nodes outside the
-    covered region.  Unless given, it is derived from ``blocks`` on first
-    read, as long as one past the largest node id, and kept.  Nodes
+    ``block_of``, a cached property, maps node id -> block id, -1 for
+    nodes outside the covered region.  It is derived from ``blocks`` on
+    first read, as long as one past the largest node id, unless
+    :func:`phase2_layout` or :func:`layout_from_json` set the index they
+    build; a ``dataclasses.replace`` copy derives it again.  Nodes
     strictly shallower than ``phase1_levels`` were clustered
     level-by-level, the rest split by the budget recursion (None for
     layouts read from disk).
@@ -63,11 +66,12 @@ class BlockAssignment:
 
     B: int
     blocks: list
-    block_of: InitVar[Optional[list]] = None
     phase1_levels: Optional[int] = None
 
-    def __post_init__(self, block_of):
-        self._block_of = block_of
+    @cached_property
+    def block_of(self) -> list:
+        return _block_index(self.blocks,
+                            1 + max(map(max, self.blocks), default=-1))
 
 
 def _block_index(blocks: list, n: int) -> list:
@@ -77,19 +81,6 @@ def _block_index(blocks: list, n: int) -> list:
         for v in mem:
             block_of[v] = i
     return block_of
-
-
-def _block_of(asg: BlockAssignment) -> list:
-    if asg._block_of is None:
-        asg._block_of = _block_index(
-            asg.blocks, 1 + max(map(max, asg.blocks), default=-1))
-    return asg._block_of
-
-
-# set after the class is made, so that the dataclass takes the InitVar's
-# default None and not the property: dataclasses.replace reads the
-# property and hands its list on to the copy
-BlockAssignment.block_of = property(_block_of)
 
 
 def k_set(tree: TreeTopology, x: int, A, weights) -> set:
@@ -215,8 +206,9 @@ def phase2_layout(tree: TreeTopology, root: int, B: int) -> BlockAssignment:
     _budget_partition(tree.left, tree.right, tree.parent,
                       compute_weights(tree), root, B, blocks,
                       bytearray(b"\1") * tree.n)
-    return BlockAssignment(B, blocks, _block_index(blocks, tree.n),
-                           tree.depth[root])
+    asg = BlockAssignment(B, blocks, tree.depth[root])
+    asg.block_of = _block_index(blocks, tree.n)
+    return asg
 
 
 def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
@@ -347,9 +339,7 @@ def padded_order(asg: BlockAssignment) -> list:
             "the limit of %d" % (len(asg.blocks), B, size, MAX_NODES))
     out: list = [None] * size
     for i, mem in enumerate(asg.blocks):
-        base = i * B
-        for j, v in enumerate(mem):
-            out[base + j] = v
+        out[i * B:i * B + len(mem)] = mem
     return out
 
 
@@ -384,6 +374,7 @@ def layout_from_json(obj, n: Optional[int] = None) -> BlockAssignment:
     if -1 in block_of:
         raise TreeError("layout does not cover node %d" % block_of.index(-1))
     # the parsed lists become the blocks as they are; copying them would
-    # hold two copies while the parsed object is still alive.  The index
-    # the checks built is kept as block_of
-    return BlockAssignment(B, blocks, block_of)
+    # hold two copies while the parsed object is still alive
+    asg = BlockAssignment(B, blocks)
+    asg.block_of = block_of
+    return asg

@@ -26,7 +26,7 @@ import math
 import sys
 import time
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from operator import truediv
@@ -54,14 +54,9 @@ CSV_COLUMNS = ("tree_id", "family", "N", "B", "layout", "offset", "D",
 FAMILIES = ("perfect", "path", "random", "lowerbound")
 
 
-@contextmanager
 def _output(out: Optional[str]):
     """The file ``out`` opened for writing, or stdout when it is None."""
-    if out is None:
-        yield sys.stdout
-    else:
-        with open(out, "w") as fh:
-            yield fh
+    return nullcontext(sys.stdout) if out is None else open(out, "w")
 
 
 def _write_json(obj, out: Optional[str]) -> None:
@@ -212,9 +207,9 @@ def cmd_layout(args) -> int:
     tree = load_tree(args.tree)
     n = tree.n
     t0 = time.perf_counter()
-    # the writers need only the layout's own lists: the tree, an aware
-    # layout's block_of and an order's positions go before the JSON text
-    # is built
+    # the writers need only the layout's own lists: the tree and an
+    # order's positions go before the JSON text is built, and the aware
+    # layout's block_of, never read here, is never built
     if args.mode == "aware":
         B = args.B
         with _B_too_large("--B"):
@@ -320,9 +315,11 @@ def _positive_ints(seq) -> bool:
 def _check_unique(values: list, what: str) -> None:
     """Reject a value given twice: it would price and write every one of
     its rows twice."""
-    for i, v in enumerate(values):
-        if v in values[:i]:
+    seen = set()
+    for v in values:
+        if v in seen:
             raise ValueError(f"{what} repeats {v}")
+        seen.add(v)
 
 
 @dataclass

@@ -12,6 +12,7 @@ import json
 import random
 from array import array
 from collections import Counter
+from functools import cache
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
@@ -435,21 +436,12 @@ def _build_lower_bound(B: int, inv_p: int, target_n: int) -> tuple:
 
 # -- shape enumeration --------------------------------------------------
 
-_SHAPE_MEMO: dict = {0: (None,)}
-
-
+@cache
 def _shapes(n: int) -> tuple:
-    got = _SHAPE_MEMO.get(n)
-    if got is not None:
-        return got
-    out = []
-    for i in range(n):
-        for l in _shapes(i):
-            for r in _shapes(n - 1 - i):
-                out.append((l, r))
-    got = tuple(out)
-    _SHAPE_MEMO[n] = got
-    return got
+    if n == 0:
+        return (None,)
+    return tuple((l, r) for i in range(n)
+                 for l in _shapes(i) for r in _shapes(n - 1 - i))
 
 
 def iter_shapes(n: int) -> Iterator:
@@ -475,22 +467,20 @@ def shape_to_tree(shape) -> TreeTopology:
         raise TreeError("empty shape has no tree")
     left: list = []
     right: list = []
-    stack = [(shape, None, "L")]
+    # each entry: a shape and the child list its root's id goes into, at
+    # its parent's index; the root's goes nowhere
+    stack = [(shape, [None], 0)]
     while stack:
-        s, parent, side = stack.pop()
+        s, side, parent = stack.pop()
         nid = len(left)
         left.append(None)
         right.append(None)
-        if parent is not None:
-            if side == "L":
-                left[parent] = nid
-            else:
-                right[parent] = nid
+        side[parent] = nid
         l, r = s
         if r is not None:
-            stack.append((r, nid, "R"))
+            stack.append((r, right, nid))
         if l is not None:
-            stack.append((l, nid, "L"))
+            stack.append((l, left, nid))
     return TreeTopology(left, right, 0)
 
 

@@ -396,12 +396,17 @@ def _block_index(blocks, n):
 def test_block_of_is_derived_from_blocks_on_first_read(make, B):
     t = make()
     asg = layout_aware(t, B)
+    assert "block_of" not in vars(asg)  # `layout aware` never builds it
     assert asg.block_of == _block_index(asg.blocks, t.n)
     assert asg.block_of is asg.block_of  # kept after the first read
-    # a region's layout: -1 outside it, and an entry for every node
+    # a region's layout: -1 outside it, and an entry for every node, set
+    # before any read
     for root in sorted({0, t.n // 2, t.n - 1}):
         part = phase2_layout(t, root, B)
-        assert part.block_of == _block_index(part.blocks, t.n)
+        assert vars(part)["block_of"] == _block_index(part.blocks, t.n)
+    # a layout read from disk keeps the index its validation built
+    got = layout_from_json(layout_to_json(asg))
+    assert vars(got)["block_of"] == asg.block_of
 
 
 def test_replace_keeps_block_of_and_the_exclusion_rule():
@@ -460,8 +465,7 @@ def test_exclusion_violations_counts_a_violation():
     # (4 + 1) * w(1) = 35 > 4 * w(5) = 12 holds
     t = gen_path(8)
     asg = aware.BlockAssignment(
-        B=4, blocks=[[0], [1, 2, 3, 4], [5, 6, 7]],
-        block_of=[0, 1, 1, 1, 1, 2, 2, 2], phase1_levels=0)
+        B=4, blocks=[[0], [1, 2, 3, 4], [5, 6, 7]], phase1_levels=0)
     assert exclusion_violations(t, compute_weights(t), asg) == 1
 
 

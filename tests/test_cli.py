@@ -4,6 +4,7 @@ import argparse
 import csv
 import gc
 import json
+import time
 
 import pytest
 
@@ -834,6 +835,20 @@ def test_sweep_config_keys(tmp_path, caplog, config, word):
     cfg.write_text(json.dumps(config))
     assert run(["sweep", "--config", cfg]) == 3
     assert any(word in r.getMessage() for r in caplog.records)
+
+
+def test_sweep_config_checks_repeats_in_linear_time():
+    # a check that looks back over the values before each one takes
+    # about a minute on 10**5 sizes
+    sizes = list(range(1, 100_001))
+    t0 = time.perf_counter()
+    SweepConfig(families={"random": sizes}, Bs=[4])
+    assert time.perf_counter() - t0 < 2
+    with pytest.raises(ValueError, match="family 'random' repeats 7$"):
+        SweepConfig(families={"random": sizes + [7]}, Bs=[4])
+    # the first value met a second time is the one named
+    with pytest.raises(ValueError, match="Bs repeats 5$"):
+        SweepConfig(families={"path": [4]}, Bs=[3, 5, 5, 3])
 
 
 @pytest.mark.parametrize("cfg,expected", [

@@ -341,6 +341,22 @@ def test_shape_counts_are_catalan():
         [1, 1, 2, 5, 14, 42, 132]
 
 
+def test_shape_order_is_the_plain_recursive_enumeration():
+    # left subtree sizes ascend; for each, the left shape varies slowest
+    def shapes(n):
+        if n == 0:
+            return [None]
+        out = []
+        for i in range(n):
+            for l in shapes(i):
+                for r in shapes(n - 1 - i):
+                    out.append((l, r))
+        return out
+
+    for n in range(8):
+        assert list(iter_shapes(n)) == shapes(n)
+
+
 def test_shape_roundtrip():
     def shape(t, x):
         if x is None:
