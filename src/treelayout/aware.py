@@ -55,13 +55,13 @@ class BlockAssignment:
     ``blocks[i]`` lists the members of block ``i`` with the block's
     topmost node first; block ids follow preorder of the block roots.
     ``block_of``, a cached property, maps node id -> block id, -1 for
-    nodes outside the covered region.  It is derived from ``blocks`` on
-    first read, as long as one past the largest node id, unless
-    :func:`phase2_layout` or :func:`layout_from_json` set the index they
-    build; a ``dataclasses.replace`` copy derives it again.  Nodes
-    strictly shallower than ``phase1_levels`` were clustered
-    level-by-level, the rest split by the budget recursion (None for
-    layouts read from disk).
+    nodes outside the covered region.  :func:`_block_index` derives and
+    checks it from ``blocks`` on first read, as long as one past the
+    largest node id, unless :func:`phase2_layout` or
+    :func:`layout_from_json` set the index it built for them; a
+    ``dataclasses.replace`` copy derives it again.  Nodes strictly
+    shallower than ``phase1_levels`` were clustered level-by-level, the
+    rest split by the budget recursion (None for layouts read from disk).
     """
 
     B: int
@@ -70,15 +70,24 @@ class BlockAssignment:
 
     @cached_property
     def block_of(self) -> list:
-        return _block_index(self.blocks,
-                            1 + max(map(max, self.blocks), default=-1))
+        return _block_index(self.blocks, self.B, 1 + max(
+            map(max, filter(None, self.blocks)), default=-1))
 
 
-def _block_index(blocks: list, n: int) -> list:
-    """Block id of every node ``0..n-1`` of ``blocks``, -1 for the rest."""
+def _block_index(blocks: list, B: int, n: int) -> list:
+    """Block id of every node ``0..n-1`` of ``blocks``, -1 for the rest.
+    TreeError unless each block holds 1..B ints in 0..n-1, none twice."""
     block_of = [-1] * n
     for i, mem in enumerate(blocks):
+        if not mem:
+            raise TreeError("block %d is empty" % i)
+        if len(mem) > B:
+            raise TreeError("block %d exceeds size B=%d" % (i, B))
         for v in mem:
+            if type(v) is not int or not 0 <= v < n:
+                raise TreeError("node id out of range in layout: %r" % (v,))
+            if block_of[v] != -1:
+                raise TreeError("node %d in two blocks" % v)
             block_of[v] = i
     return block_of
 
@@ -207,7 +216,7 @@ def phase2_layout(tree: TreeTopology, root: int, B: int) -> BlockAssignment:
                       compute_weights(tree), root, B, blocks,
                       bytearray(b"\1") * tree.n)
     asg = BlockAssignment(B, blocks, tree.depth[root])
-    asg.block_of = _block_index(blocks, tree.n)
+    asg.block_of = _block_index(blocks, B, tree.n)
     return asg
 
 
@@ -359,18 +368,7 @@ def layout_from_json(obj, n: Optional[int] = None) -> BlockAssignment:
         raise TreeError("blocks must be a list of node-id lists")
     if n is None:
         n = sum(map(len, blocks))
-    block_of = [-1] * n
-    for i, mem in enumerate(blocks):
-        if not mem:
-            raise TreeError("block %d is empty" % i)
-        if len(mem) > B:
-            raise TreeError("block %d exceeds size B=%d" % (i, B))
-        for v in mem:
-            if type(v) is not int or not 0 <= v < n:
-                raise TreeError("node id out of range in layout: %r" % (v,))
-            if block_of[v] != -1:
-                raise TreeError("node %d in two blocks" % v)
-            block_of[v] = i
+    block_of = _block_index(blocks, B, n)
     if -1 in block_of:
         raise TreeError("layout does not cover node %d" % block_of.index(-1))
     # the parsed lists become the blocks as they are; copying them would

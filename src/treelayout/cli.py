@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
 import io
 import json
 import logging
 import math
+import os
 import sys
 import time
 from array import array
@@ -57,6 +59,15 @@ FAMILIES = ("perfect", "path", "random", "lowerbound")
 def _output(out: Optional[str]):
     """The file ``out`` opened for writing, or stdout when it is None."""
     return nullcontext(sys.stdout) if out is None else open(out, "w")
+
+
+def _check_dirs(*outs: Optional[str]) -> None:
+    """Refuse an output whose directory does not exist with the error
+    ``open`` gives, before any input is read or work is done."""
+    for out in outs:
+        if out is not None and not Path(out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    out)
 
 
 def _write_json(obj, out: Optional[str]) -> None:
@@ -476,8 +487,9 @@ def run_sweep(cfg: SweepConfig):
 
 def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_json(read_json(args.config))
-    cells, excl = _price_grid(cfg)
     csv_out = args.out if args.out is not None else cfg.csv_out
+    _check_dirs(csv_out, cfg.summary_out)
+    cells, excl = _price_grid(cfg)
     with _output(csv_out) as fh:
         _write_csv(cells, fh)
     _write_json(_summary(cells, excl), cfg.summary_out)
@@ -607,6 +619,8 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        _check_dirs(getattr(args, "out", None),
+                    getattr(args, "padded_out", None))
         return args.func(args)
     except (ResourceLimitError, MemoryError, OverflowError) as exc:
         # str(MemoryError()) is empty

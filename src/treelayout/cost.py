@@ -160,8 +160,9 @@ def order_report(tree: TreeTopology, order, B: int) -> CostReport:
                  [-1] * ((len(order.order) - 1) // B + 1))
 
 
-# the most (depth, offset) cells worst_by_offset tabulates; at 1 or 2
-# bytes a cell the table and the per-depth ints stay within 64 MB
+# the most (depth, offset) cells worst_by_offset tabulates: at 1, 2 or 4
+# bytes a cell (4 once a cost can pass 32,767) a table of up to 64 MB,
+# built from per-depth ints of as many bytes again plus a header each
 _OFFSET_CELL_BUDGET = 1 << 24
 
 

@@ -239,8 +239,10 @@ def compute_weights(tree: TreeTopology) -> list:
 
 
 def _check_node_count(n: int) -> None:
-    """Refuse a tree of more than ``MAX_NODES`` nodes, before any of it is
-    allocated."""
+    """Refuse a tree of no nodes or of more than ``MAX_NODES``, before any
+    of it is allocated."""
+    if n < 1:
+        raise TreeError("n must be positive")
     if n > MAX_NODES:
         raise ResourceLimitError("%d nodes exceed the limit of %d"
                                  % (n, MAX_NODES))
@@ -274,8 +276,6 @@ def gen_path(n: int) -> TreeTopology:
 
 def _build_path(n: int) -> tuple:
     """The child lists of ``gen_path(n)``, root 0."""
-    if n < 1:
-        raise TreeError("n must be positive")
     _check_node_count(n)
     return [*range(1, n), None], [None] * n
 
@@ -316,8 +316,6 @@ def _build_random(n: int, seed: int) -> tuple:
     left child in place and stacks only right children, each with its
     parent's new id.
     """
-    if n < 1:
-        raise TreeError("n must be positive")
     _check_node_count(n)
     getrandbits = random.Random(seed).getrandbits
     kids = array("i", [0]) * (2 * n + 1)

@@ -515,6 +515,19 @@ def test_layout_json_rejects_duplicates():
         layout_from_json(obj, n=3)
 
 
+@pytest.mark.parametrize("B,blocks,message", [
+    (4, [[0, 1], [1, 2]], "node 1 in two blocks"),
+    (2, [[0, 1, 2]], "block 0 exceeds size B=2"),
+    (2, [[0], []], "block 1 is empty"),
+    (2, [[0, True]], "node id out of range in layout: True"),
+], ids=["two-blocks", "over-B", "empty", "bool"])
+def test_hand_built_assignment_is_checked_on_first_read(B, blocks, message):
+    # the index is built by the code that checks a layout file
+    asg = aware.BlockAssignment(B, blocks)
+    with pytest.raises(TreeError, match=message):
+        asg.block_of
+
+
 def test_padded_order_shape():
     t = gen_random(50, seed=21)
     asg = layout_aware(t, 8)

@@ -693,6 +693,49 @@ def test_eval_checks_B_before_loading_the_tree(tmp_path, monkeypatch, caplog,
     assert [r.getMessage() for r in caplog.records] == [message]
 
 
+@pytest.mark.parametrize("argv,config,path", [
+    (["sweep", "--config", "cfg.json"], {"csv_out": "missing/out.csv"},
+     "missing/out.csv"),
+    (["layout", "oblivious", "--tree", "t.json", "--out", "nodir/o.json"],
+     None, "nodir/o.json"),
+    (["layout", "oblivious", "--tree", "nope.json", "--out", "nodir/o.json"],
+     None, "nodir/o.json"),
+    (["gen", "path", "--n", 8, "--out", "nodir/t.json"], None,
+     "nodir/t.json"),
+    (["layout", "aware", "--tree", "t.json", "--B", 2, "--out", "a.json",
+      "--padded-out", "nodir/p.json"], None, "nodir/p.json"),
+    (["eval", "--tree", "t.json", "--layout", "nope.json", "--B", 2,
+      "--out", "nodir/e.csv"], None, "nodir/e.csv"),
+    (["sweep", "--config", "cfg.json", "--out", "nodir/s.csv"], {},
+     "nodir/s.csv"),
+    (["sweep", "--config", "cfg.json"], {"summary_out": "nodir/s.json"},
+     "nodir/s.json"),
+], ids=["sweep-csv_out", "layout-out", "out-before-input", "gen-out",
+        "padded-out", "eval-out", "sweep-out", "sweep-summary_out"])
+def test_missing_output_directory_fails_before_the_work(
+        tmp_path, monkeypatch, caplog, capsys, argv, config, path):
+    # the error open() gives, reported before any input is read or any
+    # work is done, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "path", "--n", 8, "--out", "t.json"]) == 0
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            dict(config, families={"path": [8]}, Bs=[2])))
+
+    def never(*args):
+        raise AssertionError("the work ran")
+
+    for name in ("_price_grid", "layout_oblivious", "layout_aware",
+                 "load_tree", "_build_path"):
+        monkeypatch.setattr(cli, name, never)
+    before = sorted(tmp_path.iterdir())
+    caplog.clear()
+    assert run(argv) == 3
+    assert (_one_error_line(caplog, capsys)
+            == f"[Errno 2] No such file or directory: '{path}'")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_eval_order_requires_B(tmp_path):
     tree = tmp_path / "t.json"
     order = tmp_path / "o.json"

@@ -39,6 +39,7 @@ def test_three_node_depths():
     assert t.n == 3
     assert [t.depth[i] for i in range(3)] == [0, 1, 1]
     assert t.parent[1] == 0 and t.parent[2] == 0
+    assert repr(t) == "TreeTopology(n=3, root=0, height=1)"
 
 
 def test_cycle_detected():
