@@ -50,46 +50,41 @@ _U = 2.3e-16
 
 @dataclass
 class BlockAssignment:
-    """Partition of (a region of) a tree into blocks of at most B nodes.
+    """Partition of (a region of) a tree of ``n`` nodes into blocks of at
+    most B nodes.
 
     ``blocks[i]`` lists the members of block ``i`` with the block's
     topmost node first; block ids follow preorder of the block roots.
-    ``block_of``, a cached property, maps node id -> block id, -1 for
-    nodes outside the covered region.  :func:`_block_index` derives and
-    checks it from ``blocks`` on first read, as long as one past the
-    largest node id, unless :func:`phase2_layout` or
-    :func:`layout_from_json` set the index it built for them; a
-    ``dataclasses.replace`` copy derives it again.  Nodes strictly
-    shallower than ``phase1_levels`` were clustered level-by-level, the
-    rest split by the budget recursion (None for layouts read from disk).
+    Nodes strictly shallower than ``phase1_levels`` were clustered
+    level-by-level, the rest split by the budget recursion (None for
+    layouts read from disk).  ``block_of``, a cached property derived from
+    ``blocks`` on first read, maps node id ``0..n-1`` -> block id, -1 for
+    nodes outside the covered region.  It raises TreeError unless each
+    block holds 1..B ints in ``0..n-1``, none twice.
     """
 
     B: int
     blocks: list
+    n: int
     phase1_levels: Optional[int] = None
 
     @cached_property
     def block_of(self) -> list:
-        return _block_index(self.blocks, self.B, 1 + max(
-            map(max, filter(None, self.blocks)), default=-1))
-
-
-def _block_index(blocks: list, B: int, n: int) -> list:
-    """Block id of every node ``0..n-1`` of ``blocks``, -1 for the rest.
-    TreeError unless each block holds 1..B ints in 0..n-1, none twice."""
-    block_of = [-1] * n
-    for i, mem in enumerate(blocks):
-        if not mem:
-            raise TreeError("block %d is empty" % i)
-        if len(mem) > B:
-            raise TreeError("block %d exceeds size B=%d" % (i, B))
-        for v in mem:
-            if type(v) is not int or not 0 <= v < n:
-                raise TreeError("node id out of range in layout: %r" % (v,))
-            if block_of[v] != -1:
-                raise TreeError("node %d in two blocks" % v)
-            block_of[v] = i
-    return block_of
+        B, n = self.B, self.n
+        block_of = [-1] * n
+        for i, mem in enumerate(self.blocks):
+            if not mem:
+                raise TreeError("block %d is empty" % i)
+            if len(mem) > B:
+                raise TreeError("block %d exceeds size B=%d" % (i, B))
+            for v in mem:
+                if type(v) is not int or not 0 <= v < n:
+                    raise TreeError("node id out of range in layout: %r"
+                                    % (v,))
+                if block_of[v] != -1:
+                    raise TreeError("node %d in two blocks" % v)
+                block_of[v] = i
+        return block_of
 
 
 def k_set(tree: TreeTopology, x: int, A, weights) -> set:
@@ -215,9 +210,7 @@ def phase2_layout(tree: TreeTopology, root: int, B: int) -> BlockAssignment:
     _budget_partition(tree.left, tree.right, tree.parent,
                       compute_weights(tree), root, B, blocks,
                       bytearray(b"\1") * tree.n)
-    asg = BlockAssignment(B, blocks, tree.depth[root])
-    asg.block_of = _block_index(blocks, B, tree.n)
-    return asg
+    return BlockAssignment(B, blocks, tree.n, tree.depth[root])
 
 
 def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
@@ -301,7 +294,7 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
                     break
                 e += 1
             ends[d + 1:e + 1] = [e] * (e - d)
-    return BlockAssignment(B, blocks, phase1_levels=L1)
+    return BlockAssignment(B, blocks, tree.n, phase1_levels=L1)
 
 
 def exclusion_violations(tree: TreeTopology, weights,
@@ -368,11 +361,10 @@ def layout_from_json(obj, n: Optional[int] = None) -> BlockAssignment:
         raise TreeError("blocks must be a list of node-id lists")
     if n is None:
         n = sum(map(len, blocks))
-    block_of = _block_index(blocks, B, n)
-    if -1 in block_of:
-        raise TreeError("layout does not cover node %d" % block_of.index(-1))
     # the parsed lists become the blocks as they are; copying them would
     # hold two copies while the parsed object is still alive
-    asg = BlockAssignment(B, blocks)
-    asg.block_of = block_of
+    asg = BlockAssignment(B, blocks, n)
+    if -1 in asg.block_of:
+        raise TreeError("layout does not cover node %d"
+                        % asg.block_of.index(-1))
     return asg

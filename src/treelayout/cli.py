@@ -33,6 +33,7 @@ from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 from operator import truediv
 from pathlib import Path
+from stat import S_ISDIR
 from typing import NamedTuple, Optional, Sequence
 
 from .aware import (exclusion_violations, layout_aware, layout_from_json,
@@ -62,17 +63,33 @@ def _output(out: Optional[str]):
 
 
 def _check_dirs(*outs: Optional[str]) -> None:
-    """Refuse an output whose directory does not exist with the error
-    ``open`` gives, before any input is read or work is done."""
+    """Refuse an output that ``open`` could not write with the error it
+    would give, before any input is read or work is done: a missing or
+    non-directory parent, an existing directory or a name ending in "/",
+    or the empty path."""
     for out in outs:
-        if out is not None and not Path(out).parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
-                                    out)
+        if out is None:
+            continue
+        try:
+            # open refuses a name ending in "/" as a directory, existing
+            # or not, so the parent is that of the name before the "/"
+            parent = os.stat(os.path.dirname(out.rstrip("/")) or ".")
+            code = (errno.ENOTDIR if not S_ISDIR(parent.st_mode)
+                    else errno.ENOENT if not out
+                    else errno.EISDIR if out.endswith("/")
+                    or os.path.isdir(out) else 0)
+        except OSError as exc:
+            code = exc.errno
+        if code:
+            # OSError picks the subclass open would raise for the code
+            raise OSError(code, os.strerror(code), out)
 
 
 def _write_json(obj, out: Optional[str]) -> None:
+    # encoded before the file is opened, so a failure leaves it as it was
+    text = json_text(obj)
     with _output(out) as fh:
-        fh.write(json_text(obj))
+        fh.write(text)
 
 
 # ---------------------------------------------------------------- cells

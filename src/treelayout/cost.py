@@ -312,8 +312,8 @@ def solve_p(N: int, D: int, B: int) -> Fraction:
     """Solve ``u * lg u = B * lg N / (2 D)`` for ``u = 1/p``.
 
     Monotone bisection to relative tolerance 1e-9, with p clamped to
-    ``[1/N, 1]``.  The result is an exact dyadic rational, so callers get
-    bit-identical values for identical inputs.
+    ``[1/N, 1]``.  The result is exact: ``1 / p`` equals the bisection's
+    float ``u``, so callers get bit-identical values for identical inputs.
     """
     from fractions import Fraction
 

@@ -129,6 +129,21 @@ def test_cost_report_alone_takes_the_running_max():
     assert private == []
 
 
+def test_no_module_assigns_block_of():
+    # a BlockAssignment derives its index from its own fields, so no
+    # function sets one from outside, by assignment or by setattr
+    package = Path(treelayout.__file__).resolve().parent
+    assigned = [
+        (path.name, node.lineno) for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr == "block_of"
+            and isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "setattr"
+            and getattr(node.args[1], "value", None) == "block_of")]
+    assert assigned == []
+
+
 def test_cli_import_leaves_fractions_unloaded():
     # only the exact-arithmetic checks make a Fraction, and they import it
     # themselves, so the commands never load fractions, decimal or numbers

@@ -131,7 +131,7 @@ def fixed_stride_layout(tree, B):
         else:
             on_path[d] = on_path[d - 1]
             on_path[d].append(x)
-    return aware.BlockAssignment(B, blocks, phase1_levels=L1)
+    return aware.BlockAssignment(B, blocks, tree.n, phase1_levels=L1)
 
 
 def levels_below(tree, r):
@@ -399,11 +399,11 @@ def test_block_of_is_derived_from_blocks_on_first_read(make, B):
     assert "block_of" not in vars(asg)  # `layout aware` never builds it
     assert asg.block_of == _block_index(asg.blocks, t.n)
     assert asg.block_of is asg.block_of  # kept after the first read
-    # a region's layout: -1 outside it, and an entry for every node, set
-    # before any read
+    # a region's layout: -1 outside it, and an entry for every node
     for root in sorted({0, t.n // 2, t.n - 1}):
         part = phase2_layout(t, root, B)
-        assert vars(part)["block_of"] == _block_index(part.blocks, t.n)
+        assert "block_of" not in vars(part)
+        assert part.block_of == _block_index(part.blocks, t.n)
     # a layout read from disk keeps the index its validation built
     got = layout_from_json(layout_to_json(asg))
     assert vars(got)["block_of"] == asg.block_of
@@ -425,6 +425,17 @@ def test_replace_keeps_block_of_and_the_exclusion_rule():
                 assert got.blocks == asg.blocks
                 assert got.block_of == want
                 assert exclusion_violations(t, w, got) == 0
+
+
+@pytest.mark.parametrize("root", [0, 5, 31])
+def test_replace_copy_of_a_region_prices_like_the_original(root):
+    # the copy indexes the whole tree too, not the region's largest id
+    t = gen_random(50, 3)
+    part = phase2_layout(t, root, 4)
+    copy = dataclasses.replace(part)
+    assert copy.n == t.n and "block_of" not in vars(copy)
+    assert copy.block_of == part.block_of
+    assert cost_report(t, copy.block_of) == cost_report(t, part.block_of)
 
 
 @pytest.mark.parametrize("make,calls", [
@@ -465,7 +476,7 @@ def test_exclusion_violations_counts_a_violation():
     # (4 + 1) * w(1) = 35 > 4 * w(5) = 12 holds
     t = gen_path(8)
     asg = aware.BlockAssignment(
-        B=4, blocks=[[0], [1, 2, 3, 4], [5, 6, 7]], phase1_levels=0)
+        B=4, blocks=[[0], [1, 2, 3, 4], [5, 6, 7]], n=8, phase1_levels=0)
     assert exclusion_violations(t, compute_weights(t), asg) == 1
 
 
@@ -520,10 +531,14 @@ def test_layout_json_rejects_duplicates():
     (2, [[0, 1, 2]], "block 0 exceeds size B=2"),
     (2, [[0], []], "block 1 is empty"),
     (2, [[0, True]], "node id out of range in layout: True"),
-], ids=["two-blocks", "over-B", "empty", "bool"])
+    (2, [[0, "a"]], "node id out of range in layout: 'a'"),
+    (2, [[0, None]], "node id out of range in layout: None"),
+    (2, [[0, 1.5]], "node id out of range in layout: 1.5"),
+], ids=["two-blocks", "over-B", "empty", "bool", "str", "None", "float"])
 def test_hand_built_assignment_is_checked_on_first_read(B, blocks, message):
-    # the index is built by the code that checks a layout file
-    asg = aware.BlockAssignment(B, blocks)
+    # the index is built by the code that checks a layout file, for as
+    # many nodes as the blocks hold
+    asg = aware.BlockAssignment(B, blocks, sum(map(len, blocks)))
     with pytest.raises(TreeError, match=message):
         asg.block_of
 

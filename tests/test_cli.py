@@ -710,14 +710,26 @@ def test_eval_checks_B_before_loading_the_tree(tmp_path, monkeypatch, caplog,
      "nodir/s.csv"),
     (["sweep", "--config", "cfg.json"], {"summary_out": "nodir/s.json"},
      "nodir/s.json"),
+    (["layout", "oblivious", "--tree", "t.json", "--out", "t.json/o.json"],
+     None, "t.json/o.json"),
+    (["gen", "path", "--n", 8, "--out", "t.json/b/t.json"], None,
+     "t.json/b/t.json"),
+    (["layout", "oblivious", "--tree", "t.json", "--out", "d"], None, "d"),
+    (["layout", "aware", "--tree", "t.json", "--B", 2, "--out", ""], None,
+     ""),
+    (["sweep", "--config", "cfg.json"], {"summary_out": "d"}, "d"),
+    (["gen", "path", "--n", 8, "--out", "nodir/"], None, "nodir/"),
 ], ids=["sweep-csv_out", "layout-out", "out-before-input", "gen-out",
-        "padded-out", "eval-out", "sweep-out", "sweep-summary_out"])
+        "padded-out", "eval-out", "sweep-out", "sweep-summary_out",
+        "file-parent", "file-grandparent", "directory", "empty",
+        "summary-directory", "trailing-slash"])
 def test_missing_output_directory_fails_before_the_work(
         tmp_path, monkeypatch, caplog, capsys, argv, config, path):
     # the error open() gives, reported before any input is read or any
     # work is done, and nothing is written
     monkeypatch.chdir(tmp_path)
     assert run(["gen", "path", "--n", 8, "--out", "t.json"]) == 0
+    (tmp_path / "d").mkdir()
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(
             dict(config, families={"path": [8]}, Bs=[2])))
@@ -731,9 +743,11 @@ def test_missing_output_directory_fails_before_the_work(
     before = sorted(tmp_path.iterdir())
     caplog.clear()
     assert run(argv) == 3
-    assert (_one_error_line(caplog, capsys)
-            == f"[Errno 2] No such file or directory: '{path}'")
+    message = _one_error_line(caplog, capsys)
     assert sorted(tmp_path.iterdir()) == before
+    with pytest.raises(OSError) as exc:
+        open(path, "w")
+    assert message == str(exc.value)
 
 
 def test_eval_order_requires_B(tmp_path):
@@ -1082,6 +1096,19 @@ def test_more_nodes_than_the_limit_exits_4(argv, caplog, capsys):
     # the node-count guard raises before anything is allocated
     assert run(argv) == 4
     assert "exceed" in _one_error_line(caplog, capsys)
+
+
+def test_failed_encoding_keeps_the_output_file(tmp_path, monkeypatch):
+    # the text is built before the file is opened and truncated
+    out = tmp_path / "keep.json"
+    out.write_text("old")
+
+    def json_text(obj):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "json_text", json_text)
+    assert run(["gen", "path", "--n", 8, "--out", out]) == 4
+    assert out.read_text() == "old"
 
 
 def test_out_of_memory_exits_4(monkeypatch, caplog, capsys):

@@ -448,6 +448,8 @@ def test_solve_p_residual_grid():
         for B in (2, 16, 256):
             for D in (1, 4, 64, 1024):
                 p = solve_p(N, D, B)
+                # 1 / p is the bisection's float, exactly
+                assert Fraction(float(1 / p)) == 1 / p
                 u = 1 / float(p)
                 R = B * math.log2(N) / (2 * D)
                 if p in (Fraction(1), Fraction(1, N)):
