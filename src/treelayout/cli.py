@@ -40,9 +40,11 @@ from .aware import (exclusion_violations, layout_aware, layout_from_json,
                     layout_to_json, padded_order)
 from .cost import (CostReport, brute_force_optimal, cost_report, order_report,
                    theoretical_bound, solve_p, worst_by_offset)
-from .oblivious import _read_order, layout_oblivious, order_to_json
-# gen writes a builder's lists and calls no tree_to_json; it stays
-# importable here because perfbench/tracer.py wraps it at this name
+# gen and layout oblivious write their builders' lists and call no
+# tree_to_json or order_to_json; both stay importable here because
+# perfbench/tracer.py wraps them at these names
+from .oblivious import (_order_json, _read_order, _refine, layout_oblivious,
+                        order_to_json)
 from .tree import (ResourceLimitError, TreeError, TreeTopology,
                    _build_lower_bound, _build_path, _build_perfect,
                    _build_random, _tree_json, compute_weights,
@@ -235,9 +237,9 @@ def cmd_layout(args) -> int:
     tree = load_tree(args.tree)
     n = tree.n
     t0 = time.perf_counter()
-    # the writers need only the layout's own lists: the tree and an
-    # order's positions go before the JSON text is built, and the aware
-    # layout's block_of, never read here, is never built
+    # the writers need only the layout's own lists: the tree goes before
+    # the JSON text is built, and neither an order's positions nor the
+    # aware layout's block_of, never read here, is built
     if args.mode == "aware":
         B = args.B
         with _B_too_large("--B"):
@@ -256,9 +258,9 @@ def cmd_layout(args) -> int:
         log.info("aware layout: N=%d B=%d blocks=%d (%.3fs)",
                  n, B, len(obj["blocks"]), time.perf_counter() - t0)
     else:
-        obj = order_to_json(layout_oblivious(tree))
+        seq = _refine(tree)
         del tree
-        _write_json(obj, args.out)
+        _write_json(_order_json(seq), args.out)
         log.info("oblivious order: N=%d (%.3fs)",
                  n, time.perf_counter() - t0)
     return 0
@@ -638,7 +640,12 @@ def main(argv=None) -> int:
     try:
         _check_dirs(getattr(args, "out", None),
                     getattr(args, "padded_out", None))
-        return args.func(args)
+        rc = args.func(args)
+        # a failed write of buffered output is reported here, not ignored
+        # at exit; stdout is None when the process started without one
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return rc
     except (ResourceLimitError, MemoryError, OverflowError) as exc:
         # str(MemoryError()) is empty
         log.error("%s", str(exc) or type(exc).__name__)
@@ -651,5 +658,20 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The process entry: exit with ``main()``'s code once stdout and
+    stderr are flushed, without tearing the interpreter's heap down.
+    Every output file is closed by then, and ``main`` has reported a
+    failed stdout write; an exception from ``main`` propagates."""
+    rc = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            # a write that fails only now has not been reported
+            rc = rc or 1
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -100,9 +100,9 @@ def _piece_budget(size: int) -> int:
 _FINAL = 7
 
 
-def _refine(tree: TreeTopology, order: list, made=None) -> None:
-    """Extend ``order`` with the final pieces of the refinement, in order,
-    and, when ``made`` is a list, append ``(level, piece)`` to it for
+def _refine(tree: TreeTopology, made=None) -> list:
+    """The order: the final pieces of the refinement, concatenated in
+    order.  When ``made`` is a list, append ``(level, piece)`` to it for
     every piece, depth first: each piece before its sub-pieces,
     sub-pieces in order.  Pieces list their nodes in preorder, root
     first.
@@ -119,6 +119,7 @@ def _refine(tree: TreeTopology, order: list, made=None) -> None:
     free = bytearray(tree.n)
     left, right, parent = tree.left, tree.right, tree.parent
     w = [0] * tree.n
+    order: list = []
     stack = [iter(top.blocks)]
     while stack:
         for P in stack[-1]:
@@ -142,13 +143,12 @@ def _refine(tree: TreeTopology, order: list, made=None) -> None:
             break
         else:
             stack.pop()
+    return order
 
 
 def layout_oblivious(tree: TreeTopology) -> LinearOrder:
     """Single linear order serving every block size at once."""
-    order: list = []
-    _refine(tree, order)
-    return LinearOrder(tuple(order))
+    return LinearOrder(tuple(_refine(tree)))
 
 
 def refinement_levels(tree: TreeTopology) -> list:
@@ -162,7 +162,7 @@ def refinement_levels(tree: TreeTopology) -> list:
     inside one block of the round before.
     """
     made: list = []
-    _refine(tree, [], made)
+    _refine(tree, made)
     # a final piece of 3-7 nodes still splits one round after its own
     last = max(level + (len(P) > 2) for level, P in made
                if len(P) <= _FINAL)
@@ -195,8 +195,15 @@ def block_ids(order: LinearOrder, B: int, offset: int = 0) -> list:
     return [(p + offset) // B for p in order.position]
 
 
+def _order_json(seq: list) -> dict:
+    """The order file of the slot list ``seq``, held as it is: ``None``
+    for a padding slot.  The list is not validated;
+    :func:`order_from_json` checks it on reading."""
+    return {"order": seq}
+
+
 def order_to_json(order: LinearOrder) -> dict:
-    return {"order": list(order.order)}
+    return _order_json(list(order.order))
 
 
 def order_from_json(obj, n: int) -> LinearOrder:

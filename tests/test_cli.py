@@ -14,6 +14,7 @@ from treelayout import (brute_force_optimal, gen_lower_bound, gen_path,
                         layout_to_json, order_to_json, refinement_levels,
                         save_tree, tree_to_json)
 import treelayout.cli as cli
+import treelayout.oblivious as oblivious
 from treelayout.cli import SweepConfig, main, run_sweep
 
 
@@ -243,6 +244,42 @@ def test_layout_oblivious_single(tmp_path):
     run(["gen", "path", "--n", 1, "--out", tree])
     assert run(["layout", "oblivious", "--tree", tree, "--out", out]) == 0
     assert json.loads(out.read_text())["order"] == [0]
+
+
+OBLIVIOUS_TREES = {
+    "perfect": lambda: gen_perfect(10),
+    "path": lambda: gen_path(1000),
+    "random": lambda: gen_random(2000, 9),
+    "lowerbound": lambda: gen_lower_bound(4, 2, 1000),
+}
+
+
+@pytest.mark.parametrize("family", sorted(OBLIVIOUS_TREES))
+def test_layout_oblivious_writes_the_library_order(tmp_path, family):
+    tree = OBLIVIOUS_TREES[family]()
+    save_tree(tree, tmp_path / "t.json")
+    out = tmp_path / "o.json"
+    assert run(["layout", "oblivious", "--tree", tmp_path / "t.json",
+                "--out", out]) == 0
+    assert (out.read_bytes()
+            == json_text(order_to_json(layout_oblivious(tree))).encode())
+
+
+def test_layout_oblivious_builds_no_linear_order(tmp_path, monkeypatch):
+    # the command writes the refinement's list: the position table of a
+    # LinearOrder is never read there
+    tree = gen_random(2000, 9)
+    save_tree(tree, tmp_path / "t.json")
+    expected = json_text(order_to_json(layout_oblivious(tree))).encode()
+
+    def refuse(order):
+        raise AssertionError("layout oblivious built a LinearOrder")
+
+    monkeypatch.setattr(oblivious, "LinearOrder", refuse)
+    out = tmp_path / "o.json"
+    assert run(["layout", "oblivious", "--tree", tmp_path / "t.json",
+                "--out", out]) == 0
+    assert out.read_bytes() == expected
 
 
 def test_layout_aware_requires_B(tmp_path):
