@@ -40,11 +40,9 @@ from .aware import (exclusion_violations, layout_aware, layout_from_json,
                     layout_to_json, padded_order)
 from .cost import (CostReport, brute_force_optimal, cost_report, order_report,
                    theoretical_bound, solve_p, worst_by_offset)
-# gen and layout oblivious write their builders' lists and call no
-# tree_to_json or order_to_json; both stay importable here because
-# perfbench/tracer.py wraps them at these names
-from .oblivious import (_order_json, _read_order, _refine, layout_oblivious,
-                        order_to_json)
+from .oblivious import _read_order, layout_oblivious, order_to_json
+# gen writes its builder's lists and calls no tree_to_json; it stays
+# importable here because perfbench/tracer.py wraps it at this name
 from .tree import (ResourceLimitError, TreeError, TreeTopology,
                    _build_lower_bound, _build_path, _build_perfect,
                    _build_random, _tree_json, compute_weights,
@@ -240,29 +238,28 @@ def cmd_layout(args) -> int:
     # the writers need only the layout's own lists: the tree goes before
     # the JSON text is built, and neither an order's positions nor the
     # aware layout's block_of, never read here, is built
+    slots = None
     if args.mode == "aware":
-        B = args.B
         with _B_too_large("--B"):
-            asg = layout_aware(tree, B)
+            asg = layout_aware(tree, args.B)
         obj = layout_to_json(asg)
-        slots = None
         if args.padded_out is not None:
             try:
                 slots = padded_order(asg)
             except ResourceLimitError as exc:
                 raise ResourceLimitError(f"--padded-out: {exc}") from None
         del tree, asg
-        _write_json(obj, args.out)
-        if slots is not None:
-            _write_json({"B": B, "order": slots}, args.padded_out)
-        log.info("aware layout: N=%d B=%d blocks=%d (%.3fs)",
-                 n, B, len(obj["blocks"]), time.perf_counter() - t0)
+        what = f"aware layout: N={n} B={args.B} blocks={len(obj['blocks'])}"
     else:
-        seq = _refine(tree)
+        order = layout_oblivious(tree)
         del tree
-        _write_json(_order_json(seq), args.out)
-        log.info("oblivious order: N=%d (%.3fs)",
-                 n, time.perf_counter() - t0)
+        obj = order_to_json(order)
+        del order
+        what = f"oblivious order: N={n}"
+    _write_json(obj, args.out)
+    if slots is not None:
+        _write_json({"B": args.B, "order": slots}, args.padded_out)
+    log.info("%s (%.3fs)", what, time.perf_counter() - t0)
     return 0
 
 
@@ -659,11 +656,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry: exit with ``main()``'s code once stdout and
-    stderr are flushed, without tearing the interpreter's heap down.
-    Every output file is closed by then, and ``main`` has reported a
-    failed stdout write; an exception from ``main`` propagates."""
-    rc = main()
+    """The process entry: exit with ``main()``'s code, or argparse's, once
+    stdout and stderr are flushed, without tearing the interpreter's heap
+    down.  Every output file is closed by then, and ``main`` has reported
+    a failed stdout write; any other exception from ``main`` propagates."""
+    try:
+        rc = main()
+    except SystemExit as exc:   # argparse's, on --help or a usage error
+        rc = exc.code or 0
     for stream in filter(None, (sys.stdout, sys.stderr)):
         try:
             stream.flush()

@@ -30,7 +30,8 @@ measured ratio checks in the test suite.)  Runs in O(N lg lg N).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 
 from .aware import _budget_partition, layout_aware
@@ -51,8 +52,9 @@ class LinearOrder:
     """Storage order of a tree's nodes.
 
     ``order[i]`` is the node in slot ``i``, or None for an empty padding
-    slot (see ``padded_order``); ``position[x]`` is the slot of node x.
-    Every node ``0..n-1`` appears exactly once.  Orders built by
+    slot (see ``padded_order``).  ``position[x]``, the slot of node x, is
+    derived on first read, as ``BlockAssignment.block_of`` is, and raises
+    TreeError unless each node ``0..n-1`` is in one slot.  Orders from
     :func:`layout_oblivious` have no padding and put the root first.
 
     The two tuples share one set of ints: the slot ``i < n`` in
@@ -61,11 +63,14 @@ class LinearOrder:
     """
 
     order: tuple
-    position: tuple = field(init=False)
 
     def __post_init__(self):
         # a tuple is kept as it is, not copied
-        order = self.order = tuple(self.order)
+        self.order = tuple(self.order)
+
+    @cached_property
+    def position(self) -> tuple:
+        order = self.order
         # one pass in C: bools are not node ids
         if not set(map(type, order)) <= {int, type(None)}:
             raise TreeError("order entries must be node ids or null")
@@ -83,7 +88,7 @@ class LinearOrder:
             if x is not None:
                 pos[x] = i
         del ids
-        self.position = tuple(pos)
+        return tuple(pos)
 
     @property
     def n(self) -> int:
@@ -195,15 +200,10 @@ def block_ids(order: LinearOrder, B: int, offset: int = 0) -> list:
     return [(p + offset) // B for p in order.position]
 
 
-def _order_json(seq: list) -> dict:
-    """The order file of the slot list ``seq``, held as it is: ``None``
-    for a padding slot.  The list is not validated;
-    :func:`order_from_json` checks it on reading."""
-    return {"order": seq}
-
-
 def order_to_json(order: LinearOrder) -> dict:
-    return _order_json(list(order.order))
+    """The order file, ``{"order": [node | null, ...]}``, written as it
+    is: :func:`order_from_json` checks it on reading."""
+    return {"order": list(order.order)}
 
 
 def order_from_json(obj, n: int) -> LinearOrder:

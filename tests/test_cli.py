@@ -265,20 +265,44 @@ def test_layout_oblivious_writes_the_library_order(tmp_path, family):
             == json_text(order_to_json(layout_oblivious(tree))).encode())
 
 
-def test_layout_oblivious_builds_no_linear_order(tmp_path, monkeypatch):
-    # the command writes the refinement's list: the position table of a
-    # LinearOrder is never read there
+def test_layout_oblivious_reads_no_positions(tmp_path, monkeypatch):
+    # the command writes the order's own slots: the position table of its
+    # LinearOrder is never derived
     tree = gen_random(2000, 9)
     save_tree(tree, tmp_path / "t.json")
     expected = json_text(order_to_json(layout_oblivious(tree))).encode()
 
     def refuse(order):
-        raise AssertionError("layout oblivious built a LinearOrder")
+        raise AssertionError("layout oblivious read an order's positions")
 
-    monkeypatch.setattr(oblivious, "LinearOrder", refuse)
+    monkeypatch.setattr(oblivious.LinearOrder, "position", property(refuse))
     out = tmp_path / "o.json"
     assert run(["layout", "oblivious", "--tree", tmp_path / "t.json",
                 "--out", out]) == 0
+    assert out.read_bytes() == expected
+
+
+def test_layout_oblivious_calls_the_traced_names(tmp_path, monkeypatch):
+    # perfbench/tracer.py times the order build and its JSON at these names
+    tree = gen_random(2000, 9)
+    save_tree(tree, tmp_path / "t.json")
+    expected = json_text(order_to_json(layout_oblivious(tree))).encode()
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def wrapper(arg):
+            calls.append(name)
+            return real(arg)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    spy("layout_oblivious")
+    spy("order_to_json")
+    out = tmp_path / "o.json"
+    assert run(["layout", "oblivious", "--tree", tmp_path / "t.json",
+                "--out", out]) == 0
+    assert calls == ["layout_oblivious", "order_to_json"]
     assert out.read_bytes() == expected
 
 

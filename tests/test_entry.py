@@ -116,6 +116,19 @@ def test_failed_stdout_write_exits_3_with_one_line(tmp_path, argv):
         f"ERROR [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"])
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["layout", "--help"]],
+                         ids=["top", "layout"])
+def test_failed_help_write_exits_1_at_run(tmp_path, argv):
+    # argparse prints the help into stdout's buffer and exits inside
+    # main; run flushes the buffer, finds the write failed, and exits 1
+    # without the interpreter's own flush at teardown
+    with open("/dev/full", "w") as full:
+        done = _process(argv, tmp_path, stdout=full)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 def test_process_started_without_stdout_writes_its_file(tmp_path):
     # with file descriptor 1 closed, Python starts with sys.stdout None
     done = subprocess.run(

@@ -354,7 +354,7 @@ def test_order_json_rejects_non_permutation():
                                  (0, 3, 1), (-1, 0, 1)])
 def test_linear_order_rejects_non_ids(seq):
     with pytest.raises(TreeError):
-        LinearOrder(seq)
+        LinearOrder(seq).position
 
 
 @pytest.mark.parametrize("seq,message", [
@@ -366,9 +366,26 @@ def test_linear_order_rejects_non_ids(seq):
     ((None, -1, 0, 1), "order is not a permutation of 0..2"),
 ])
 def test_linear_order_rejection_messages(seq, message):
-    with pytest.raises(TreeError) as err:
-        LinearOrder(seq)
-    assert str(err.value) == message
+    # the checks run on the first read of position, or of n, which reads it
+    for read in (lambda order: order.position, lambda order: order.n):
+        with pytest.raises(TreeError) as err:
+            read(LinearOrder(seq))
+        assert str(err.value) == message
+
+
+def test_position_is_derived_from_order_on_first_read():
+    order = layout_oblivious(gen_random(500, seed=2))
+    assert vars(order) == {"order": order.order}  # construction builds none
+    want = [None] * 500
+    for p, x in enumerate(order.order):
+        want[x] = p
+    assert order.position == tuple(want)
+    assert order.position is order.position  # kept after the first read
+    # an order that is no permutation is built, and refused when read
+    bad = LinearOrder([0, 2, 0, None])
+    assert vars(bad) == {"order": (0, 2, 0, None)}
+    with pytest.raises(TreeError):
+        bad.n
 
 
 def _json_order(seq):
@@ -402,11 +419,12 @@ def test_positions_share_the_order_ints(pad):
 def test_linear_order_memory_per_node(peak_bytes):
     # from a tuple of parsed ids, a fresh int per slot peaked at about 44
     # bytes a node; the order's own ints as positions leave two lists of
-    # pointers, about 16 (a list to copy adds 8)
+    # pointers, about 16 (a list to copy adds 8).  The positions are
+    # derived on first read, so the read is measured with the order.
     seq = tuple(json.loads(json.dumps(list(layout_oblivious(
         gen_random(1 << 15, 3)).order))))
-    order, peak, _ = peak_bytes(lambda: LinearOrder(seq))
-    assert order.n == len(seq)
+    position, peak, _ = peak_bytes(lambda: LinearOrder(seq).position)
+    assert len(position) == len(seq)
     assert peak <= 24 * len(seq)
 
 
