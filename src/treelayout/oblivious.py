@@ -11,9 +11,12 @@ in preorder, so a piece's subtree sizes follow from parent links alone,
 and a piece of at most seven nodes is final: it has at most two nodes or
 budget 2, under which a child's share
 ``(2 - 1) * w(child) / w(parent)`` is below 1 and every block is one
-node in preorder.  The final pieces, concatenated in the order the
-walk reaches them, are the order.  The walk's stack is as deep as the
-number of levels, about lg lg N.
+node in preorder.  Every piece of a perfect tree is a perfect subtree,
+which the budget recursion splits by depth into strata that depend on
+its size alone; they are computed once per size, with no engine call.
+The final pieces, concatenated in the order the walk reaches them, are
+the order.  The walk's stack is as deep as the number of levels, about
+lg lg N.
 
 :func:`refinement_levels` regroups the same walk into rounds: round
 k holds every piece made at level k, and every final piece of an earlier
@@ -31,10 +34,11 @@ measured ratio checks in the test suite.)  Runs in O(N lg lg N).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, islice
+from operator import itemgetter
 
-from .aware import _budget_partition, layout_aware
+from .aware import _budget_partition, _exact_reciprocal_le, layout_aware
 from .tree import TreeError, TreeTopology, _field
 
 __all__ = [
@@ -96,13 +100,55 @@ class LinearOrder:
 
 
 def _piece_budget(size: int) -> int:
-    """Power-of-two budget near sqrt(size); always in [2, size)."""
+    """Power-of-two budget near sqrt(size); in [2, size) for size >= 3,
+    the only sizes :func:`_refine` splits, and 2 below."""
     return 1 << max(1, size.bit_length() // 2)
 
 
 # a piece of at most this many nodes has at most two nodes or budget 2,
 # and its preorder is its final order
 _FINAL = 7
+
+
+@cache
+def _strata(size: int) -> tuple:
+    """The budget rule's split of a piece of a perfect tree: one getter
+    per sub-piece, in order, that picks its nodes out of the piece's
+    preorder list.
+
+    Such a piece is a perfect subtree of m levels, and each node at depth
+    k of it has subtree size ``2**(m - k) - 1``, so every root path to one
+    depth meets the same sizes and the rule's verdict on a node depends
+    on its depth alone: ``start[d]`` is the depth where the block that
+    holds depth d begins, found with the engine's exact test.  A node at
+    its block's start depth opens a block, and any other node joins the
+    block opened last at that depth, as the engine's preorder walk has
+    it.  Only the nodes differ from piece to piece, so the split is made
+    once per size, on preorder slots.
+    """
+    m = size.bit_length()
+    B = _piece_budget(size)
+    start = [0] * m
+    for d in range(1, m):
+        r = start[d - 1]
+        ws = [(1 << (m - k)) - 1 for k in range(r, d + 1)]
+        start[d] = r if _exact_reciprocal_le(ws, B, ws[0]) else d
+    # the depths of a perfect tree of m levels, in preorder
+    depths: list = []
+    for _ in range(m):
+        depths = [0] + [d + 1 for d in depths] * 2
+    opened: list = [None] * m
+    sub = []
+    for i, d in enumerate(depths):
+        if start[d] == d:
+            opened[d] = [i]
+            sub.append(opened[d])
+        else:
+            opened[start[d]].append(i)
+    # a getter of one index would return the bare node, one of a slice
+    # returns a list
+    return tuple(itemgetter(*S) if len(S) > 1
+                 else itemgetter(slice(S[0], S[0] + 1)) for S in sub)
 
 
 def _refine(tree: TreeTopology, made=None) -> list:
@@ -114,12 +160,14 @@ def _refine(tree: TreeTopology, made=None) -> list:
 
     ``stack[k]`` iterates over the pieces of level k still to refine
     under one piece of level k - 1.  A final piece goes to ``order`` in
-    its parent's loop; a larger one is sized and split, and its
-    sub-pieces are refined before its next sibling.  The loop makes no
-    call per piece and no closure, so it leaves nothing for the cyclic
-    collector.
+    its parent's loop; a larger one is split, and its sub-pieces are
+    refined before its next sibling.  A piece of a perfect tree is split
+    by :func:`_strata`, any other is sized and handed to the engine.  The
+    loop makes no closure, so it leaves nothing for the cyclic collector.
     """
     top = layout_aware(tree, _piece_budget(tree.n))
+    # every piece of a perfect tree is a perfect subtree, in preorder
+    perfect = tree.n == (2 << tree.height) - 1
     # 1 marks a node of the piece being split: blocks grow only into those
     free = bytearray(tree.n)
     left, right, parent = tree.left, tree.right, tree.parent
@@ -133,6 +181,9 @@ def _refine(tree: TreeTopology, made=None) -> list:
             if len(P) <= _FINAL:
                 order += P
                 continue
+            if perfect:
+                stack.append(iter([list(get(P)) for get in _strata(len(P))]))
+                break
             # free the piece, which the split places again, and size it
             # from parent links: it is connected and in preorder, so each
             # node but its root adds into a parent met later in reverse

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,9 +12,9 @@ from treelayout import (LinearOrder, TreeError, TreeTopology, block_ids,
                         cost_report, gen_lower_bound, gen_path, gen_perfect,
                         gen_random, layout_aware, layout_oblivious,
                         order_from_json, order_to_json, refinement_levels)
-from treelayout import aware
+from treelayout import aware, oblivious
 from treelayout.aware import _budget_partition
-from treelayout.oblivious import _piece_budget, _read_order
+from treelayout.oblivious import _piece_budget, _read_order, _strata
 
 
 def test_single_node():
@@ -181,9 +182,50 @@ def test_rounds_match_reference_on_random_trees(n, seed):
 @pytest.mark.parametrize("t", [gen_perfect(h) for h in range(11)]
                          + [gen(n) for n in (1, 2, 3, 7, 8, 9)
                             for gen in (gen_path,
-                                        lambda n: gen_random(n, seed=n))])
+                                        lambda n: gen_random(n, seed=n))]
+                         # top-level pieces of 6-8 levels
+                         + [gen_perfect(h) for h in range(11, 17)])
 def test_rounds_match_reference(t):
     assert refinement_levels(t) == _reference_rounds(t)
+
+
+def test_strata_split_a_perfect_piece_as_the_engine_does(monkeypatch):
+    # every piece height up to 13 levels, the whole tree as the piece,
+    # sized from parent links as _refine sizes it
+    ties = []
+    exact = aware._exact_reciprocal_le
+    monkeypatch.setattr(aware, "_exact_reciprocal_le",
+                        lambda *a: ties.append(a) or exact(*a))
+    for m in range(3, 14):
+        t = gen_perfect(m - 1)
+        P = list(t.preorder())
+        w = [1] * t.n
+        for x in islice(reversed(P), len(P) - 1):
+            w[t.parent[x]] += w[x]
+        blocks = []
+        _budget_partition(t.left, t.right, t.parent, w, P[0],
+                          _piece_budget(len(P)), blocks,
+                          bytearray(b"\1") * t.n)
+        assert [list(get(P)) for get in _strata(len(P))] == blocks, m
+    # the engine's exact fallback decided sums that sit exactly on their
+    # target (at m = 4), and the strata agree there too
+    assert ties
+
+
+def test_perfect_tree_pieces_split_without_the_engine(monkeypatch):
+    def engine(*args):
+        raise AssertionError("budget engine called")
+
+    monkeypatch.setattr(oblivious, "_budget_partition", engine)
+    t = gen_perfect(11)
+    assert layout_oblivious(t).n == t.n
+    assert len(refinement_levels(t)) > 2
+    # a tree of the same size that is not perfect still uses the engine
+    calls = []
+    monkeypatch.setattr(oblivious, "_budget_partition",
+                        lambda *a: calls.append(a) or _budget_partition(*a))
+    assert layout_oblivious(gen_random(2**12 - 1, 0)).n == 2**12 - 1
+    assert calls
 
 
 @pytest.mark.parametrize("make", [lambda: gen_path(1 << 15),
