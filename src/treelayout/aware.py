@@ -227,9 +227,11 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
     strata of that height would give it.  On a perfect tree every level
     is complete, ``floor(lg(B+1))`` levels hold at most B nodes and one
     more level holds more, so the blocks are exactly those strata and the
-    levels are not counted.  Elsewhere the counting visits a region node
-    at most twice: once for its own block and once as the level that
-    overflowed the block above.
+    levels are not counted.  A block of the bottom stratum is then its
+    root's whole subtree, a run of the preorder, and when the stratum has
+    3 levels or more the walk takes each block as one run.  Elsewhere the
+    counting visits a region node at most twice: once for its own block
+    and once as the level that overflowed the block above.
 
     Each node at depth ``phase1_levels`` is a recursion root whose subtree
     :func:`_budget_partition` splits before the next node is visited, so
@@ -257,18 +259,30 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
     # it, every node that reaches those depths is its member, so no other
     # block overwrites them
     perfect = tree.n == (2 << tree.height) - 1
+    # a node at depth cut or below is handed off whole with its subtree
+    cut = L1
     if perfect:
         # every level is complete, so whole levels are fixed strata of
         # floor(lg(B+1)) levels, and no level needs counting
         stride = (B + 1).bit_length() - 1
         ends = [min((d - 1) // stride * stride + stride, L1)
                 for d in range(L1 + 1)]
+        # a root of the bottom stratum heads a block of its whole
+        # subtree, itself and the next 2**(L1 - d) - 2 entries of the
+        # preorder; taking them as one run pays from 3 levels on
+        bottom = max(L1 - 1, 0) // stride * stride
+        if L1 - bottom >= 3:
+            cut = bottom
+            run = (1 << (L1 - cut)) - 2
     else:
         ends = [0] * (L1 + 1)
     walk = iter(tree.preorder())
     for x in walk:
         d = depth[x]
-        if d >= L1:
+        if d >= cut:
+            if d < L1:
+                blocks.append([x, *islice(walk, run)])
+                continue
             _budget_partition(left, right, parent, w, x, B, blocks, free)
             # skip the rest of x's subtree, its next w[x] - 1 entries
             k = w[x] - 1

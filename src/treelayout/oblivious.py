@@ -13,7 +13,9 @@ budget 2, under which a child's share
 ``(2 - 1) * w(child) / w(parent)`` is below 1 and every block is one
 node in preorder.  Every piece of a perfect tree is a perfect subtree,
 which the budget recursion splits by depth into strata that depend on
-its size alone; they are computed once per size, with no engine call.
+its size alone, so its whole refinement is a fixed permutation of its
+preorder: it is worked out once per piece size, with no engine call,
+and each piece of that size takes its final order in one gather.
 The final pieces, concatenated in the order the walk reaches them, are
 the order.  The walk's stack is as deep as the number of levels, about
 lg lg N.
@@ -110,11 +112,10 @@ def _piece_budget(size: int) -> int:
 _FINAL = 7
 
 
-@cache
 def _strata(size: int) -> tuple:
-    """The budget rule's split of a piece of a perfect tree: one getter
-    per sub-piece, in order, that picks its nodes out of the piece's
-    preorder list.
+    """The budget rule's split of a piece of a perfect tree: one list per
+    sub-piece, in order, of the slots of the piece's preorder list that
+    hold its nodes.
 
     Such a piece is a perfect subtree of m levels, and each node at depth
     k of it has subtree size ``2**(m - k) - 1``, so every root path to one
@@ -124,7 +125,7 @@ def _strata(size: int) -> tuple:
     its block's start depth opens a block, and any other node joins the
     block opened last at that depth, as the engine's preorder walk has
     it.  Only the nodes differ from piece to piece, so the split is made
-    once per size, on preorder slots.
+    on preorder slots, once per size through :func:`_perfect_piece`.
     """
     m = size.bit_length()
     B = _piece_budget(size)
@@ -145,10 +146,29 @@ def _strata(size: int) -> tuple:
             sub.append(opened[d])
         else:
             opened[start[d]].append(i)
-    # a getter of one index would return the bare node, one of a slice
-    # returns a list
-    return tuple(itemgetter(*S) if len(S) > 1
-                 else itemgetter(slice(S[0], S[0] + 1)) for S in sub)
+    return tuple(sub)
+
+
+@cache
+def _perfect_piece(size: int) -> tuple:
+    """How :func:`_refine` finishes a piece of a perfect tree of ``size``
+    > 7 nodes: a getter that picks the piece's final order out of its
+    preorder list, and the pieces made under it, depth first, as
+    ``(level, slots)`` with levels counted from the piece's.  Built on
+    preorder slots from the piece's :func:`_strata` and the entries of
+    its sub-pieces' sizes; no size is above ``_piece_budget(n)``.
+    """
+    order: list = []
+    pieces: list = []
+    for S in _strata(size):
+        pieces.append((1, S))
+        if len(S) <= _FINAL:
+            order += S
+            continue
+        final, below = _perfect_piece(len(S))
+        order += final(S)
+        pieces += [(k + 1, [S[i] for i in T]) for k, T in below]
+    return itemgetter(*order), tuple(pieces)
 
 
 def _refine(tree: TreeTopology, made=None) -> list:
@@ -161,9 +181,11 @@ def _refine(tree: TreeTopology, made=None) -> list:
     ``stack[k]`` iterates over the pieces of level k still to refine
     under one piece of level k - 1.  A final piece goes to ``order`` in
     its parent's loop; a larger one is split, and its sub-pieces are
-    refined before its next sibling.  A piece of a perfect tree is split
-    by :func:`_strata`, any other is sized and handed to the engine.  The
-    loop makes no closure, so it leaves nothing for the cyclic collector.
+    refined before its next sibling.  A piece of a perfect tree is
+    finished in place, its final order and its sub-pieces picked out of
+    it by the entry :func:`_perfect_piece` holds for its size; any other
+    is sized and handed to the engine.  The loop makes no closure, so it
+    leaves nothing for the cyclic collector.
     """
     top = layout_aware(tree, _piece_budget(tree.n))
     # every piece of a perfect tree is a perfect subtree, in preorder
@@ -182,8 +204,12 @@ def _refine(tree: TreeTopology, made=None) -> list:
                 order += P
                 continue
             if perfect:
-                stack.append(iter([list(get(P)) for get in _strata(len(P))]))
-                break
+                final, pieces = _perfect_piece(len(P))
+                order += final(P)
+                if made is not None:
+                    # a perfect tree pushes no level: P is of level 0
+                    made += [(k, [P[i] for i in S]) for k, S in pieces]
+                continue
             # free the piece, which the split places again, and size it
             # from parent links: it is connected and in preorder, so each
             # node but its root adds into a parent met later in reverse

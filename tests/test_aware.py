@@ -15,6 +15,7 @@ from treelayout import (TreeError, compute_weights, cost_report,
                         padded_order, phase2_layout, shape_to_tree)
 from treelayout import aware
 from treelayout.aware import _budget_partition
+from treelayout.oblivious import _piece_budget
 
 
 def assert_valid_assignment(tree, asg):
@@ -194,13 +195,20 @@ def test_phase1_blocks_are_maximal_runs_of_whole_levels(family, n, seed, B):
                 or len(mem) + len(levels[k]) > B)
 
 
-@pytest.mark.parametrize("h", range(15))
+@pytest.mark.parametrize("h", range(20))
 def test_phase1_on_perfect_trees_is_fixed_strata(h):
     # complete levels: the first floor(lg(B+1)) of them hold at most B
     # nodes and one more holds more, so whole levels are the strata
     t = gen_perfect(h)
-    Bs = range(1, 1025) if h <= 10 else sorted(
-        {B for k in range(1, 11) for B in (2**k - 1, 2**k, 2**(k + 1) - 2)})
+    if h <= 10:
+        Bs = range(1, 1025)
+    elif h <= 14:
+        Bs = sorted({B for k in range(1, 11)
+                     for B in (2**k - 1, 2**k, 2**(k + 1) - 2)})
+    else:
+        # the budget of the oblivious order's level 0, whose bottom
+        # stratum has 8, 1, 9, 1 and 10 levels at heights 15 to 19
+        Bs = [_piece_budget(t.n)]
     for B in Bs:
         assert layout_aware(t, B).blocks == fixed_stride_layout(t, B).blocks
 

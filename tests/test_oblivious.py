@@ -91,6 +91,16 @@ def test_last_round_is_the_order(n, seed):
     assert tuple(x for P in last for x in P) == layout_oblivious(t).order
 
 
+@pytest.mark.parametrize("h", range(17))
+def test_last_round_is_the_order_on_perfect_trees(h):
+    # a perfect piece takes its final order and its sub-pieces from one
+    # entry per size; test_rounds_match_reference holds the rounds
+    # against the engine
+    t = gen_perfect(h)
+    last = refinement_levels(t)[-1]
+    assert tuple(x for P in last for x in P) == layout_oblivious(t).order
+
+
 def test_refinement_pieces_are_connected():
     t = gen_random(300, seed=3)
     for part in refinement_levels(t):
@@ -206,10 +216,23 @@ def test_strata_split_a_perfect_piece_as_the_engine_does(monkeypatch):
         _budget_partition(t.left, t.right, t.parent, w, P[0],
                           _piece_budget(len(P)), blocks,
                           bytearray(b"\1") * t.n)
-        assert [list(get(P)) for get in _strata(len(P))] == blocks, m
+        assert [[P[i] for i in S] for S in _strata(len(P))] == blocks, m
     # the engine's exact fallback decided sums that sit exactly on their
     # target (at m = 4), and the strata agree there too
     assert ties
+
+
+def test_perfect_piece_entries_stay_within_the_top_budget(monkeypatch):
+    # entries exist only for pieces of the aware layout at
+    # _piece_budget(n) and their sub-pieces, never for the whole tree
+    sizes = []
+    entry = oblivious._perfect_piece
+    entry.cache_clear()
+    monkeypatch.setattr(oblivious, "_perfect_piece",
+                        lambda size: sizes.append(size) or entry(size))
+    t = gen_perfect(19)
+    assert layout_oblivious(t).n == 2**20 - 1
+    assert sizes and max(sizes) <= _piece_budget(2**20 - 1)
 
 
 def test_perfect_tree_pieces_split_without_the_engine(monkeypatch):
