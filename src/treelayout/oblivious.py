@@ -12,17 +12,17 @@ and a piece of at most seven nodes is final: it has at most two nodes or
 budget 2, under which a child's share
 ``(2 - 1) * w(child) / w(parent)`` is below 1 and every block is one
 node in preorder.  Every piece of a perfect tree is a perfect subtree,
-which the budget recursion splits by depth into strata that depend on
-its size alone, so its whole refinement is a fixed permutation of its
-preorder: it is worked out once per piece size, with no engine call,
-and each piece of that size takes its final order in one gather.
+whose refinement depends on its size alone: the walk runs once per piece
+size, on a perfect tree of that size, and each piece of that size takes
+its final order out of its preorder list in one gather.
 The final pieces, concatenated in the order the walk reaches them, are
 the order.  The walk's stack is as deep as the number of levels, about
 lg lg N.
 
-:func:`refinement_levels` regroups the same walk into rounds: round
-k holds every piece made at level k, and every final piece of an earlier
-level, as itself if it has at most two nodes, else as its single nodes.
+:func:`refinement_levels` regroups the walk, run piece by piece on
+every tree, perfect ones included, into rounds: round k holds every
+piece made at level k, and every final piece of an earlier level, as
+itself if it has at most two nodes, else as its single nodes.
 
 Halving the exponent at every level splits pieces at roughly half their
 height, so a root-to-node path stays inside few pieces of any given
@@ -40,8 +40,8 @@ from functools import cache, cached_property
 from itertools import chain, islice
 from operator import itemgetter
 
-from .aware import _budget_partition, _exact_reciprocal_le, layout_aware
-from .tree import TreeError, TreeTopology, _field
+from .aware import _budget_partition, layout_aware
+from .tree import TreeError, TreeTopology, _field, gen_perfect
 
 __all__ = [
     "LinearOrder",
@@ -103,7 +103,7 @@ class LinearOrder:
 
 def _piece_budget(size: int) -> int:
     """Power-of-two budget near sqrt(size); in [2, size) for size >= 3,
-    the only sizes :func:`_refine` splits, and 2 below."""
+    the only sizes :func:`_split` splits, and 2 below."""
     return 1 << max(1, size.bit_length() // 2)
 
 
@@ -112,103 +112,31 @@ def _piece_budget(size: int) -> int:
 _FINAL = 7
 
 
-def _strata(size: int) -> tuple:
-    """The budget rule's split of a piece of a perfect tree: one list per
-    sub-piece, in order, of the slots of the piece's preorder list that
-    hold its nodes.
-
-    Such a piece is a perfect subtree of m levels, and each node at depth
-    k of it has subtree size ``2**(m - k) - 1``, so every root path to one
-    depth meets the same sizes and the rule's verdict on a node depends
-    on its depth alone: ``start[d]`` is the depth where the block that
-    holds depth d begins, found with the engine's exact test.  A node at
-    its block's start depth opens a block, and any other node joins the
-    block opened last at that depth, as the engine's preorder walk has
-    it.  Only the nodes differ from piece to piece, so the split is made
-    on preorder slots, once per size through :func:`_perfect_piece`.
-    """
-    m = size.bit_length()
-    B = _piece_budget(size)
-    start = [0] * m
-    for d in range(1, m):
-        r = start[d - 1]
-        ws = [(1 << (m - k)) - 1 for k in range(r, d + 1)]
-        start[d] = r if _exact_reciprocal_le(ws, B, ws[0]) else d
-    # the depths of a perfect tree of m levels, in preorder
-    depths: list = []
-    for _ in range(m):
-        depths = [0] + [d + 1 for d in depths] * 2
-    opened: list = [None] * m
-    sub = []
-    for i, d in enumerate(depths):
-        if start[d] == d:
-            opened[d] = [i]
-            sub.append(opened[d])
-        else:
-            opened[start[d]].append(i)
-    return tuple(sub)
-
-
-@cache
-def _perfect_piece(size: int) -> tuple:
-    """How :func:`_refine` finishes a piece of a perfect tree of ``size``
-    > 7 nodes: a getter that picks the piece's final order out of its
-    preorder list, and the pieces made under it, depth first, as
-    ``(level, slots)`` with levels counted from the piece's.  Built on
-    preorder slots from the piece's :func:`_strata` and the entries of
-    its sub-pieces' sizes; no size is above ``_piece_budget(n)``.
-    """
-    order: list = []
-    pieces: list = []
-    for S in _strata(size):
-        pieces.append((1, S))
-        if len(S) <= _FINAL:
-            order += S
-            continue
-        final, below = _perfect_piece(len(S))
-        order += final(S)
-        pieces += [(k + 1, [S[i] for i in T]) for k, T in below]
-    return itemgetter(*order), tuple(pieces)
-
-
-def _refine(tree: TreeTopology, made=None) -> list:
-    """The order: the final pieces of the refinement, concatenated in
-    order.  When ``made`` is a list, append ``(level, piece)`` to it for
-    every piece, depth first: each piece before its sub-pieces,
-    sub-pieces in order.  Pieces list their nodes in preorder, root
-    first.
+def _split(tree: TreeTopology, pieces, made=None) -> list:
+    """The final pieces of the refinement of ``pieces``, pieces of level
+    0 of ``tree``, concatenated in order.  When ``made`` is a list,
+    append ``(level, piece)`` to it for every piece, depth first: each
+    piece before its sub-pieces, sub-pieces in order.  Pieces list their
+    nodes in preorder, root first.
 
     ``stack[k]`` iterates over the pieces of level k still to refine
     under one piece of level k - 1.  A final piece goes to ``order`` in
-    its parent's loop; a larger one is split, and its sub-pieces are
-    refined before its next sibling.  A piece of a perfect tree is
-    finished in place, its final order and its sub-pieces picked out of
-    it by the entry :func:`_perfect_piece` holds for its size; any other
-    is sized and handed to the engine.  The loop makes no closure, so it
-    leaves nothing for the cyclic collector.
+    its parent's loop; a larger one is sized and handed to the engine,
+    and its sub-pieces are refined before its next sibling.  The loop
+    makes no closure, so it leaves nothing for the cyclic collector.
     """
-    top = layout_aware(tree, _piece_budget(tree.n))
-    # every piece of a perfect tree is a perfect subtree, in preorder
-    perfect = tree.n == (2 << tree.height) - 1
     # 1 marks a node of the piece being split: blocks grow only into those
     free = bytearray(tree.n)
     left, right, parent = tree.left, tree.right, tree.parent
     w = [0] * tree.n
     order: list = []
-    stack = [iter(top.blocks)]
+    stack = [iter(pieces)]
     while stack:
         for P in stack[-1]:
             if made is not None:
                 made.append((len(stack) - 1, P))
             if len(P) <= _FINAL:
                 order += P
-                continue
-            if perfect:
-                final, pieces = _perfect_piece(len(P))
-                order += final(P)
-                if made is not None:
-                    # a perfect tree pushes no level: P is of level 0
-                    made += [(k, [P[i] for i in S]) for k, S in pieces]
                 continue
             # free the piece, which the split places again, and size it
             # from parent links: it is connected and in preorder, so each
@@ -228,9 +156,34 @@ def _refine(tree: TreeTopology, made=None) -> list:
     return order
 
 
+@cache
+def _perfect_piece(size: int) -> itemgetter:
+    """A getter that picks the final order of a piece of a perfect tree
+    of ``size`` > 7 nodes out of the piece's preorder list.
+
+    Such a piece is a perfect subtree, and the refinement depends on its
+    shape alone, so :func:`_split` refines a perfect tree of that size,
+    taken whole as one piece, and each node of its result is named by
+    its slot in that tree's preorder.
+    """
+    t = gen_perfect(size.bit_length() - 1)
+    P = list(t.preorder())
+    rank = [0] * size
+    for i, x in enumerate(P):
+        rank[x] = i
+    return itemgetter(*[rank[x] for x in _split(t, [P])])
+
+
 def layout_oblivious(tree: TreeTopology) -> LinearOrder:
     """Single linear order serving every block size at once."""
-    return LinearOrder(tuple(_refine(tree)))
+    top = layout_aware(tree, _piece_budget(tree.n)).blocks
+    if tree.n != (2 << tree.height) - 1:
+        return LinearOrder(tuple(_split(tree, top)))
+    # every piece of a perfect tree is a perfect subtree, in preorder
+    order: list = []
+    for P in top:
+        order += P if len(P) <= _FINAL else _perfect_piece(len(P))(P)
+    return LinearOrder(tuple(order))
 
 
 def refinement_levels(tree: TreeTopology) -> list:
@@ -241,10 +194,13 @@ def refinement_levels(tree: TreeTopology) -> list:
     an earlier level: itself if it has at most two nodes, else its
     single nodes.  Verification hook: every partition covers all nodes,
     its blocks are contiguous in the final order, and each block nests
-    inside one block of the round before.
+    inside one block of the round before.  Every piece is split by the
+    engine, on a perfect tree too, so the last round is the engine's
+    order, against which tests hold the orders :func:`_perfect_piece`
+    caches.
     """
     made: list = []
-    _refine(tree, made)
+    _split(tree, layout_aware(tree, _piece_budget(tree.n)).blocks, made)
     # a final piece of 3-7 nodes still splits one round after its own
     last = max(level + (len(P) > 2) for level, P in made
                if len(P) <= _FINAL)

@@ -129,6 +129,16 @@ def test_cost_report_alone_takes_the_running_max():
     assert private == []
 
 
+def test_budget_rule_is_decided_in_aware_alone():
+    # the budget rule has one implementation: no other module names its
+    # exact test, so every split goes through the engine
+    package = Path(treelayout.__file__).resolve().parent
+    naming = [path.name for path in sorted(package.glob("*.py"))
+              if path.name != "aware.py"
+              and re.search(r"\b_exact_reciprocal_le\b", path.read_text())]
+    assert naming == []
+
+
 def test_no_module_assigns_block_of():
     # a BlockAssignment derives its index from its own fields, so no
     # function sets one from outside, by assignment or by setattr

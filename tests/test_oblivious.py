@@ -3,7 +3,6 @@
 import json
 import math
 import random
-from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +13,8 @@ from treelayout import (LinearOrder, TreeError, TreeTopology, block_ids,
                         order_from_json, order_to_json, refinement_levels)
 from treelayout import aware, oblivious
 from treelayout.aware import _budget_partition
-from treelayout.oblivious import _piece_budget, _read_order, _strata
+from treelayout.oblivious import (_perfect_piece, _piece_budget, _read_order,
+                                  _split)
 
 
 def test_single_node():
@@ -91,11 +91,11 @@ def test_last_round_is_the_order(n, seed):
     assert tuple(x for P in last for x in P) == layout_oblivious(t).order
 
 
-@pytest.mark.parametrize("h", range(17))
+@pytest.mark.parametrize("h", range(18))
 def test_last_round_is_the_order_on_perfect_trees(h):
-    # a perfect piece takes its final order and its sub-pieces from one
-    # entry per size; test_rounds_match_reference holds the rounds
-    # against the engine
+    # refinement_levels splits every piece with the engine, and
+    # layout_oblivious gathers each piece of a perfect tree through the
+    # entry for its size: height 17 has pieces of 9 levels
     t = gen_perfect(h)
     last = refinement_levels(t)[-1]
     assert tuple(x for P in last for x in P) == layout_oblivious(t).order
@@ -167,7 +167,7 @@ def _reference_rounds(tree):
             if len(P) <= 2:
                 finer.append(P)
                 continue
-            # child checks on purpose: a reference for _refine's parent links
+            # child checks on purpose: a reference for _split's parent links
             for x in reversed(P):
                 s = 1
                 for c in (left[x], right[x]):
@@ -199,9 +199,10 @@ def test_rounds_match_reference(t):
     assert refinement_levels(t) == _reference_rounds(t)
 
 
-def test_strata_split_a_perfect_piece_as_the_engine_does(monkeypatch):
-    # every piece height up to 13 levels, the whole tree as the piece,
-    # sized from parent links as _refine sizes it
+def test_perfect_piece_entry_is_the_engine_on_one_piece(monkeypatch):
+    # every piece height from 3 to 13 levels, the whole tree as the
+    # piece; gen_perfect's heap ids are not in preorder, so the entry's
+    # map from preorder slots to nodes is checked too
     ties = []
     exact = aware._exact_reciprocal_le
     monkeypatch.setattr(aware, "_exact_reciprocal_le",
@@ -209,22 +210,16 @@ def test_strata_split_a_perfect_piece_as_the_engine_does(monkeypatch):
     for m in range(3, 14):
         t = gen_perfect(m - 1)
         P = list(t.preorder())
-        w = [1] * t.n
-        for x in islice(reversed(P), len(P) - 1):
-            w[t.parent[x]] += w[x]
-        blocks = []
-        _budget_partition(t.left, t.right, t.parent, w, P[0],
-                          _piece_budget(len(P)), blocks,
-                          bytearray(b"\1") * t.n)
-        assert [[P[i] for i in S] for S in _strata(len(P))] == blocks, m
+        assert P != sorted(P)
+        assert list(_perfect_piece(len(P))(P)) == _split(t, [P]), m
     # the engine's exact fallback decided sums that sit exactly on their
-    # target (at m = 4), and the strata agree there too
+    # target (at m = 4)
     assert ties
 
 
 def test_perfect_piece_entries_stay_within_the_top_budget(monkeypatch):
-    # entries exist only for pieces of the aware layout at
-    # _piece_budget(n) and their sub-pieces, never for the whole tree
+    # entries exist only for pieces of level 0, the blocks of the aware
+    # layout at _piece_budget(n), never for the whole tree
     sizes = []
     entry = oblivious._perfect_piece
     entry.cache_clear()
@@ -237,12 +232,25 @@ def test_perfect_piece_entries_stay_within_the_top_budget(monkeypatch):
 
 def test_perfect_tree_pieces_split_without_the_engine(monkeypatch):
     def engine(*args):
-        raise AssertionError("budget engine called")
+        raise AssertionError("engine called")
 
-    monkeypatch.setattr(oblivious, "_budget_partition", engine)
     t = gen_perfect(11)
-    assert layout_oblivious(t).n == t.n
-    assert len(refinement_levels(t)) > 2
+    expected = layout_oblivious(t).order
+    # with every entry cached, no piece is sized or split
+    monkeypatch.setattr(oblivious, "_split", engine)
+    monkeypatch.setattr(oblivious, "_budget_partition", engine)
+    assert layout_oblivious(t).order == expected
+    # with none cached, the engine runs once per piece size
+    sizes = []
+    monkeypatch.setattr(oblivious, "_split",
+                        lambda tree, pieces: sizes.append(
+                            [len(P) for P in pieces]) or _split(tree, pieces))
+    monkeypatch.setattr(oblivious, "_budget_partition", _budget_partition)
+    _perfect_piece.cache_clear()
+    assert layout_oblivious(t).order == expected
+    top = layout_aware(t, _piece_budget(t.n)).blocks
+    assert sorted(sizes) == [[s] for s in sorted({len(P) for P in top
+                                                  if len(P) > 7})]
     # a tree of the same size that is not perfect still uses the engine
     calls = []
     monkeypatch.setattr(oblivious, "_budget_partition",
