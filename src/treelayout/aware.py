@@ -126,7 +126,7 @@ def _exact_reciprocal_le(ws, B: int, wr: int) -> bool:
     return num * wr <= B * den
 
 
-def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
+def _budget_partition(left, right, depth, w, root: int, B: int, blocks: list,
                       free: bytearray) -> None:
     """Split the piece rooted at ``root`` into budget-rule blocks.
 
@@ -146,6 +146,14 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
     ``m <= min(B, w[root])``: the one tolerance ``k * (s2 + tgt)`` covers
     the rounding of an m-term ``S``, of the new term, of the target and of
     the margin.
+
+    ``depth`` holds the tree's node depths.  A sum too close to call is
+    decided exactly over the weights of the path from x up to r, which
+    are read off ``mem``: it is in preorder and holds every ancestor of x
+    up to r, and every member after an ancestor lies in that ancestor's
+    subtree.  So, scanning ``mem`` backwards, the first member shallower
+    than the last one taken is that one's parent.  The scan costs
+    O(|block|) per fallback, and fallbacks are rare.
     """
     mem = [root]
     blocks.append(mem)
@@ -181,13 +189,13 @@ def _budget_partition(left, right, parent, w, root: int, B: int, blocks: list,
         elif margin < -tol:
             include = False
         else:
-            r = mem[0]
             ws = [wx]
-            y = x
-            while y != r:
-                y = parent[y]
-                ws.append(w[y])
-            include = _exact_reciprocal_le(ws, B, w[r])
+            e = depth[x]
+            for y in reversed(mem):
+                if depth[y] < e:
+                    e = depth[y]
+                    ws.append(w[y])
+            include = _exact_reciprocal_le(ws, B, w[mem[0]])
         if include:
             mem.append(x)
         else:
@@ -207,7 +215,7 @@ def phase2_layout(tree: TreeTopology, root: int, B: int) -> BlockAssignment:
     if B < 1:
         raise TreeError("B must be positive")
     blocks: list = []
-    _budget_partition(tree.left, tree.right, tree.parent,
+    _budget_partition(tree.left, tree.right, tree.depth,
                       compute_weights(tree), root, B, blocks,
                       bytearray(b"\1") * tree.n)
     return BlockAssignment(B, blocks, tree.n, tree.depth[root])
@@ -247,7 +255,7 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
     L1 = min((tree.n - 1).bit_length(), tree.height + 1)
     # only phase 2, below depth L1, reads subtree sizes
     w = compute_weights(tree) if L1 <= tree.height else None
-    left, right, parent, depth = tree.left, tree.right, tree.parent, tree.depth
+    left, right, depth = tree.left, tree.right, tree.depth
 
     blocks: list = []
     # every node below the recursion roots is still to place
@@ -283,7 +291,7 @@ def layout_aware(tree: TreeTopology, B: int) -> BlockAssignment:
             if d < L1:
                 blocks.append([x, *islice(walk, run)])
                 continue
-            _budget_partition(left, right, parent, w, x, B, blocks, free)
+            _budget_partition(left, right, depth, w, x, B, blocks, free)
             # skip the rest of x's subtree, its next w[x] - 1 entries
             k = w[x] - 1
             next(islice(walk, k, k), None)

@@ -7,7 +7,7 @@ more than seven nodes is split with the budget recursion alone, at a
 budget near the square root of its own size, into the pieces of the next
 level, and each of those is refined in turn before the next one starts,
 as in the recursive van Emde Boas layout.  Pieces are connected and kept
-in preorder, so a piece's subtree sizes follow from parent links alone,
+in preorder, so a piece's subtree sizes follow from depths alone,
 and a piece of at most seven nodes is final: it has at most two nodes or
 budget 2, under which a child's share
 ``(2 - 1) * w(child) / w(parent)`` is below 1 and every block is one
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 
 from .aware import _budget_partition, layout_aware
@@ -127,8 +127,11 @@ def _split(tree: TreeTopology, pieces, made=None) -> list:
     """
     # 1 marks a node of the piece being split: blocks grow only into those
     free = bytearray(tree.n)
-    left, right, parent = tree.left, tree.right, tree.parent
+    left, right, depth = tree.left, tree.right, tree.depth
     w = [0] * tree.n
+    # below[d] sums the sizes of the piece's nodes at depth d met, in
+    # reverse preorder, since the last one at depth d - 1
+    below = [0] * (tree.height + 2)
     order: list = []
     stack = [iter(pieces)]
     while stack:
@@ -139,15 +142,18 @@ def _split(tree: TreeTopology, pieces, made=None) -> list:
                 order += P
                 continue
             # free the piece, which the split places again, and size it
-            # from parent links: it is connected and in preorder, so each
-            # node but its root adds into a parent met later in reverse
-            for x in P:
-                w[x] = 1
+            # by depth: it is connected and in preorder, so in reverse a
+            # node's parent is the next node one level up
+            for x in reversed(P):
                 free[x] = 1
-            for x in islice(reversed(P), len(P) - 1):
-                w[parent[x]] += w[x]
+                d = depth[x]
+                s = below[d + 1] + 1
+                below[d + 1] = 0
+                w[x] = s
+                below[d] += s
+            below[depth[P[0]]] = 0          # the root's, which no parent takes
             sub: list = []
-            _budget_partition(left, right, parent, w, P[0],
+            _budget_partition(left, right, depth, w, P[0],
                               _piece_budget(len(P)), sub, free)
             stack.append(iter(sub))
             break

@@ -13,7 +13,6 @@ import random
 from array import array
 from collections import Counter
 from functools import cache
-from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 __all__ = [
@@ -100,17 +99,23 @@ class TreeTopology:
     tree: every child id is an ``int`` in ``0..n-1``, every non-root node
     has exactly one parent, and there are no cycles.  One traversal from
     the root, which walks down left children in place and stacks only
-    right children, both validates and derives parents, depths and
-    preorder.  It stops at the first child id that is negative or names
-    a node already reached (a second parent, or the root again), and an
-    id of ``n`` or more or a non-integer fails to index.  It must reach
-    all ``n`` nodes, and only ``int`` ids may land in the preorder (a
-    ``bool`` indexes like one).  Only when the walk fails do the
-    whole-list checks of ``_diagnose`` run, to name the error.
+    right children, both validates and derives depths and preorder.  It
+    stops at the first child id that is negative or names a node already
+    reached (a second parent, or the root again), and an id of ``n`` or
+    more or a non-integer fails to index.  It must reach all ``n`` nodes,
+    and only ``int`` ids may land in the preorder (a ``bool`` indexes like
+    one).  Only when the walk fails do the whole-list checks of
+    ``_diagnose`` run, to name the error.
+
+    ``parent``, each node's parent id (``None`` at the root), is derived
+    from the child links on first read, as ``BlockAssignment.block_of``
+    is, and cached: a layout reads depths and child links alone, so a
+    loaded tree holds four tuples of ``n`` entries until a check asks
+    for parents.
     """
 
-    __slots__ = ("n", "root", "left", "right", "parent", "depth", "height",
-                 "_pre")
+    __slots__ = ("n", "root", "left", "right", "depth", "height", "_pre",
+                 "_parent")
 
     def __init__(self, left: Sequence[Optional[int]],
                  right: Sequence[Optional[int]], root: int = 0):
@@ -130,7 +135,6 @@ class TreeTopology:
         # per parent.  The table doubles when the walk reaches its end, so
         # it can run past the deepest level: h is the largest children's
         # depth met at a node without a left child, as the deepest leaf is
-        parent: list = [None] * n
         depth = [-1] * n
         depth[root] = 0
         nxt: list = []
@@ -154,14 +158,12 @@ class TreeTopology:
                 if c is not None:
                     if c < 0 or depth[c] >= 0:
                         break
-                    parent[c] = x
                     depth[c] = d
                     push(c)
                 c = left[x]
                 if c is not None:
                     if c < 0 or depth[c] >= 0:
                         break
-                    parent[c] = x
                     depth[c] = d
                     x = c
                 else:
@@ -190,8 +192,6 @@ class TreeTopology:
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        object.__setattr__(self, "parent", tuple(parent))
-        del parent
         object.__setattr__(self, "depth", tuple(depth))
         del depth
         object.__setattr__(self, "height", h - 1)
@@ -199,6 +199,21 @@ class TreeTopology:
 
     def __setattr__(self, name, value):
         raise AttributeError("TreeTopology is immutable")
+
+    @property
+    def parent(self) -> tuple:
+        try:
+            return self._parent
+        except AttributeError:
+            pass
+        parent: list = [None] * self.n
+        for links in (self.left, self.right):
+            for x, c in enumerate(links):
+                if c is not None:
+                    parent[c] = x
+        parent = tuple(parent)
+        object.__setattr__(self, "_parent", parent)
+        return parent
 
     def preorder(self) -> tuple:
         """Node ids in preorder (parent before children, left first)."""
@@ -223,10 +238,18 @@ def compute_weights(tree: TreeTopology) -> list:
     Missing children count as 0.  Returned list is treated as read-only.
     """
     w = [1] * tree.n
-    parent = tree.parent
-    # every node but the root, children before parents
-    for x in islice(reversed(tree.preorder()), tree.n - 1):
-        w[parent[x]] += w[x]
+    left, right = tree.left, tree.right
+    # children before parents; a leaf keeps its 1
+    for x in reversed(tree.preorder()):
+        l = left[x]
+        r = right[x]
+        if l is not None:
+            if r is not None:
+                w[x] = w[l] + w[r] + 1
+            else:
+                w[x] = w[l] + 1
+        elif r is not None:
+            w[x] = w[r] + 1
     return w
 
 

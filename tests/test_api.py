@@ -154,6 +154,22 @@ def test_no_module_assigns_block_of():
     assert assigned == []
 
 
+def test_only_the_tree_assigns_its_parent_table():
+    # a TreeTopology derives its parents from its own child links on first
+    # read, so no other module sets the cache, by assignment or by setattr
+    package = Path(treelayout.__file__).resolve().parent
+    assigned = [
+        path.name for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr == "_parent"
+            and isinstance(node.ctx, ast.Store))
+        or (isinstance(node, ast.Call) and len(node.args) > 1
+            and (getattr(node.func, "id", None) == "setattr"
+                 or getattr(node.func, "attr", None) == "__setattr__")
+            and getattr(node.args[1], "value", None) == "_parent")]
+    assert assigned == ["tree.py"]
+
+
 def test_cli_import_leaves_fractions_unloaded():
     # only the exact-arithmetic checks make a Fraction, and they import it
     # themselves, so the commands never load fractions, decimal or numbers

@@ -3,6 +3,7 @@ packing, blocks."""
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from treelayout import (TreeError, compute_weights, cost_report,
                         padded_order, phase2_layout, shape_to_tree)
 from treelayout import aware
 from treelayout.aware import _budget_partition
-from treelayout.oblivious import _piece_budget
+from treelayout.oblivious import _perfect_piece, _piece_budget
 
 
 def assert_valid_assignment(tree, asg):
@@ -124,7 +125,7 @@ def fixed_stride_layout(tree, B):
         d = tree.depth[x]
         if d >= L1:
             if free[x]:
-                _budget_partition(tree.left, tree.right, tree.parent, w, x,
+                _budget_partition(tree.left, tree.right, tree.depth, w, x,
                                   B, blocks, free)
         elif d % stride == 0:
             on_path[d] = [x]
@@ -261,6 +262,42 @@ def test_phase2_fresh_budget_at_every_block_root():
         assert set(members) == k_set(t, members[0], B, w)
 
 
+def test_exact_fallback_reads_the_path_off_the_block(monkeypatch):
+    # at every exact fallback, the weights the engine collects by scanning
+    # its block for ever shallower members are the weights of the path
+    # from the tested node up to the block's root, in that order
+    exact = aware._exact_reciprocal_le
+    fired = []
+
+    def spy(ws, B, wr):
+        f = sys._getframe(1).f_locals
+        y, mem, w = f["x"], f["mem"], f["w"]
+        walk = [w[y]]
+        while y != mem[0]:
+            y = parent[y]
+            walk.append(w[y])
+        assert ws == walk
+        fired[-1] += 1
+        return exact(ws, B, wr)
+
+    monkeypatch.setattr(aware, "_exact_reciprocal_le", spy)
+    runs = [(gen_random(1 << 12, seed), lambda t: layout_aware(t, 4))
+            for seed in range(4)]
+    runs += [(gen_lower_bound(16, 8, 2**16), lambda t, B=B: layout_aware(t, B))
+             for B in (64, 1024)]
+    # the entry of each perfect piece size splits a perfect tree of that
+    # size, the same as t, whole as one piece
+    runs += [(gen_perfect(m - 1), lambda t: _perfect_piece.__wrapped__(t.n))
+             for m in range(4, 14)]
+    for tree, make in runs:
+        parent = tree.parent
+        fired.append(0)
+        make(tree)
+    # random trees at B=4 fall back about 80 times in 4096 nodes, the
+    # lower-bound tree never, and perfect pieces of 4, 8-11 levels do
+    assert all(fired[:4]) and fired[4:6] == [0, 0] and any(fired[6:])
+
+
 @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
        B=st.sampled_from([1, 2, 3, 4, 8, 64]), data=st.data())
 @settings(max_examples=80, deadline=None)
@@ -294,7 +331,7 @@ def test_budget_partition_grows_only_into_unassigned_nodes(n, seed, B, data):
                        if c is not None and before[c])
 
     blocks = [[]]  # a placeholder: new blocks go after it
-    _budget_partition(t.left, t.right, t.parent, w, t.root, B, blocks, free)
+    _budget_partition(t.left, t.right, t.depth, w, t.root, B, blocks, free)
     assert sorted(x for P in blocks[1:] for x in P) == sorted(region)
     for P in blocks[1:]:
         assert 0 < len(P) <= B

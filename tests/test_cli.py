@@ -8,11 +8,11 @@ import time
 
 import pytest
 
-from treelayout import (brute_force_optimal, gen_lower_bound, gen_path,
-                        gen_perfect, gen_random, json_text, layout_aware,
-                        layout_oblivious, load_tree, phase2_layout,
-                        layout_to_json, order_to_json, refinement_levels,
-                        save_tree, tree_to_json)
+from treelayout import (TreeTopology, brute_force_optimal, gen_lower_bound,
+                        gen_path, gen_perfect, gen_random, json_text,
+                        layout_aware, layout_oblivious, load_tree,
+                        phase2_layout, layout_to_json, order_to_json,
+                        refinement_levels, save_tree, tree_to_json)
 import treelayout.cli as cli
 import treelayout.oblivious as oblivious
 from treelayout.cli import SweepConfig, main, run_sweep
@@ -280,6 +280,32 @@ def test_layout_oblivious_reads_no_positions(tmp_path, monkeypatch):
     assert run(["layout", "oblivious", "--tree", tmp_path / "t.json",
                 "--out", out]) == 0
     assert out.read_bytes() == expected
+
+
+def test_layout_and_eval_derive_no_parent_table(tmp_path, monkeypatch):
+    # layouts read depths and child links, and eval prices by depth, so
+    # no command of the benchmark's workloads derives a tree's parents
+    save_tree(gen_random(2000, 9), tmp_path / "r.json")
+    save_tree(gen_perfect(11), tmp_path / "p.json")
+    assert not hasattr(load_tree(tmp_path / "r.json"), "_parent")
+
+    def refuse(tree):
+        raise AssertionError("a command derived the parent table")
+
+    monkeypatch.setattr(TreeTopology, "parent", property(refuse))
+    # the perfect tree's piece orders are built under the guard too
+    oblivious._perfect_piece.cache_clear()
+    for B in (4, 256):
+        lay = tmp_path / ("aware-B%d.json" % B)
+        assert run(["layout", "aware", "--tree", tmp_path / "r.json",
+                    "--B", B, "--out", lay]) == 0
+        assert run(["eval", "--tree", tmp_path / "r.json", "--layout", lay,
+                    "--out", tmp_path / ("aware-B%d.csv" % B)]) == 0
+    assert run(["layout", "oblivious", "--tree", tmp_path / "p.json",
+                "--out", tmp_path / "o.json"]) == 0
+    assert run(["eval", "--tree", tmp_path / "p.json",
+                "--layout", tmp_path / "o.json", "--B", 4, "--B", 64,
+                "--B", 1024, "--out", tmp_path / "o.csv"]) == 0
 
 
 def test_layout_oblivious_calls_the_traced_names(tmp_path, monkeypatch):

@@ -149,7 +149,7 @@ def test_budget_two_splits_into_single_nodes_in_preorder(t, cut, density):
     if not density:
         assert region == list(t.preorder())
     blocks = []
-    _budget_partition(t.left, t.right, t.parent, w, root, 2, blocks, free)
+    _budget_partition(t.left, t.right, t.depth, w, root, 2, blocks, free)
     assert blocks == [[x] for x in region]
 
 
@@ -158,7 +158,7 @@ def _reference_rounds(tree):
     by ``_budget_partition``, budget 2 included."""
     top = layout_aware(tree, _piece_budget(tree.n))
     pieces, free = top.blocks, bytearray(tree.n)
-    left, right, parent = tree.left, tree.right, tree.parent
+    left, right, depth = tree.left, tree.right, tree.depth
     w = [0] * tree.n
     out = [pieces]
     while any(len(P) > 2 for P in pieces):
@@ -167,7 +167,7 @@ def _reference_rounds(tree):
             if len(P) <= 2:
                 finer.append(P)
                 continue
-            # child checks on purpose: a reference for _split's parent links
+            # child checks on purpose: a reference for _split's depth scan
             for x in reversed(P):
                 s = 1
                 for c in (left[x], right[x]):
@@ -175,7 +175,7 @@ def _reference_rounds(tree):
                         s += w[c]
                 w[x] = s
                 free[x] = 1
-            _budget_partition(left, right, parent, w, P[0],
+            _budget_partition(left, right, depth, w, P[0],
                               _piece_budget(len(P)), finer, free)
         pieces = finer
         out.append(pieces)

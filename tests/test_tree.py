@@ -87,6 +87,27 @@ def test_weight_recurrence(n, seed):
     assert total == n  # each node counted exactly once
 
 
+def _weights_by_parent(t):
+    """Subtree sizes summed up parent links, children before parents."""
+    w = [1] * t.n
+    for x in reversed(t.preorder()):
+        if t.parent[x] is not None:
+            w[t.parent[x]] += w[x]
+    return w
+
+
+def test_weights_from_child_links_match_parent_links():
+    trees = [shape_to_tree(s) for n in range(1, 9) for s in iter_shapes(n)]
+    trees += [shape_to_tree(mirror_shape(s)) for n in range(1, 9)
+              for s in iter_shapes(n)]
+    trees += [gen_random(n, seed) for n in (1, 2, 50, 1000, 1 << 12)
+              for seed in range(3)]
+    trees += [gen_perfect(10), gen_lower_bound(16, 4, 5000),
+              gen_path(1 << 15)]
+    for t in trees:
+        assert compute_weights(t) == _weights_by_parent(t)
+
+
 # ------------------------------------------------------------ generators
 
 def test_gen_perfect_sizes():
@@ -704,6 +725,18 @@ def test_loaded_tree_memory_per_node(tmp_path, peak_bytes):
     assert held <= 72 * tree.n
     assert peak <= 84 * tree.n
     assert len(set(map(id, tree.depth))) == tree.height + 1
+
+
+def test_loaded_tree_holds_four_tuples(tmp_path, peak_bytes):
+    # left, right, depth and preorder, and one int per node id: about 60
+    # bytes a node on a random tree, 4 below this bound.  A parent tuple
+    # built by the load would add 8 more; it is derived on first read
+    p = tmp_path / "t.json"
+    save_tree(gen_random(1 << 15, 3), p)
+    tree, _, held = peak_bytes(lambda: load_tree(p))
+    assert held <= 64 * tree.n
+    assert not hasattr(tree, "_parent")
+    assert tree.parent is tree.parent       # derived once, then cached
 
 
 @pytest.mark.parametrize("n", [1 << 12, 1 << 15])
