@@ -3,26 +3,27 @@
 The order is built by one depth-first walk over pieces.  The pieces
 of level 0 are the blocks of the aware layout (top-level clustering plus
 budget recursion) at a power-of-two block size near sqrt(N).  A piece of
-more than seven nodes is split with the budget recursion alone, at a
-budget near the square root of its own size, into the pieces of the next
-level, and each of those is refined in turn before the next one starts,
-as in the recursive van Emde Boas layout.  Pieces are connected and kept
-in preorder, so a piece's subtree sizes follow from depths alone,
-and a piece of at most seven nodes is final: it has at most two nodes or
-budget 2, under which a child's share
-``(2 - 1) * w(child) / w(parent)`` is below 1 and every block is one
-node in preorder.  Every piece of a perfect tree is a perfect subtree,
-whose refinement depends on its size alone: the walk runs once per piece
-size, on a perfect tree of that size, and each piece of that size takes
-its final order out of its preorder list in one gather.
-The final pieces, concatenated in the order the walk reaches them, are
-the order.  The walk's stack is as deep as the number of levels, about
-lg lg N.
+more than seven nodes is split by one step, :func:`_sub_pieces`: the
+budget recursion alone, at a budget near the square root of its own
+size, makes the pieces of the next level, and each of those is refined
+in turn before the next one starts, as in the recursive van Emde Boas
+layout.  Pieces are connected and kept in preorder, so a piece's
+subtree sizes follow from depths alone, and a piece of at most seven
+nodes is final: it has at most two nodes or budget 2, under which a
+child's share ``(2 - 1) * w(child) / w(parent)`` is below 1 and every
+block is one node in preorder.  Every piece of a perfect tree is a
+perfect subtree, whose refinement depends on its size alone: the walk
+runs once per piece size, on a perfect tree of that size, and each piece
+of that size takes its final order out of its preorder list in one
+gather.  The final pieces, concatenated in the order the walk reaches
+them, are the order.  The walk's stack is as deep as the number of
+levels, about lg lg N.
 
-:func:`refinement_levels` regroups the walk, run piece by piece on
-every tree, perfect ones included, into rounds: round k holds every
-piece made at level k, and every final piece of an earlier level, as
-itself if it has at most two nodes, else as its single nodes.
+:func:`refinement_levels` refines round by round with the same step, on
+every tree, perfect ones included: each round splits every piece of
+more than two nodes of the round before, and keeps the others whole,
+until none is left.  A piece of 3-7 nodes splits at budget 2 into its
+single nodes, so the last round is the order.
 
 Halving the exponent at every level splits pieces at roughly half their
 height, so a root-to-node path stays inside few pieces of any given
@@ -103,7 +104,7 @@ class LinearOrder:
 
 def _piece_budget(size: int) -> int:
     """Power-of-two budget near sqrt(size); in [2, size) for size >= 3,
-    the only sizes :func:`_split` splits, and 2 below."""
+    the only sizes :func:`_sub_pieces` splits, and 2 below."""
     return 1 << max(1, size.bit_length() // 2)
 
 
@@ -112,50 +113,53 @@ def _piece_budget(size: int) -> int:
 _FINAL = 7
 
 
-def _split(tree: TreeTopology, pieces, made=None) -> list:
+def _sub_pieces(tree: TreeTopology, P, free, w, below) -> list:
+    """The engine's sub-pieces of ``P``, a connected piece of more than
+    two nodes in preorder, at ``_piece_budget(len(P))``, in preorder.
+    ``free`` (1 marks a node blocks may grow into), ``w`` and ``below``
+    are the caller's scratch tables, one entry a node or depth; the
+    split leaves ``free`` and ``below`` all 0.
+    """
+    depth = tree.depth
+    # free the piece, which the split places again, and size it by
+    # depth: it is connected and in preorder, so in reverse a node's
+    # parent is the next node one level up; below[d] sums the sizes met
+    # at depth d since the last node at depth d - 1
+    for x in reversed(P):
+        free[x] = 1
+        d = depth[x]
+        s = below[d + 1] + 1
+        below[d + 1] = 0
+        w[x] = s
+        below[d] += s
+    below[depth[P[0]]] = 0          # the root's, which no parent takes
+    sub: list = []
+    _budget_partition(tree.left, tree.right, depth, w, P[0],
+                      _piece_budget(len(P)), sub, free)
+    return sub
+
+
+def _split(tree: TreeTopology, pieces) -> list:
     """The final pieces of the refinement of ``pieces``, pieces of level
-    0 of ``tree``, concatenated in order.  When ``made`` is a list,
-    append ``(level, piece)`` to it for every piece, depth first: each
-    piece before its sub-pieces, sub-pieces in order.  Pieces list their
-    nodes in preorder, root first.
+    0 of ``tree``, concatenated in order.  Pieces list their nodes in
+    preorder, root first.
 
     ``stack[k]`` iterates over the pieces of level k still to refine
     under one piece of level k - 1.  A final piece goes to ``order`` in
-    its parent's loop; a larger one is sized and handed to the engine,
+    its parent's loop; a larger one is split by :func:`_sub_pieces`,
     and its sub-pieces are refined before its next sibling.  The loop
     makes no closure, so it leaves nothing for the cyclic collector.
     """
-    # 1 marks a node of the piece being split: blocks grow only into those
-    free = bytearray(tree.n)
-    left, right, depth = tree.left, tree.right, tree.depth
-    w = [0] * tree.n
-    # below[d] sums the sizes of the piece's nodes at depth d met, in
-    # reverse preorder, since the last one at depth d - 1
+    free, w = bytearray(tree.n), [0] * tree.n
     below = [0] * (tree.height + 2)
     order: list = []
     stack = [iter(pieces)]
     while stack:
         for P in stack[-1]:
-            if made is not None:
-                made.append((len(stack) - 1, P))
             if len(P) <= _FINAL:
                 order += P
                 continue
-            # free the piece, which the split places again, and size it
-            # by depth: it is connected and in preorder, so in reverse a
-            # node's parent is the next node one level up
-            for x in reversed(P):
-                free[x] = 1
-                d = depth[x]
-                s = below[d + 1] + 1
-                below[d + 1] = 0
-                w[x] = s
-                below[d] += s
-            below[depth[P[0]]] = 0          # the root's, which no parent takes
-            sub: list = []
-            _budget_partition(left, right, depth, w, P[0],
-                              _piece_budget(len(P)), sub, free)
-            stack.append(iter(sub))
+            stack.append(iter(_sub_pieces(tree, P, free, w, below)))
             break
         else:
             stack.pop()
@@ -196,29 +200,25 @@ def refinement_levels(tree: TreeTopology) -> list:
     """Partitions from coarsest to finest, one per refinement round,
     down to pieces of at most two nodes.
 
-    Round k holds the pieces made at level k, and every final piece of
-    an earlier level: itself if it has at most two nodes, else its
-    single nodes.  Verification hook: every partition covers all nodes,
-    its blocks are contiguous in the final order, and each block nests
-    inside one block of the round before.  Every piece is split by the
-    engine, on a perfect tree too, so the last round is the engine's
-    order, against which tests hold the orders :func:`_perfect_piece`
-    caches.
+    Round 0 is the level-0 pieces; each later round splits every piece
+    of more than two nodes of the round before with
+    :func:`_sub_pieces`, and keeps the others whole.  Verification hook:
+    every partition covers all nodes, its blocks are contiguous in the
+    final order, and each block nests inside one block of the round
+    before.  A piece of 3-7 nodes has budget 2, at which the engine
+    makes single nodes in preorder, so the last round is the order
+    :func:`_split` walks to; it runs the engine on a perfect tree too,
+    against which tests hold the orders :func:`_perfect_piece` caches.
     """
-    made: list = []
-    _split(tree, layout_aware(tree, _piece_budget(tree.n)).blocks, made)
-    # a final piece of 3-7 nodes still splits one round after its own
-    last = max(level + (len(P) > 2) for level, P in made
-               if len(P) <= _FINAL)
-    rounds = []
-    for k in range(last + 1):
-        part: list = []
-        for level, P in made:
-            if level == k or level < k and len(P) <= 2:
-                part.append(P)
-            elif level < k and len(P) <= _FINAL:
-                part += [[x] for x in P]
-        rounds.append(part)
+    pieces = layout_aware(tree, _piece_budget(tree.n)).blocks
+    free, w = bytearray(tree.n), [0] * tree.n
+    below = [0] * (tree.height + 2)
+    rounds = [pieces]
+    while any(len(P) > 2 for P in pieces):
+        pieces = [Q for P in pieces
+                  for Q in ([P] if len(P) <= 2
+                            else _sub_pieces(tree, P, free, w, below))]
+        rounds.append(pieces)
     return rounds
 
 

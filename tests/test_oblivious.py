@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -167,7 +168,8 @@ def _reference_rounds(tree):
             if len(P) <= 2:
                 finer.append(P)
                 continue
-            # child checks on purpose: a reference for _split's depth scan
+            # child checks on purpose: a reference for _sub_pieces' depth
+            # scan
             for x in reversed(P):
                 s = 1
                 for c in (left[x], right[x]):
@@ -196,7 +198,29 @@ def test_rounds_match_reference_on_random_trees(n, seed):
                          # top-level pieces of 6-8 levels
                          + [gen_perfect(h) for h in range(11, 17)])
 def test_rounds_match_reference(t):
-    assert refinement_levels(t) == _reference_rounds(t)
+    rounds = refinement_levels(t)
+    assert rounds == _reference_rounds(t)
+    # the depth-first walk reaches the same final pieces
+    assert tuple(x for P in rounds[-1] for x in P) == layout_oblivious(t).order
+
+
+def test_every_piece_is_split_by_one_step(monkeypatch):
+    # the order, the rounds and a cold perfect-piece entry all reach the
+    # engine through _sub_pieces, the one place a piece's budget is chosen
+    callers = []
+
+    def engine(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _budget_partition(*args)
+
+    monkeypatch.setattr(oblivious, "_budget_partition", engine)
+    _perfect_piece.cache_clear()
+    for run in (lambda: layout_oblivious(gen_random(2000, 1)),
+                lambda: refinement_levels(gen_random(2000, 2)),
+                lambda: _perfect_piece(511)):
+        del callers[:]
+        run()
+        assert callers and set(callers) == {"_sub_pieces"}
 
 
 def test_perfect_piece_entry_is_the_engine_on_one_piece(monkeypatch):
@@ -305,9 +329,11 @@ def test_rounds_match_reference_on_mirrored_and_lower_bound_trees():
     for t in trees:
         rounds = refinement_levels(t)
         assert rounds == _reference_rounds(t)
+        assert (tuple(x for P in rounds[-1] for x in P)
+                == layout_oblivious(t).order)
         # the largest piece the last round re-split: none for a single
-        # round; if at most 7, the last round exists only because pieces of
-        # 3-7 nodes made one level up still split into single nodes
+        # round; if at most 7, the last round only splits pieces of 3-7
+        # nodes into single nodes
         big = max(map(len, rounds[-2])) if len(rounds) > 1 else 0
         seen.add("single" if not big else "3-7" if big <= 7 else "larger")
     assert {"single", "3-7"} <= seen
