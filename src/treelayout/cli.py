@@ -40,7 +40,8 @@ from .aware import (exclusion_violations, layout_aware, layout_from_json,
                     layout_to_json, padded_order)
 from .cost import (CostReport, brute_force_optimal, cost_report, order_report,
                    theoretical_bound, solve_p, worst_by_offset)
-from .oblivious import _read_order, layout_oblivious, order_to_json
+from .oblivious import (_check_nodes, _read_order, layout_oblivious,
+                        order_to_json)
 # gen writes its builder's lists and calls no tree_to_json; it stays
 # importable here because perfbench/tracer.py wraps it at this name
 from .tree import (ResourceLimitError, TreeError, TreeTopology,
@@ -281,13 +282,13 @@ def _layout_kind(obj, path: str) -> str:
 
 
 def cmd_eval(args) -> int:
-    # a block layout is read down to B and block_of, sized by its own
-    # blocks, before the tree is loaded, so its parsed lists and the tree
-    # are never alive together.  An order file is parsed before the tree
-    # is loaded and made a LinearOrder after it, whose positions reuse the
-    # parsed ints; its list goes once its tuple exists, so that adds only
-    # tuples of pointers.  Every check of --B comes before the tree is
-    # read
+    # a layout file is read before the tree is loaded, so its parsed
+    # lists and the tree are never alive together, and when both files
+    # are bad the layout's fault is reported: a block layout down to B
+    # and block_of, sized by its own blocks, and an order down to its
+    # slot table and slot count, 4 bytes a node, which drops the parsed
+    # list and its ints.  Node counts are compared once the tree is in.
+    # Every check of --B comes before the tree is read
     layout = read_json(args.layout)
     kind = _layout_kind(layout, args.layout)
     Bs, name = args.B or [], "--B"
@@ -306,10 +307,11 @@ def cmd_eval(args) -> int:
         raise ValueError("--B is required to evaluate a linear order")
     elif min(Bs) < 1:
         raise ValueError("B must be >= 1")
+    else:
+        order = _read_order(layout)
     tree = load_tree(args.tree)
-    if kind == "order":
-        order = _read_order(layout, tree.n)
-        del layout
+    if order is not None:
+        _check_nodes(order, tree.n)
     elif len(block_of) != tree.n:
         raise TreeError("layout holds %d nodes, the tree %d"
                         % (len(block_of), tree.n))

@@ -157,7 +157,7 @@ def order_report(tree: TreeTopology, order, B: int) -> CostReport:
     """
     _check_order(tree, order, B)
     return _scan(tree, order.position, B,
-                 [-1] * ((len(order.order) - 1) // B + 1))
+                 [-1] * ((order.slots - 1) // B + 1))
 
 
 # the most (depth, offset) cells worst_by_offset tabulates: at 1, 2 or 4
@@ -199,7 +199,7 @@ def worst_by_offset(tree: TreeTopology, order, B: int) -> list:
         raise ResourceLimitError(
             "pricing every offset at B=%d takes %d x %d cells, over the "
             "budget of %d" % (B, tree.height + 1, B, _OFFSET_CELL_BUDGET))
-    pos, nslots, height = order.position, len(order.order), tree.height
+    pos, nslots, height = order.position, order.slots, tree.height
     # no cost exceeds the path length or the number of slices met
     most = min(height + 1, nslots // B + 2)
     k = 8

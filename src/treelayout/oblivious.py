@@ -36,7 +36,7 @@ measured ratio checks in the test suite.)  Runs in O(N lg lg N).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
 from functools import cache, cached_property
 from itertools import chain
 from operator import itemgetter
@@ -54,48 +54,68 @@ __all__ = [
 ]
 
 
-@dataclass
+def _slot_table(seq) -> array:
+    """The slot of each node of ``seq``, a tuple or list of node ids and
+    None padding, in one checking pass: every entry is an int id or None
+    (bools are not ids), and each node ``0..n-1`` is in one slot."""
+    # one pass in C, and a count of padding only if there is some
+    types = set(map(type, seq))
+    if not types <= {int, type(None)}:
+        raise TreeError("order entries must be node ids or null")
+    n = len(seq) - seq.count(None) if type(None) in types else len(seq)
+    pos = array("i", [-1]) * n
+    for i, x in enumerate(seq):
+        if x is not None:
+            if not 0 <= x < n or pos[x] >= 0:
+                raise TreeError("order is not a permutation of 0..%d"
+                                % (n - 1))
+            pos[x] = i
+    return pos
+
+
 class LinearOrder:
     """Storage order of a tree's nodes.
 
     ``order[i]`` is the node in slot ``i``, or None for an empty padding
-    slot (see ``padded_order``).  ``position[x]``, the slot of node x, is
-    derived on first read, as ``BlockAssignment.block_of`` is, and raises
-    TreeError unless each node ``0..n-1`` is in one slot.  Orders from
-    :func:`layout_oblivious` have no padding and put the root first.
+    slot (see ``padded_order``); ``slots`` is its length.
+    ``position[x]``, the slot of node x, is a packed ``array('i')``, 4
+    bytes a node.  Orders from :func:`layout_oblivious` have no padding
+    and put the root first.
 
-    The two tuples share one set of ints: the slot ``i < n`` in
-    ``position`` is the very int that ``order`` holds for node ``i``, so
-    only the slots of a padded order from ``n`` on are ints of their own.
+    An order keeps the table it was built from and derives the other on
+    first read, as ``BlockAssignment.block_of`` is derived:
+    ``LinearOrder(order)`` keeps ``order``, and deriving ``position``
+    raises TreeError unless each node ``0..n-1`` is in one slot; an
+    order file is read down to ``position`` and ``slots`` (see
+    :func:`order_from_json`), and ``order`` is built from them.
     """
 
-    order: tuple
-
-    def __post_init__(self):
+    def __init__(self, order):
         # a tuple is kept as it is, not copied
-        self.order = tuple(self.order)
+        self.order = tuple(order)
+
+    @classmethod
+    def _of_slots(cls, position: array, slots: int) -> LinearOrder:
+        """The order of ``slots`` slots whose node x sits in slot
+        ``position[x]``, a table :func:`_slot_table` built and checked."""
+        self = cls.__new__(cls)
+        self.position, self.slots = position, slots
+        return self
 
     @cached_property
-    def position(self) -> tuple:
-        order = self.order
-        # one pass in C: bools are not node ids
-        if not set(map(type, order)) <= {int, type(None)}:
-            raise TreeError("order entries must be node ids or null")
-        n = len(order) - order.count(None)
-        # ids[v] is the order's own int for node v, in node order
-        ids = [None] * n
-        for x in order:
-            if x is not None:
-                if not 0 <= x < n or ids[x] is not None:
-                    raise TreeError("order is not a permutation of 0..%d"
-                                    % (n - 1))
-                ids[x] = x
-        pos = [None] * n
-        for x, i in zip(order, chain(ids, range(n, len(order)))):
-            if x is not None:
-                pos[x] = i
-        del ids
-        return tuple(pos)
+    def order(self) -> tuple:
+        order = [None] * self.slots
+        for x, p in enumerate(self.position):
+            order[p] = x
+        return tuple(order)
+
+    @cached_property
+    def position(self) -> array:
+        return _slot_table(self.order)
+
+    @cached_property
+    def slots(self) -> int:
+        return len(self.order)
 
     @property
     def n(self) -> int:
@@ -188,12 +208,11 @@ def layout_oblivious(tree: TreeTopology) -> LinearOrder:
     """Single linear order serving every block size at once."""
     top = layout_aware(tree, _piece_budget(tree.n)).blocks
     if tree.n != (2 << tree.height) - 1:
-        return LinearOrder(tuple(_split(tree, top)))
+        return LinearOrder(_split(tree, top))
     # every piece of a perfect tree is a perfect subtree, in preorder
-    order: list = []
-    for P in top:
-        order += P if len(P) <= _FINAL else _perfect_piece(len(P))(P)
-    return LinearOrder(tuple(order))
+    # one tuple, built from the pieces with no list beside it
+    return LinearOrder(chain.from_iterable(
+        P if len(P) <= _FINAL else _perfect_piece(len(P))(P) for P in top))
 
 
 def refinement_levels(tree: TreeTopology) -> list:
@@ -248,20 +267,25 @@ def order_to_json(order: LinearOrder) -> dict:
 def order_from_json(obj, n: int) -> LinearOrder:
     """Read ``{"order": [node | null, ...]}`` for a tree of ``n`` nodes:
     each of ``0..n-1`` exactly once, padding allowed anywhere.  ``obj``
-    is left unchanged."""
-    return _read_order(dict(obj) if type(obj) is dict else obj, n)
+    is left unchanged.  The order keeps only its slot table and slot
+    count (see :class:`LinearOrder`)."""
+    order = _read_order(dict(obj) if type(obj) is dict else obj)
+    _check_nodes(order, n)
+    return order
 
 
-def _read_order(obj, n: int) -> LinearOrder:
-    """``order_from_json(obj, n)``, taking the order list out of ``obj``
-    so that the list goes as soon as its tuple exists, before
-    ``LinearOrder`` sizes its positions."""
+def _read_order(obj) -> LinearOrder:
+    """``order_from_json`` for no tree in particular, taking the order
+    list out of ``obj``: the list, and its ints, go once the slot table
+    is built from it."""
     seq = _field(obj, "order", "order")
     if type(seq) is not list:
         raise TreeError("order must be a list of node ids and nulls")
     del obj["order"]
-    seq = tuple(seq)    # drops the list: obj no longer holds it
-    order = LinearOrder(seq)
+    return LinearOrder._of_slots(_slot_table(seq), len(seq))
+
+
+def _check_nodes(order: LinearOrder, n: int) -> None:
+    """Raise TreeError unless ``order`` holds ``n`` nodes."""
     if order.n != n:
         raise TreeError("order holds %d nodes, the tree %d" % (order.n, n))
-    return order

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import gc
+import io
 import json
 import time
 
@@ -280,6 +281,34 @@ def test_layout_oblivious_reads_no_positions(tmp_path, monkeypatch):
     assert run(["layout", "oblivious", "--tree", tmp_path / "t.json",
                 "--out", out]) == 0
     assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("family", ["random", "perfect"])
+@pytest.mark.parametrize("offsets", ["zero", "all"])
+def test_eval_of_an_order_derives_no_node_list(tmp_path, monkeypatch,
+                                               family, offsets):
+    # eval reads an order file down to its slot table and prices from it:
+    # the node list of its LinearOrder is never derived, and the rows are
+    # those of the same order held in memory
+    tree = OBLIVIOUS_TREES[family]()
+    order = layout_oblivious(tree)
+    save_tree(tree, tmp_path / "t.json")
+    (tmp_path / "o.json").write_text(json_text(order_to_json(order)))
+    Bs = (4, 64, 1024)
+    depths = range(tree.height + 1)
+    expected = io.StringIO()
+    cli._write_csv([cli._price_cell("t", "-", tree, B, depths, None, order,
+                                    offsets == "all") for B in Bs], expected)
+
+    def refuse(order):
+        raise AssertionError("eval derived an order's node list")
+
+    monkeypatch.setattr(oblivious.LinearOrder, "order", property(refuse))
+    out = tmp_path / "rows.csv"
+    assert run(["eval", "--tree", tmp_path / "t.json",
+                "--layout", tmp_path / "o.json", "--B", 4, "--B", 64,
+                "--B", 1024, "--offsets", offsets, "--out", out]) == 0
+    assert out.read_text() == expected.getvalue()
 
 
 def test_layout_and_eval_derive_no_parent_table(tmp_path, monkeypatch):
@@ -681,7 +710,8 @@ def test_eval_of_block_layout_memory_per_node(tmp_path, peak_bytes):
 def test_eval_of_order_memory_per_node(tmp_path, peak_bytes):
     # positions made of fresh ints, and both parsed child lists alive
     # beside their tuples, peaked at about 171 bytes a node; positions
-    # made of the order's own ints, at about 143
+    # made of the order's own ints, at about 119; the order read down to
+    # its packed slot table before the tree is loaded, at about 80
     tree, order = tmp_path / "t.json", tmp_path / "o.json"
     t = gen_random(1 << 15, 3)
     n = t.n
@@ -692,7 +722,7 @@ def test_eval_of_order_memory_per_node(tmp_path, peak_bytes):
         "eval", "--tree", tree, "--layout", order, "--B", 4, "--B", 64,
         "--B", 1024, "--out", tmp_path / "rows.csv"]))
     assert code == 0
-    assert peak <= 150 * n
+    assert peak <= 95 * n
 
 
 @pytest.mark.parametrize("kind", ["aware", "oblivious"])
@@ -761,22 +791,44 @@ _OWN_B = ("a block layout is priced at its own B=4 and offset 0: --B must "
     ("blocks", ["--B", 4, "--B", 4], "--B repeats 4"),
     ("blocks", ["--B", 8], _OWN_B),
     ("blocks", ["--offsets", "all"], _OWN_B),
+    ("bad-order", ["--B", 4], "order is not a permutation of 0..2"),
 ], ids=["order-B0", "order-repeated", "order-no-B", "blocks-repeated",
-        "blocks-other-B", "blocks-all-offsets"])
+        "blocks-other-B", "blocks-all-offsets", "order-not-permutation"])
 def test_eval_checks_B_before_loading_the_tree(tmp_path, monkeypatch, caplog,
                                                layout, extra, message):
+    # and reads an order down to its slot table, with its checks
     tree, order = _order_files(tmp_path, 20)
     blocks = tmp_path / "blocks.json"
     assert run(["layout", "aware", "--tree", tree, "--B", 4,
                 "--out", blocks]) == 0
+    if layout == "bad-order":
+        order.write_text(json.dumps({"order": [0, 0, 1]}))
 
     def load_tree(path):
         raise AssertionError("the tree was loaded")
 
     monkeypatch.setattr(cli, "load_tree", load_tree)
     caplog.clear()
-    lay = order if layout == "order" else blocks
+    lay = blocks if layout == "blocks" else order
     assert run(["eval", "--tree", tree, "--layout", lay] + extra) == 3
+    assert [r.getMessage() for r in caplog.records] == [message]
+
+
+@pytest.mark.parametrize("layout,message", [
+    ({"order": [0, 0, 1]}, "order is not a permutation of 0..2"),
+    ({"B": 2, "blocks": [[0, 1], [1]]}, "node 1 in two blocks"),
+    ({"order": [0, 1, 2]}, "child id out of range: 7"),
+], ids=["order", "blocks", "good-order"])
+def test_eval_reports_the_layout_fault_before_the_tree_fault(
+        tmp_path, caplog, layout, message):
+    # the tree's fault is reported only when the layout has none
+    tree, lay = tmp_path / "t.json", tmp_path / "l.json"
+    tree.write_text(json.dumps({"version": 2, "n": 3, "root": 0,
+                                "left": [1, 7, None],
+                                "right": [2, None, None]}))
+    lay.write_text(json.dumps(layout))
+    caplog.clear()
+    assert run(["eval", "--tree", tree, "--layout", lay, "--B", 2]) == 3
     assert [r.getMessage() for r in caplog.records] == [message]
 
 

@@ -371,7 +371,7 @@ def test_blocks_at_validates_offset():
 def test_block_ids_of_padded_order_use_slot_indices():
     order = LinearOrder([None, 2, 0, None, 1])
     assert order.n == 3
-    assert order.position == (2, 4, 1)
+    assert order.position.tolist() == [2, 4, 1]
     assert block_ids(order, 2) == [1, 2, 0]
 
 
@@ -428,20 +428,24 @@ def test_order_from_json_leaves_its_argument_unchanged():
 
 def test_read_order_takes_the_list_out():
     obj = {"order": [2, None, 0, 1], "note": 1}
-    order = _read_order(obj, 3)
+    order = _read_order(obj)
     assert obj == {"note": 1}
+    assert (order.n, order.slots) == (3, 4)
     assert order.order == (2, None, 0, 1)
 
 
 def test_read_order_memory_per_node(peak_bytes):
     # parsed under the trace: the parsed ints (28 bytes a node) and list
-    # (8), then the tuple and the two position lists (8 each); the list
-    # goes once its tuple exists, so the peak is about 52 bytes a node,
-    # and about 61 while the list was held beside them
+    # (8), then the slot table (4), about 40 bytes a node.  A tuple of the
+    # parsed ints and two position lists beside them peaked at about 52
+    # and held about 44; the list and its ints go once the table is
+    # built, so the order holds only the table
     text = json.dumps(order_to_json(layout_oblivious(gen_random(1 << 15, 3))))
-    order, peak, _ = peak_bytes(lambda: _read_order(json.loads(text), 1 << 15))
+    order, peak, held = peak_bytes(lambda: _read_order(json.loads(text)))
+    assert vars(order).keys() == {"position", "slots"}
     assert order.n == 1 << 15
-    assert peak <= 56 * order.n
+    assert peak <= 44 * order.n
+    assert held <= 5 * order.n
 
 
 def test_order_json_rejects_non_permutation():
@@ -478,8 +482,9 @@ def test_position_is_derived_from_order_on_first_read():
     want = [None] * 500
     for p, x in enumerate(order.order):
         want[x] = p
-    assert order.position == tuple(want)
+    assert order.position.tolist() == want
     assert order.position is order.position  # kept after the first read
+    assert (order.position.typecode, order.position.itemsize) == ("i", 4)
     # an order that is no permutation is built, and refused when read
     bad = LinearOrder([0, 2, 0, None])
     assert vars(bad) == {"order": (0, 2, 0, None)}
@@ -496,6 +501,8 @@ def _json_order(seq):
 
 @pytest.mark.parametrize("pad", ["none", "start", "middle", "end", "spread"])
 def test_positions_share_the_order_ints(pad):
+    # a file's order keeps no int of its own: its slot table is packed, 4
+    # bytes a node, and its node list is built from the table on demand
     rng = random.Random(11)
     seq = list(range(1000))
     rng.shuffle(seq)
@@ -509,22 +516,23 @@ def test_positions_share_the_order_ints(pad):
     for p, x in enumerate(seq):
         if x is not None:
             want[x] = p
-    assert order.position == tuple(want)
-    # the slot p < n is the order's own int for node p
-    assert all(p is order.order[order.position[p]]
-               for p in order.position if p < 1000)
+    assert (order.position.typecode, order.position.itemsize) == ("i", 4)
+    assert order.position.tolist() == want
+    assert order.slots == len(seq)
+    assert order.order == tuple(seq)
 
 
 def test_linear_order_memory_per_node(peak_bytes):
     # from a tuple of parsed ids, a fresh int per slot peaked at about 44
-    # bytes a node; the order's own ints as positions leave two lists of
-    # pointers, about 16 (a list to copy adds 8).  The positions are
-    # derived on first read, so the read is measured with the order.
+    # bytes a node, and the order's own ints in two lists of pointers at
+    # about 16; the packed slot table is 4 (a list to copy adds 8).  The
+    # positions are derived on first read, so the read is measured with
+    # the order.
     seq = tuple(json.loads(json.dumps(list(layout_oblivious(
         gen_random(1 << 15, 3)).order))))
     position, peak, _ = peak_bytes(lambda: LinearOrder(seq).position)
     assert len(position) == len(seq)
-    assert peak <= 24 * len(seq)
+    assert peak <= 6 * len(seq)
 
 
 @pytest.mark.parametrize("obj", [{"order": 7}, {"order": "012"},

@@ -784,7 +784,7 @@ _READERS = {
     "tree": (tree_from_json, {"version": 2, "n": 1, "root": 0,
                               "left": [None], "right": [None]}),
     "layout": (layout_from_json, {"B": 1, "blocks": [[0]]}),
-    "order": (lambda obj: _read_order(obj, 1), {"order": [0]}),
+    "order": (_read_order, {"order": [0]}),
 }
 
 
